@@ -16,6 +16,7 @@ from .chemgraph import (
     apply_deletion,
     canonical_key,
     contains_subgraph,
+    embeddings,
     parse_smiles,
     peripheral_deletions,
     write_smiles,

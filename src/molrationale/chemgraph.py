@@ -8,6 +8,7 @@ implicit and never stored. All graphs are immutable after construction.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -835,96 +836,70 @@ def apply_deletion_with_map(g: MolGraph, d: Deletion) -> tuple[MolGraph, dict[in
 # ---------------------------------------------------------------------------
 # Subgraph matching
 
-def contains_subgraph(g: MolGraph, s: MolGraph) -> dict[int, int] | None:
-    """Injective atom map s -> g preserving atom labels and s's bonds (with
-    orders); g may have extra bonds. Returns None when no embedding exists.
+def embeddings(g: MolGraph, s: MolGraph, *, induced: bool = False) -> Iterator[dict[int, int]]:
+    """Yield every injective atom map s -> g that preserves atom labels and
+    s's bonds with their orders, each once and in a fixed order. g may have
+    extra bonds between mapped atoms unless `induced` is set.
+
+    Backtracking in the VF2 style (Cordella et al., 2004): s's components
+    are matched in turn, each in breadth-first order, so every atom after a
+    component's first is looked up among the g-neighbors of a mapped
+    neighbor; candidates of smaller degree are pruned.
     """
     if g.n > SUBGRAPH_ATOM_LIMIT or s.n > SUBGRAPH_ATOM_LIMIT:
         raise ResourceLimitError(
             f"subgraph search limited to {SUBGRAPH_ATOM_LIMIT} atoms"
         )
     if s.n > g.n or s.n == 0:
-        return None
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def compatible(si: int, gi: int) -> bool:
-        a, b = s.atoms[si], g.atoms[gi]
-        return (
-            a.element == b.element
-            and a.charge == b.charge
-            and a.aromatic == b.aromatic
-            and s.degree(si) <= g.degree(gi)
-        )
-
-    def match_component(order: list[int], k: int) -> bool:
-        if k == len(order):
-            return True
-        si = order[k]
-        anchored = [w for w in s.neighbors(si) if w in mapping]
-        if anchored:
-            cands = [
-                v
-                for v in g.neighbors(mapping[anchored[0]])
-                if v not in used and compatible(si, v)
-            ]
-        else:
-            cands = [v for v in range(g.n) if v not in used and compatible(si, v)]
-        for v in cands:
-            ok = True
-            for w in anchored:
-                gb = g.bond_between(mapping[w], v)
-                sb = s.bond_between(w, si)
-                if gb is None or gb.order != sb.order:
-                    ok = False
-                    break
-            if ok:
-                mapping[si] = v
-                used.add(v)
-                if match_component(order, k + 1):
-                    return True
-                del mapping[si]
-                used.discard(v)
-        return False
-
-    comps = connected_components(s)
-    orders = []
-    for comp in comps:
-        # BFS order so every atom after the first has a mapped neighbor
-        start = comp[0]
-        seen = {start}
-        order = [start]
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
+        return
+    order: list[int] = []
+    for comp in connected_components(s):
+        queue = [comp[0]]
+        seen = {comp[0]}
+        for u in queue:
             for v in s.neighbors(u):
                 if v not in seen:
                     seen.add(v)
-                    order.append(v)
                     queue.append(v)
-        orders.append(order)
+        order += queue
+    position = {si: k for k, si in enumerate(order)}
+    # the already-matched neighbors of each atom, with the orders of its bonds to them
+    back = [
+        [(w, s.bond_between(w, si).order) for w in s.neighbors(si) if position[w] < k]
+        for k, si in enumerate(order)
+    ]
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
 
-    def match_all(ci: int) -> bool:
-        if ci == len(orders):
-            return True
-        # component roots may land anywhere; backtrack across components
-        order = orders[ci]
-        si = order[0]
-        for v in range(g.n):
-            if v in used or not compatible(si, v):
+    def extend(k: int):
+        if k == len(order):
+            yield dict(mapping)
+            return
+        si = order[k]
+        atom, degree = s.atoms[si], s.degree(si)
+        cands = g.neighbors(mapping[back[k][0][0]]) if back[k] else range(g.n)
+        for v in cands:
+            if v in used or g.atoms[v] != atom or g.degree(v) < degree:
+                continue
+            if any(
+                (gb := g.bond_between(mapping[w], v)) is None or gb.order != bond_order
+                for w, bond_order in back[k]
+            ):
+                continue
+            if induced and sum(x in used for x in g.neighbors(v)) != len(back[k]):
                 continue
             mapping[si] = v
             used.add(v)
-            if match_component(order, 1) and match_all(ci + 1):
-                return True
+            yield from extend(k + 1)
             del mapping[si]
             used.discard(v)
-        return False
 
-    if match_all(0):
-        return dict(mapping)
-    return None
+    yield from extend(0)
+
+
+def contains_subgraph(g: MolGraph, s: MolGraph) -> dict[int, int] | None:
+    """The first of `embeddings(g, s)`, or None when s does not embed in g."""
+    return next(embeddings(g, s), None)
 
 
 def load_smiles_lines(path) -> list[MolGraph]:

@@ -27,7 +27,7 @@ from .chemgraph import (
     MolGraph,
     canonical_key,
     connected_components,
-    contains_subgraph,
+    embeddings,
     induced_subgraph,
     load_smiles_lines,
     parse_smiles,
@@ -130,20 +130,23 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         t = self.section("train")
-        return TrainConfig(
-            entropy_weight=t["entropy_weight"],
-            samples_per_rationale=t["samples_per_rationale"],
-            iterations=t["iterations"],
-            kl_weight=t["kl_weight"],
-            learning_rate=t["learning_rate"],
-            batch_size=t["batch_size"],
-            pretrain_epochs=t["pretrain_epochs"],
-            max_subgraph_atoms=t["max_subgraph_atoms"],
-            pairs_per_molecule=t["pairs_per_molecule"],
-            max_decode_steps=t["max_decode_steps"],
-            dist_samples=t["dist_samples"],
-            seed=self.seed,
-        )
+        try:
+            return TrainConfig(
+                entropy_weight=t["entropy_weight"],
+                samples_per_rationale=t["samples_per_rationale"],
+                iterations=t["iterations"],
+                kl_weight=t["kl_weight"],
+                learning_rate=t["learning_rate"],
+                batch_size=t["batch_size"],
+                pretrain_epochs=t["pretrain_epochs"],
+                max_subgraph_atoms=t["max_subgraph_atoms"],
+                pairs_per_molecule=t["pairs_per_molecule"],
+                max_decode_steps=t["max_decode_steps"],
+                dist_samples=t["dist_samples"],
+                seed=self.seed,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"train section: {exc}") from exc
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -183,7 +186,9 @@ def load_config(path: str | Path) -> RunConfig:
             parse_smiles(p["motif"])
         except ChemError as exc:
             raise ConfigError(f"property {p['name']}: bad motif: {exc}") from exc
-    return RunConfig(raw=merged, path=path)
+    cfg = RunConfig(raw=merged, path=path)
+    cfg.train_config()  # rejects a bad train section before any stage writes
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -524,74 +529,6 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
         print(f"  {name}: positive rate {report.per_property[name]:.4f}")
 
 
-def _all_embeddings(g: MolGraph, s: MolGraph, cap: int = 64) -> list[dict[int, int]]:
-    """Up to `cap` distinct embeddings of s into g (atom maps s->g)."""
-    found: list[dict[int, int]] = []
-    seen: set[tuple] = set()
-
-    first = contains_subgraph(g, s)
-    if first is None:
-        return []
-
-    def compatible(si, gi):
-        a, b = s.atoms[si], g.atoms[gi]
-        return (
-            a.element == b.element
-            and a.charge == b.charge
-            and a.aromatic == b.aromatic
-        )
-
-    order = sorted(range(s.n))
-    # BFS order over s for anchored search
-    if s.n > 0:
-        start = 0
-        seen_s = {start}
-        order = [start]
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in s.neighbors(u):
-                if v not in seen_s:
-                    seen_s.add(v)
-                    order.append(v)
-                    queue.append(v)
-
-    def rec(k: int, mapping: dict[int, int], used: set[int]):
-        if len(found) >= cap:
-            return
-        if k == len(order):
-            key = tuple(sorted(mapping.items()))
-            if key not in seen:
-                seen.add(key)
-                found.append(dict(mapping))
-            return
-        si = order[k]
-        anchors = [w for w in s.neighbors(si) if w in mapping]
-        if anchors:
-            cands = list(g.neighbors(mapping[anchors[0]]))
-        else:
-            cands = list(range(g.n))
-        for gi in cands:
-            if gi in used or not compatible(si, gi):
-                continue
-            ok = True
-            for w in anchors:
-                gb = g.bond_between(mapping[w], gi)
-                sb = s.bond_between(w, si)
-                if gb is None or gb.order != sb.order:
-                    ok = False
-                    break
-            if ok:
-                mapping[si] = gi
-                used.add(gi)
-                rec(k + 1, mapping, used)
-                del mapping[si]
-                used.discard(gi)
-
-    rec(0, {}, set())
-    return found
-
-
 def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
     _require_stage(cfg, "extract", "faithfulness", force)
     mols, labels = _load_corpus(cfg)
@@ -632,7 +569,7 @@ def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
                 exact += 1
             rationale_atoms = set(best_atoms)
             best_cov = 0.0
-            for emb in _all_embeddings(g, motif):
+            for emb in embeddings(g, motif):
                 motif_atoms = set(emb.values())
                 cov = len(motif_atoms & rationale_atoms) / len(motif_atoms)
                 best_cov = max(best_cov, cov)

@@ -203,16 +203,11 @@ class RationaleVocab:
             return cls.from_json(fh.read())
 
 
-def select_action(node: SearchNode, c_puct: float) -> Deletion:
+def select_action_index(node: SearchNode, c_puct: float) -> int:
     """Argmax of Q + U with U = c_puct * R * sqrt(sum_b N) / (1 + N); ties go
     to the higher R, then the lowest child index."""
-    idx = select_action_index(node, c_puct)
-    return node.deletions[idx]
-
-
-def select_action_index(node: SearchNode, c_puct: float) -> int:
     if not node.edges:
-        raise SearchError("select_action on a state with no legal deletions")
+        raise SearchError("no action to select on a state with no legal deletions")
     total = sum(e.n for e in node.edges)
     sqrt_total = math.sqrt(total)
     best = None

@@ -25,7 +25,7 @@ from .chemgraph import (
     Bond,
     MolGraph,
     canonical_ranks,
-    contains_subgraph,
+    embeddings,
 )
 from .extract import Rationale
 
@@ -399,7 +399,7 @@ def step_logits(model: GenModel, state: DecoderState, z) -> StepLogits:
 
     return StepLogits(
         expand_logit=expand_logit,
-        expand_prob=float(1.0 / (1.0 + np.exp(-expand_logit.data))),
+        expand_prob=float(ns.sigmoid(ns.const(expand_logit.data)).data),
         atom_logits=atom_logits,
         atom_probs=atom_probs.data,
         _bond_fn=bond_fn,
@@ -525,7 +525,7 @@ def _run_decoder(
             continue
         x = ns.concat([ns.row(h, v_t), hg, z_t])
         expand_logit = ns.sum_all(_mlp(model, "expand", x))
-        prob = float(1.0 / (1.0 + np.exp(-expand_logit.data)))
+        prob = float(ns.sigmoid(ns.const(expand_logit.data)).data)
         if not policy.expand(state, v_t, prob):
             logp = ns.add(logp, ns.logsigmoid(ns.scale(expand_logit, -1.0)))
             state.queue.popleft()
@@ -596,68 +596,6 @@ def trace_log_likelihood(
     return _run_decoder(model, state, z, _TracePolicy(trace), max_steps=10**9)
 
 
-def _find_induced_mapping(g: MolGraph, s: MolGraph) -> dict[int, int] | None:
-    mapping = contains_subgraph(g, s)
-    if mapping is None:
-        return None
-    # the queue decomposition can only reproduce g when the rationale is an
-    # induced subgraph: bonds of g between mapped atoms must exist in s
-    inv = {v: k for k, v in mapping.items()}
-    for b in g.bonds:
-        if b.u in inv and b.v in inv:
-            sb = s.bond_between(inv[b.u], inv[b.v])
-            if sb is None or sb.order != b.order:
-                return _search_induced(g, s)
-    return mapping
-
-
-def _search_induced(g: MolGraph, s: MolGraph) -> dict[int, int] | None:
-    """Exhaustive search for an induced embedding (fallback path)."""
-    if s.n > 12:
-        return None
-    cand = [
-        [
-            gi
-            for gi in range(g.n)
-            if g.atoms[gi].element == s.atoms[si].element
-            and g.atoms[gi].charge == s.atoms[si].charge
-            and g.atoms[gi].aromatic == s.atoms[si].aromatic
-        ]
-        for si in range(s.n)
-    ]
-
-    def ok(mapping: dict[int, int]) -> bool:
-        for i in mapping:
-            for j in mapping:
-                if i >= j:
-                    continue
-                sb = s.bond_between(i, j)
-                gb = g.bond_between(mapping[i], mapping[j])
-                if (sb is None) != (gb is None):
-                    return False
-                if sb is not None and sb.order != gb.order:
-                    return False
-        return True
-
-    def rec(si: int, mapping: dict[int, int], used: set[int]):
-        if si == s.n:
-            return dict(mapping)
-        for gi in cand[si]:
-            if gi in used:
-                continue
-            mapping[si] = gi
-            if ok(mapping):
-                used.add(gi)
-                found = rec(si + 1, mapping, used)
-                if found:
-                    return found
-                used.discard(gi)
-            del mapping[si]
-        return None
-
-    return rec(0, {}, set())
-
-
 def log_likelihood(
     model: GenModel,
     g: MolGraph,
@@ -680,7 +618,9 @@ def log_likelihood_tensor(
 ) -> ns.Tensor:
     combined = rationale.combined
     if mapping is None:
-        mapping = _find_induced_mapping(g, combined)
+        # the queue decomposition can only reproduce g when the rationale is an
+        # induced subgraph: bonds of g between mapped atoms must exist in it
+        mapping = next(embeddings(g, combined, induced=True), None)
         if mapping is None:
             raise LikelihoodError("molecule does not contain the rationale as an induced subgraph")
     state = DecoderState.from_rationale(model, rationale)

@@ -237,13 +237,10 @@ def _merge_into(acc: Rationale, nxt: Rationale) -> list[Rationale]:
 
 
 def _shortlist(vocab: RationaleVocab, prop_name: str, size: int) -> list[Rationale]:
-    """Top rationales by expected-reward estimate, which falls back to the
-    rationale's own predicted score before any sampling estimate exists."""
+    """Top rationales by predicted score, ties broken by key."""
 
     def sort_key(r: Rationale):
-        score = r.scores.get(prop_name, 0.0)
-        estimate = r.scores.get(f"{prop_name}:reward", score)
-        return (-estimate, -score, r.key)
+        return (-r.scores.get(prop_name, 0.0), r.key)
 
     return sorted(vocab.entries, key=sort_key)[:size]
 

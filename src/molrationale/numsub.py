@@ -224,10 +224,9 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = np.where(
-        a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
-        np.exp(a.data) / (1.0 + np.exp(a.data)),
-    )
+    # exp(-|x|) never overflows; the same expression serves both signs
+    e = np.exp(-np.abs(a.data))
+    out = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
     return _track(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -237,12 +236,10 @@ def exp(a: Tensor) -> Tensor:
 
 
 def logsigmoid(a: Tensor) -> Tensor:
-    # log(sigmoid(x)) = -softplus(-x), numerically stable both directions
-    out = np.where(a.data >= 0, -np.log1p(np.exp(-a.data)), a.data - np.log1p(np.exp(a.data)))
-    sig = np.where(
-        a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)),
-        np.exp(a.data) / (1.0 + np.exp(a.data)),
-    )
+    # log(sigmoid(x)) = min(x, 0) - log(1 + exp(-|x|)), stable in both directions
+    e = np.exp(-np.abs(a.data))
+    out = np.minimum(a.data, 0) - np.log1p(e)
+    sig = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
     return _track(out, (a,), lambda g: (g * (1.0 - sig),))
 
 

@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError("entropy_weight must be positive")
         if self.samples_per_rationale < 1 or self.iterations < 1:
             raise ValueError("samples_per_rationale and iterations must be >= 1")
+        if self.pretrain_epochs < 1:
+            raise ValueError("pretrain_epochs must be >= 1")
 
 
 @dataclass

@@ -80,6 +80,23 @@ def oracle_is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
     )
 
 
+def oracle_embeddings(g: MolGraph, s: MolGraph, induced: bool) -> list[dict[int, int]]:
+    """Every label- and bond-order-preserving injective map s -> g, from
+    networkx's VF2 matcher; `induced` forbids extra g bonds among the image."""
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        to_nx(g),
+        to_nx(s),
+        node_match=lambda x, y: x["label"] == y["label"],
+        edge_match=lambda x, y: x["order"] == y["order"],
+    )
+    found = (
+        matcher.subgraph_isomorphisms_iter()
+        if induced
+        else matcher.subgraph_monomorphisms_iter()
+    )
+    return [{si: gi for gi, si in m.items()} for m in found]
+
+
 def oracle_max_common_connected_size(a: MolGraph, b: MolGraph) -> int:
     """Exhaustive maximum connected common subgraph size for tiny graphs."""
     ga, gb = to_nx(a), to_nx(b)

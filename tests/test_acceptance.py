@@ -47,7 +47,12 @@ from molrationale.train import (
     success_of_model,
 )
 
-from helpers import oracle_max_common_connected_size, oracle_peripheral_removals, random_corpus
+from helpers import (
+    oracle_embeddings,
+    oracle_max_common_connected_size,
+    oracle_peripheral_removals,
+    random_corpus,
+)
 from test_genmodel import enumerate_completions, tiny_model
 
 
@@ -55,12 +60,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num} {name}: {verdict}  {detail}", file=sys.__stdout__, flush=True)
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-def _all_motif_embeddings(g, motif, cap=64):
-    from molrationale.cli import _all_embeddings
-
-    return _all_embeddings(g, motif, cap=cap)
 
 
 def test_criterion_1_planted_alert_faithfulness():
@@ -97,7 +96,7 @@ def test_criterion_1_planted_alert_faithfulness():
             exact += 1
         best_atoms = set(best.sources[0][1])
         best_cov = 0.0
-        for emb in _all_motif_embeddings(g, motif):
+        for emb in oracle_embeddings(g, motif, induced=False):
             motif_atoms = set(emb.values())
             best_cov = max(best_cov, len(motif_atoms & best_atoms) / len(motif_atoms))
         coverage_sum += best_cov

@@ -17,6 +17,8 @@ from molrationale.chemgraph import (
     canonical_ranks,
     contains_subgraph,
     disjoint_union,
+    embeddings,
+    induced_subgraph,
     is_connected,
     parse_smiles,
     peripheral_deletions,
@@ -26,6 +28,7 @@ from molrationale.chemgraph import (
 )
 
 from helpers import (
+    oracle_embeddings,
     oracle_is_isomorphic,
     oracle_peripheral_removals,
     random_corpus,
@@ -305,6 +308,62 @@ class TestContainsSubgraph:
         )
         with pytest.raises(ResourceLimitError):
             contains_subgraph(big, parse_smiles("C"))
+
+
+def random_fragment(g: MolGraph, rng: random.Random) -> MolGraph:
+    """Induced subgraph on a random connected atom set of g."""
+    atoms = [rng.randrange(g.n)]
+    size = rng.randint(1, g.n)
+    while len(atoms) < size:
+        frontier = sorted({w for u in atoms for w in g.neighbors(u)} - set(atoms))
+        if not frontier:
+            break
+        atoms.append(rng.choice(frontier))
+    return induced_subgraph(g, atoms)
+
+
+class TestEmbeddings:
+    def check_against_oracle(self, g: MolGraph, s: MolGraph) -> None:
+        for induced in (False, True):
+            got = [tuple(sorted(m.items())) for m in embeddings(g, s, induced=induced)]
+            assert len(got) == len(set(got)), "an embedding was yielded twice"
+            want = {tuple(sorted(m.items())) for m in oracle_embeddings(g, s, induced)}
+            assert set(got) == want, (write_smiles(g), write_smiles(s), induced)
+
+    def test_random_fragments_match_oracle(self):
+        rng = random.Random(17)
+        for g in random_corpus(60, seed=23, atoms_min=5, atoms_max=12):
+            for _ in range(3):
+                self.check_against_oracle(g, random_fragment(g, rng))
+
+    def test_symmetric_benzene(self):
+        benzene = parse_smiles("c1ccccc1")
+        assert len(list(embeddings(benzene, benzene))) == 12
+        for smiles in ["c1ccccc1", "c1ccc2ccccc2c1", "Cc1ccccc1C"]:
+            self.check_against_oracle(parse_smiles(smiles), benzene)
+
+    def test_desk_motifs_in_planted_molecules(self):
+        from molrationale.synthetic import random_molecule
+
+        rng = random.Random(5)
+        for smiles in ["NC(=O)c1ccccc1", "Oc1ccccc1"]:
+            motif = parse_smiles(smiles)
+            for _ in range(10):
+                g = random_molecule(rng, 16, 0.3, motif=motif)
+                self.check_against_oracle(g, motif)
+
+    def test_two_fragment_query(self):
+        s = disjoint_union([parse_smiles("CC"), parse_smiles("CC")])
+        g = parse_smiles("C1C(C)C1")
+        # the first fragment's first placement leaves no room for the second
+        assert contains_subgraph(g, s) is not None
+        self.check_against_oracle(g, s)
+
+    def test_induced_excludes_extra_bonds(self):
+        ring = parse_smiles("C1CC1")
+        chain = parse_smiles("CCC")
+        assert len(list(embeddings(ring, chain))) == 6
+        assert list(embeddings(ring, chain, induced=True)) == []
 
 
 class TestInvariants:

@@ -128,6 +128,17 @@ class TestConfigValidation:
         file.write_text(json.dumps({"properties": [{"name": "x", "motif": "C"}]}))
         assert main(["gen-synthetic", "--config", str(file)]) == EXIT_CONFIG
 
+    def test_bad_train_section(self, tmp_path):
+        cfg = write_config(tmp_path, tmp_path / "run", train={"entropy_weight": 0})
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_pretrain_epochs_rejected_before_writing(self, tmp_path):
+        cfg = write_config(tmp_path, tmp_path / "run", train={"pretrain_epochs": 0})
+        assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
+        assert main(["run-all", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "run" / "pretrain.manifest.json").exists()
+
     def test_paper_preset_loads_reference_values(self, tmp_path):
         cfg_file = write_config(tmp_path, tmp_path / "run", preset="paper")
         cfg = load_config(cfg_file)

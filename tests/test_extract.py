@@ -18,7 +18,6 @@ from molrationale.extract import (
     backup,
     build_vocab,
     extract_rationales,
-    select_action,
     select_action_index,
 )
 from molrationale.forest import PropertySpec, train_forest
@@ -90,7 +89,7 @@ class TestSelectAction:
     def test_leaf_raises(self):
         node = make_node(parse_smiles("C"), [])
         with pytest.raises(SearchError):
-            select_action(node, 10.0)
+            select_action_index(node, 10.0)
 
 
 class TestBackup:

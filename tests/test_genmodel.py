@@ -33,6 +33,8 @@ from molrationale.genmodel import (
     trace_log_likelihood,
 )
 
+from helpers import oracle_embeddings
+
 
 def rat(smiles, peripheral):
     return Rationale(
@@ -363,6 +365,19 @@ class TestLogLikelihood:
             log_likelihood(
                 model, parse_smiles("CCC"), rat("O", (0,)), np.zeros(model.latent)
             )
+
+    def test_rationale_above_twelve_atoms_found_without_mapping(self):
+        model = small_model()
+        g = parse_smiles("C1CCCCCCCCCCCC1CCCCCCCCCCCCC")
+        r = rat("C" * 13, range(13))
+        z = np.zeros(model.latent)
+        got = log_likelihood(model, g, r, z)
+        assert math.isfinite(got) and got < 0.0
+        # the search picks one of the induced embeddings
+        assert any(
+            abs(got - log_likelihood(model, g, r, z, mapping=m)) < 1e-9
+            for m in oracle_embeddings(g, r.combined, induced=True)
+        )
 
     def test_trace_replay_matches_sampling_probability(self):
         model = small_model(seed=29)

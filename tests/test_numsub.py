@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,15 @@ class TestForwardOps:
 
 
 class TestBackward:
+    def test_sigmoid_saturates_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = ns.param([1000.0, -1000.0])
+            ns.backward(ns.sum_all(ns.add(ns.sigmoid(x), ns.logsigmoid(x))))
+            assert ns.sigmoid(x).data.tolist() == [1.0, 0.0]
+            assert ns.logsigmoid(x).data.tolist() == [0.0, -1000.0]
+            assert x.grad.tolist() == [0.0, 1.0]
+
     def test_sigmoid_grad_at_zero(self):
         x = ns.param(0.0)
         ns.backward(ns.sigmoid(x))
