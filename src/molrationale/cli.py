@@ -159,6 +159,26 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_numbers(merged: dict) -> None:
+    """Numeric corpus, model and train values must have their default's type
+    (an integer where the default is one, else any number), and the corpus
+    must hold at least one molecule."""
+    for section in ("corpus", "model", "train"):
+        values = merged[section]
+        if not isinstance(values, dict):
+            raise ConfigError(f"{section} section must be an object")
+        for key, default in _DEFAULTS[section].items():
+            if isinstance(default, bool) or not isinstance(default, (int, float)):
+                continue
+            value = values[key]
+            kinds = int if isinstance(default, int) else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an integer" if kinds is int else "a number"
+                raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
+    if merged["corpus"]["size"] < 1:
+        raise ConfigError("corpus.size must be >= 1")
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -175,6 +195,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"unknown preset {preset!r} (expected 'desk' or 'paper')")
     if "run_dir" not in merged:
         raise ConfigError("config must set run_dir")
+    _check_numbers(merged)
     if not merged.get("properties"):
         raise ConfigError("config must define at least one property")
     for p in merged["properties"]:

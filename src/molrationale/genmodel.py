@@ -3,8 +3,13 @@
 An MPN encoder maps a molecule to latent parameters; the decoder grows a
 molecule outward from a rationale's peripheral atoms through a FIFO frontier
 queue, predicting per step whether to attach a new atom, its type, and its
-bonds to every queued atom in order. The decoder re-runs its MPN over the
-partial graph at every step.
+bonds to every queued atom in order.
+
+Sampling decides as it goes: each step evaluates the heads on the graph so
+far. Scoring a known decision sequence (teacher forcing, trace replay) first
+walks the decisions without tensors, then evaluates each head once over all
+of its decisions, with one MPN over the disjoint union of the graphs the
+steps saw.
 """
 
 from __future__ import annotations
@@ -166,45 +171,106 @@ class GenModel:
 
 
 def _mlp(model: GenModel, name: str, x: ns.Tensor) -> ns.Tensor:
+    """Two-layer ReLU perceptron over a (d,) vector or over each row of an
+    (m, d) matrix, recorded as one tape op."""
     p = model.params
-    hid = ns.relu(ns.add(ns.matmul(x, p[f"{name}_w1"]), p[f"{name}_b1"]))
-    return ns.add(ns.matmul(hid, p[f"{name}_w2"]), p[f"{name}_b2"])
+    w1, b1, w2, b2 = (p[f"{name}_{k}"] for k in ("w1", "b1", "w2", "b2"))
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    pre = xd @ w1d + b1.data
+    hid = np.maximum(pre, 0.0)
+
+    def backward_fn(g):
+        d_pre = (g @ w2d.T) * (pre > 0)
+        if xd.ndim == 1:
+            return d_pre @ w1d.T, np.outer(xd, d_pre), d_pre, np.outer(hid, g), g
+        return d_pre @ w1d.T, xd.T @ d_pre, d_pre.sum(axis=0), hid.T @ g, g.sum(axis=0)
+
+    return ns.track(hid @ w2d + b2.data, (x, w1, b1, w2, b2), backward_fn)
 
 
-def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges: list[tuple[int, int, int]]) -> ns.Tensor:
-    """Directed-edge message passing; returns per-atom vectors (V, hidden)."""
+def _row_scatter(idx: np.ndarray, n: int):
+    """f(values) adds row i of values into row idx[i] of an (n, d) zero
+    matrix: one stable sort by idx, then np.add.reduceat over the sorted rows,
+    linear in len(idx)."""
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = sorted_idx[1:] != sorted_idx[:-1]
+    starts = np.flatnonzero(first)
+    keys = sorted_idx[starts]
+
+    def scatter(values: np.ndarray) -> np.ndarray:
+        out = np.zeros((n, values.shape[1]))
+        if starts.size:
+            out[keys] = np.add.reduceat(values[order], starts, axis=0)
+        return out
+
+    return scatter
+
+
+def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
+    """Directed-edge message passing; returns per-atom vectors (V, hidden).
+
+    The index-based MPNN form (Gilmer et al., 2017), recorded as one tape op
+    with a hand-written backward. Each bond (u, v, bond index) gives the
+    directed edges u->v and v->u. The first message on u->v is
+    relu(x_u W1 + x_uv W2); every later round adds, inside the relu, W3 times
+    the sum of the messages into u less the message on v->u. An atom's vector
+    is relu(x_v U1 + (sum of the messages into v) U2).
+    """
     p = model.params
-    n = len(type_ids)
-    e_atoms = ns.gather_rows(p["emb_atom"], type_ids)
-    agg_in = None
-    if edges:
-        directed = []
-        for u, v, bt in edges:
-            directed.append((u, v, bt))
-            directed.append((v, u, bt))
-        ne = len(directed)
-        src = [type_ids[u] for u, _, _ in directed]
-        bts = [bt for _, _, bt in directed]
-        amat = np.zeros((ne, ne))
-        bmat = np.zeros((n, ne))
-        for i, (u, v, _) in enumerate(directed):
-            bmat[v, i] = 1.0
-            for j, (w, x, _) in enumerate(directed):
-                if x == u and w != v:
-                    amat[i, j] = 1.0
-        a_const = ns.const(amat)
-        base = ns.add(
-            ns.matmul(ns.gather_rows(p["emb_atom"], src), p[f"{prefix}_w1"]),
-            ns.matmul(ns.gather_rows(p["emb_bond"], bts), p[f"{prefix}_w2"]),
+    names = ["emb_atom", "emb_bond"] + [f"{prefix}_{w}" for w in ("w1", "w2", "w3", "u1", "u2")]
+    emb_a, emb_b, w1, w2, w3, u1, u2 = (p[k].data for k in names)
+    types = np.asarray(type_ids, dtype=np.int64)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+    # directed edge 2k is u->v of bond k and 2k + 1 is v->u, so i ^ 1 reverses i
+    src = e[:, :2].reshape(-1)
+    dst = e[:, 1::-1].reshape(-1)
+    bts = np.repeat(e[:, 2], 2)
+    rev = np.arange(src.size) ^ 1
+    into_atoms = _row_scatter(dst, types.size)
+    base = (emb_a @ w1)[types[src]] + (emb_b @ w2)[bts]
+    msg = np.maximum(base, 0.0)
+    later = []  # (neighbour sum, pre-activation) of each round after the first
+    for _ in range(model.rounds - 1):
+        nb = into_atoms(msg)[src] - msg[rev]
+        pre = base + nb @ w3
+        later.append((nb, pre))
+        msg = np.maximum(pre, 0.0)
+    agg = into_atoms(msg)
+    out_pre = (emb_a @ u1)[types] + agg @ u2
+
+    def backward_fn(g):
+        d_out = g * (out_pre > 0)
+        d_type_u1 = _row_scatter(types, emb_a.shape[0])(d_out)
+        d_emb_a = d_type_u1 @ u1.T
+        d_u1 = emb_a.T @ d_type_u1
+        if not src.size:
+            return d_emb_a, None, None, None, None, d_u1, None
+        d_msg = (d_out @ u2.T)[dst]
+        d_base = np.zeros_like(base)
+        d_w3 = np.zeros_like(w3) if later else None
+        for nb, pre in reversed(later):
+            d_pre = d_msg * (pre > 0)
+            d_base += d_pre
+            d_w3 += nb.T @ d_pre
+            # the reverse-edge map is an involution, so its adjoint is itself
+            d_nb = (d_pre @ w3.T)[rev]
+            d_msg = into_atoms(d_nb)[dst] - d_nb
+        d_base += d_msg * (base > 0)
+        d_type_w1 = _row_scatter(types[src], emb_a.shape[0])(d_base)
+        d_bond_w2 = _row_scatter(bts, emb_b.shape[0])(d_base)
+        return (
+            d_emb_a + d_type_w1 @ w1.T,
+            d_bond_w2 @ w2.T,
+            emb_a.T @ d_type_w1,
+            emb_b.T @ d_bond_w2,
+            d_w3,
+            d_u1,
+            agg.T @ d_out,
         )
-        msg = ns.relu(base)
-        for _ in range(model.rounds - 1):
-            msg = ns.relu(ns.add(base, ns.matmul(ns.matmul(a_const, msg), p[f"{prefix}_w3"])))
-        agg_in = ns.matmul(ns.matmul(ns.const(bmat), msg), p[f"{prefix}_u2"])
-    out = ns.matmul(e_atoms, p[f"{prefix}_u1"])
-    if agg_in is not None:
-        out = ns.add(out, agg_in)
-    return ns.relu(out)
+
+    return ns.track(np.maximum(out_pre, 0.0), tuple(p[k] for k in names), backward_fn)
 
 
 def mpn_embed(model: GenModel, g: MolGraph, which: str = "enc") -> np.ndarray:
@@ -252,7 +318,6 @@ class DecoderState:
         self.int_sum: list[int] = []
         self.arom_count: list[int] = []
         self.queue: deque[int] = deque()
-        self.steps = 0
 
     @classmethod
     def from_rationale(cls, model: GenModel, rationale: Rationale) -> "DecoderState":
@@ -274,7 +339,6 @@ class DecoderState:
         dup.int_sum = list(self.int_sum)
         dup.arom_count = list(self.arom_count)
         dup.queue = deque(self.queue)
-        dup.steps = self.steps
         return dup
 
     @property
@@ -334,28 +398,50 @@ class DecoderState:
         )
 
 
-def _decoder_embed(model: GenModel, state: DecoderState) -> tuple[ns.Tensor, ns.Tensor]:
-    h = _mpn(model, "dec", state.type_ids, state.edges)
-    return h, ns.row_sum(h)
-
-
-@dataclass
 class StepLogits:
-    """One decoding step's distributions; bond distributions are produced
-    sequentially because each depends on the bonds already placed."""
+    """One decoding step's distributions for the queue head, evaluated on a
+    snapshot of the graph; bond distributions are produced one queue position
+    at a time because each depends on the bonds already placed."""
 
-    expand_logit: ns.Tensor
-    expand_prob: float
-    atom_logits: ns.Tensor
-    atom_probs: np.ndarray
-    _bond_fn: object
+    def __init__(self, model: GenModel, state: DecoderState, z: ns.Tensor, h: ns.Tensor):
+        self.model = model
+        self.state = state.copy()
+        self.queue = list(state.queue)
+        self.z = z
+        self.h = h  # the decoder MPN's atom vectors for the state's graph
+        self.hg = ns.row_sum(h)
+        x = ns.concat([ns.row(h, self.queue[0]), self.hg, z])
+        self.expand_logit = ns.sum_all(_mlp(model, "expand", x))
+        self.expand_prob = float(ns.sigmoid(ns.const(self.expand_logit.data)).data)
+        self.atom_logits = _mlp(model, "atom", x)
+        self.atom_probs = ns.softmax(self.atom_logits).data
+        self._gin: dict[tuple[int, int], ns.Tensor] = {}  # by (queue position, bond type)
 
     def bond_probs(
         self, new_type_idx: int, prior: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Distribution over BOND_TYPES for queue position len(prior), given
         the bond decisions already taken; returns (probs, additive mask)."""
-        return self._bond_fn(new_type_idx, prior)
+        k = len(prior)
+        if k >= len(self.queue):
+            raise GenModelError("no queue member left for a bond decision")
+        p = self.model.params
+        shadow = self.state.copy()
+        u = shadow._append_atom(self.model.atom_types[new_type_idx].to_atom())
+        gsum = ns.const(np.zeros(self.model.hidden))
+        for j, b_idx in enumerate(prior):
+            if b_idx != NO_BOND_IDX:
+                shadow._append_bond(u, self.queue[j], b_idx)
+            if (j, b_idx) not in self._gin:
+                pair = ns.concat([ns.row(self.h, self.queue[j]), ns.row(p["emb_bond"], b_idx)])
+                self._gin[j, b_idx] = _mlp(self.model, "gin", pair)
+            gsum = ns.add(gsum, self._gin[j, b_idx])
+        mask = shadow.bond_mask(u, self.queue[k], first=(k == 0))
+        if np.all(mask != 0.0):
+            raise GenModelError("no feasible bond decision for a saturated frontier atom")
+        g_vec = _mlp(self.model, "gout", ns.concat([ns.row(p["emb_atom"], new_type_idx), gsum]))
+        logits = _mlp(self.model, "bond", ns.concat([g_vec, ns.row(self.h, self.queue[k]), self.hg, self.z]))
+        return ns.softmax(ns.add(logits, ns.const(mask))).data, mask
 
 
 def step_logits(model: GenModel, state: DecoderState, z) -> StepLogits:
@@ -363,62 +449,24 @@ def step_logits(model: GenModel, state: DecoderState, z) -> StepLogits:
     if not state.queue:
         raise GenModelError("step_logits on an empty queue")
     z_t = z if isinstance(z, ns.Tensor) else ns.const(z)
-    h, hg = _decoder_embed(model, state)
-    v_t = state.queue[0]
-    x = ns.concat([ns.row(h, v_t), hg, z_t])
-    expand_logit = ns.sum_all(_mlp(model, "expand", x))
-    atom_logits = _mlp(model, "atom", x)
-    atom_probs = ns.softmax(atom_logits)
-
-    queue_snapshot = list(state.queue)
-
-    def bond_fn(new_type_idx: int, prior: list[int]):
-        k = len(prior)
-        if k >= len(queue_snapshot):
-            raise GenModelError("no queue member left for a bond decision")
-        shadow = state.copy()
-        u = shadow._append_atom(model.atom_types[new_type_idx].to_atom())
-        gsum = ns.const(np.zeros(model.hidden))
-        e_u = ns.row(model.params["emb_atom"], new_type_idx)
-        for j, b_idx in enumerate(prior):
-            qj = queue_snapshot[j]
-            if b_idx != NO_BOND_IDX:
-                shadow._append_bond(u, qj, b_idx)
-            gsum = ns.add(
-                gsum,
-                _mlp(model, "gin", ns.concat([ns.row(h, qj), ns.row(model.params["emb_bond"], b_idx)])),
-            )
-        g_vec = _mlp(model, "gout", ns.concat([e_u, gsum]))
-        qk = queue_snapshot[k]
-        logits = _mlp(model, "bond", ns.concat([g_vec, ns.row(h, qk), hg, z_t]))
-        mask = shadow.bond_mask(u, qk, first=(k == 0))
-        if np.all(mask != 0.0):
-            raise GenModelError("no feasible bond decision for a saturated frontier atom")
-        probs = ns.softmax(ns.add(logits, ns.const(mask)))
-        return probs.data, mask
-
-    return StepLogits(
-        expand_logit=expand_logit,
-        expand_prob=float(ns.sigmoid(ns.const(expand_logit.data)).data),
-        atom_logits=atom_logits,
-        atom_probs=atom_probs.data,
-        _bond_fn=bond_fn,
-    )
+    return StepLogits(model, state, z_t, _mpn(model, "dec", state.type_ids, state.edges))
 
 
 # ---------------------------------------------------------------------------
-# Decoding engine shared by sampling, trace replay and teacher forcing
+# Decoding: one walk shared by sampling, trace replay and teacher forcing
 
 class _SamplePolicy:
-    def __init__(self, rng: np.random.Generator, greedy: bool = False):
+    """Draws each decision from the step's distributions as the walk goes."""
+
+    def __init__(self, model: GenModel, z, rng: np.random.Generator, greedy: bool = False):
+        self.model = model
+        self.z = z
         self.rng = rng
         self.greedy = greedy
         self.trace: list[int] = []
-
-    def expand(self, state, v_t, prob: float) -> bool:
-        yes = prob >= 0.5 if self.greedy else self.rng.random() < prob
-        self.trace.append(1 if yes else 0)
-        return yes
+        self.step: StepLogits | None = None
+        self.atom = -1
+        self.bonds: list[int] = []
 
     def _draw(self, probs: np.ndarray) -> int:
         if self.greedy:
@@ -427,13 +475,27 @@ class _SamplePolicy:
         p = p / p.sum()
         return int(self.rng.choice(len(p), p=p))
 
-    def atom_type(self, state, probs: np.ndarray) -> int:
-        idx = self._draw(probs)
-        self.trace.append(idx)
-        return idx
+    def expand(self, state, v_t) -> bool:
+        # the graph only grows by an atom with its bonds, so an unchanged
+        # atom count means the last step's MPN output still holds
+        if self.step is not None and self.step.state.n_atoms == state.n_atoms:
+            self.step = StepLogits(self.model, state, self.step.z, self.step.h)
+        else:
+            self.step = step_logits(self.model, state, self.z)
+        prob = self.step.expand_prob
+        yes = prob >= 0.5 if self.greedy else self.rng.random() < prob
+        self.trace.append(1 if yes else 0)
+        return yes
 
-    def bond_type(self, state, u, q, probs: np.ndarray) -> int:
-        idx = self._draw(probs)
+    def atom_type(self, state) -> int:
+        self.atom = self._draw(self.step.atom_probs)
+        self.bonds = []
+        self.trace.append(self.atom)
+        return self.atom
+
+    def bond_type(self, state, u, q) -> int:
+        idx = self._draw(self.step.bond_probs(self.atom, self.bonds)[0])
+        self.bonds.append(idx)
         self.trace.append(idx)
         return idx
 
@@ -450,13 +512,13 @@ class _TracePolicy:
         self.pos += 1
         return v
 
-    def expand(self, state, v_t, prob: float) -> bool:
+    def expand(self, state, v_t) -> bool:
         return bool(self._next())
 
-    def atom_type(self, state, probs: np.ndarray) -> int:
+    def atom_type(self, state) -> int:
         return self._next()
 
-    def bond_type(self, state, u, q, probs: np.ndarray) -> int:
+    def bond_type(self, state, u, q) -> int:
         return self._next()
 
 
@@ -478,14 +540,14 @@ class _TeacherPolicy:
         rem.sort(key=lambda w: self.ranks[w])
         return rem
 
-    def expand(self, state, v_t, prob: float) -> bool:
+    def expand(self, state, v_t) -> bool:
         rem = self._remaining(v_t)
         if rem:
             self.pending_new = rem[0]
             return True
         return False
 
-    def atom_type(self, state, probs: np.ndarray) -> int:
+    def atom_type(self, state) -> int:
         u_g = self.pending_new
         a = self.g.atoms[u_g]
         idx = self.model.type_index.get(AtomType(a.element, a.charge, a.aromatic))
@@ -495,7 +557,7 @@ class _TeacherPolicy:
         self.placed.add(u_g)
         return idx
 
-    def bond_type(self, state, u, q, probs: np.ndarray) -> int:
+    def bond_type(self, state, u, q) -> int:
         u_g = self.local_to_g[u]
         q_g = self.local_to_g[q]
         bond = self.g.bond_between(u_g, q_g)
@@ -504,60 +566,112 @@ class _TeacherPolicy:
         return BOND_TYPES.index(bond.order)
 
 
-def _run_decoder(
-    model: GenModel,
-    state: DecoderState,
-    z,
-    policy,
-    max_steps: int,
-) -> ns.Tensor:
-    """Drive the decoder with a policy; returns the summed log-probability of
-    the decisions taken. Saturated queue heads are dequeued with certainty."""
-    z_t = z if isinstance(z, ns.Tensor) else ns.const(z)
-    logp = ns.const(0.0)
-    added = 0
+@dataclass
+class _Walk:
+    """The decisions of one decoder run, each with what its head sees."""
+
+    # per expand decision: (atoms, edges) of the graph, queue head, 1 if expanded
+    steps: list[tuple[int, int, int, int]]
+    atom_types: list[int]  # per expansion
+    # per bond decision: (expansion index, queue member, bond type index)
+    bonds: list[tuple[int, int, int]]
+    bond_masks: list[np.ndarray]
+
+
+def _walk(model: GenModel, state: DecoderState, policy, max_steps: int) -> _Walk:
+    """Drive the decoder with a policy and record its decisions; computes no
+    tensor itself. Saturated queue heads are dequeued with certainty."""
+    walk = _Walk([], [], [], [])
     while state.queue:
-        state.steps += 1
-        h, hg = _decoder_embed(model, state)
         v_t = state.queue[0]
         if not state.can_accept_any_bond(v_t):
             state.queue.popleft()
             continue
-        x = ns.concat([ns.row(h, v_t), hg, z_t])
-        expand_logit = ns.sum_all(_mlp(model, "expand", x))
-        prob = float(ns.sigmoid(ns.const(expand_logit.data)).data)
-        if not policy.expand(state, v_t, prob):
-            logp = ns.add(logp, ns.logsigmoid(ns.scale(expand_logit, -1.0)))
+        yes = policy.expand(state, v_t)
+        walk.steps.append((state.n_atoms, len(state.edges), v_t, int(yes)))
+        if not yes:
             state.queue.popleft()
             continue
-        logp = ns.add(logp, ns.logsigmoid(expand_logit))
-        if added >= max_steps:
+        if len(walk.atom_types) >= max_steps:
             raise TruncationError(state.to_molgraph())
-        atom_logits = _mlp(model, "atom", x)
-        t_idx = policy.atom_type(state, ns.softmax(atom_logits).data)
-        logp = ns.add(logp, ns.scale(ns.cross_entropy(atom_logits, t_idx), -1.0))
-
+        t_idx = policy.atom_type(state)
         u = state._append_atom(model.atom_types[t_idx].to_atom())
-        e_u = ns.row(model.params["emb_atom"], t_idx)
-        gsum = ns.const(np.zeros(model.hidden))
+        walk.atom_types.append(t_idx)
         for k, q in enumerate(list(state.queue)):
-            g_vec = _mlp(model, "gout", ns.concat([e_u, gsum]))
-            logits = _mlp(model, "bond", ns.concat([g_vec, ns.row(h, q), hg, z_t]))
             mask = state.bond_mask(u, q, first=(k == 0))
-            masked = ns.add(logits, ns.const(mask))
-            b_idx = policy.bond_type(state, u, q, ns.softmax(masked).data)
+            b_idx = policy.bond_type(state, u, q)
             if mask[b_idx] != 0.0:
                 raise GenModelError("policy chose a masked bond type")
-            logp = ns.add(logp, ns.scale(ns.cross_entropy(masked, b_idx), -1.0))
+            walk.bonds.append((len(walk.atom_types) - 1, q, b_idx))
+            walk.bond_masks.append(mask)
             if b_idx != NO_BOND_IDX:
                 state._append_bond(u, q, b_idx)
-            gsum = ns.add(
-                gsum,
-                _mlp(model, "gin", ns.concat([ns.row(h, q), ns.row(model.params["emb_bond"], b_idx)])),
-            )
         state.queue.append(u)
-        added += 1
-    return logp
+    return walk
+
+
+def _score(model: GenModel, state: DecoderState, walk: _Walk, z) -> ns.Tensor:
+    """Summed log-probability of a walk's decisions, each head evaluated once
+    over all of its decisions.
+
+    Atoms and edges are only appended, so the graph each decision saw is a
+    prefix of the final state: one MPN runs over the disjoint union of the
+    distinct prefixes, one copy per atom count.
+    """
+    if not walk.steps:
+        return ns.const(0.0)
+    p = model.params
+    z_t = z if isinstance(z, ns.Tensor) else ns.const(z)
+    steps = np.array(walk.steps, dtype=np.int64)
+    first = np.ones(len(steps), dtype=bool)
+    first[1:] = steps[1:, 0] != steps[:-1, 0]
+    copy_of_step = np.cumsum(first) - 1
+    n_atoms, n_edges = steps[first, 0], steps[first, 1]
+    offsets = np.concatenate([[0], np.cumsum(n_atoms)[:-1]])
+    type_ids = np.asarray(state.type_ids, dtype=np.int64)
+    edges = np.asarray(state.edges, dtype=np.int64).reshape(-1, 3)
+    h = _mpn(
+        model,
+        "dec",
+        np.concatenate([type_ids[:n] for n in n_atoms]),
+        np.concatenate([edges[:e] + [off, off, 0] for e, off in zip(n_edges, offsets)]),
+    )
+    hg = ns.segment_sum(h, offsets)
+
+    def head_input(lead, copies, atoms):
+        # [lead..., atom vector, graph vector, z] for each (copy, atom) row
+        return ns.concat(
+            lead + [ns.gather_rows(h, offsets[copies] + atoms), ns.gather_rows(hg, copies),
+                    ns.tile_rows(z_t, len(copies))]
+        )
+
+    x = head_input([], copy_of_step, steps[:, 2])
+    sign = np.where(steps[:, 3] == 1, 1.0, -1.0)[:, None]
+    logp = ns.sum_all(ns.logsigmoid(ns.mul(_mlp(model, "expand", x), ns.const(sign))))
+    expanded = np.flatnonzero(steps[:, 3])
+    if not expanded.size:
+        return logp
+    nll = ns.sum_all(ns.cross_entropy(_mlp(model, "atom", ns.gather_rows(x, expanded)), walk.atom_types))
+
+    bonds = np.array(walk.bonds, dtype=np.int64)
+    blk, q, b_idx = bonds.T
+    bond_copy = copy_of_step[expanded][blk]
+    q_rows = offsets[bond_copy] + q
+    # gsum of a bond decision: gin summed over the earlier decisions of its
+    # expansion, a block strictly-lower-triangular sum
+    feeds = np.flatnonzero(np.append(blk[1:] == blk[:-1], False))
+    if feeds.size:
+        pairs = ns.concat([ns.gather_rows(h, q_rows[feeds]), ns.gather_rows(p["emb_bond"], b_idx[feeds])])
+        earlier = (blk[:, None] == blk[feeds]) & (feeds < np.arange(len(blk))[:, None])
+        gsum = ns.matmul(ns.const(earlier.astype(np.float64)), _mlp(model, "gin", pairs))
+    else:
+        gsum = ns.const(np.zeros((len(blk), model.hidden)))
+    new_atoms = ns.gather_rows(p["emb_atom"], np.asarray(walk.atom_types)[blk])
+    g_vec = _mlp(model, "gout", ns.concat([new_atoms, gsum]))
+    logits = _mlp(model, "bond", head_input([g_vec], bond_copy, q))
+    masked = ns.add(logits, ns.const(np.array(walk.bond_masks)))
+    nll = ns.add(nll, ns.sum_all(ns.cross_entropy(masked, b_idx)))
+    return ns.add(logp, ns.scale(nll, -1.0))
 
 
 def complete(
@@ -581,10 +695,12 @@ def complete_with_trace(
     max_steps: int = DEFAULT_MAX_STEPS,
     greedy: bool = False,
 ) -> tuple[MolGraph, list[int]]:
+    """Sample stepwise, each decision drawn from the heads evaluated on the
+    graph so far; returns the molecule and its decision trace."""
     state = DecoderState.from_rationale(model, rationale)
-    policy = _SamplePolicy(rng, greedy=greedy)
+    policy = _SamplePolicy(model, z, rng, greedy=greedy)
     with ns.no_grad():
-        _run_decoder(model, state, z, policy, max_steps)
+        _walk(model, state, policy, max_steps)
     return state.to_molgraph(), policy.trace
 
 
@@ -593,7 +709,8 @@ def trace_log_likelihood(
 ) -> ns.Tensor:
     """Log-probability of a recorded decision sequence (differentiable)."""
     state = DecoderState.from_rationale(model, rationale)
-    return _run_decoder(model, state, z, _TracePolicy(trace), max_steps=10**9)
+    walk = _walk(model, state, _TracePolicy(trace), max_steps=10**9)
+    return _score(model, state, walk, z)
 
 
 def log_likelihood(
@@ -625,7 +742,7 @@ def log_likelihood_tensor(
             raise LikelihoodError("molecule does not contain the rationale as an induced subgraph")
     state = DecoderState.from_rationale(model, rationale)
     teacher = _TeacherPolicy(model, g, mapping)
-    logp = _run_decoder(model, state, z, teacher, max_steps=10**9)
+    walk = _walk(model, state, teacher, max_steps=10**9)
     if len(teacher.placed) != g.n:
         raise LikelihoodError(
             "breadth-first decomposition cannot reach the whole molecule "
@@ -633,4 +750,4 @@ def log_likelihood_tensor(
         )
     if len(state.edges) != len(g.bonds):
         raise LikelihoodError("decomposition bond count mismatch")
-    return logp
+    return _score(model, state, walk, z)

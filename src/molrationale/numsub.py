@@ -17,6 +17,7 @@ __all__ = [
     "param",
     "const",
     "no_grad",
+    "track",
     "matmul",
     "add",
     "mul",
@@ -24,6 +25,8 @@ __all__ = [
     "concat",
     "row",
     "gather_rows",
+    "tile_rows",
+    "segment_sum",
     "row_sum",
     "sum_all",
     "relu",
@@ -99,7 +102,9 @@ def const(data) -> Tensor:
     return Tensor(data)
 
 
-def _track(out_data, parents, backward_fn) -> Tensor:
+def track(out_data, parents, backward_fn) -> Tensor:
+    """Record one op on the tape. backward_fn maps the output gradient to a
+    tuple with one gradient (or None, for no dependence) per parent."""
     if _GRAD_ENABLED and any(
         p.requires_grad or p._parents or p._backward for p in parents
     ):
@@ -135,40 +140,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = ad.T @ g
         return ga, gb
 
-    return _track(out, (a, b), backward_fn)
+    return track(out, (a, b), backward_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    return _track(a.data + b.data, (a, b), lambda g: (g, g))
+    return track(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    return _track(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    return track(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return _track(a.data * c, (a,), lambda g: (g * c,))
+    return track(a.data * c, (a,), lambda g: (g * c,))
 
 
 def concat(parts: list[Tensor]) -> Tensor:
-    """Concatenate rank-1 tensors end to end."""
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError("concat expects rank-1 tensors")
-    sizes = [p.shape[0] for p in parts]
-    out = np.concatenate([p.data for p in parts])
+    """Concatenate along the last axis: rank-1 tensors end to end, or rank-2
+    tensors with equal row counts column block by column block."""
+    ndim = parts[0].data.ndim
+    if ndim == 0 or any(p.data.ndim != ndim for p in parts):
+        raise ShapeError("concat expects tensors of one rank, 1 or 2")
+    if ndim == 2 and len({p.shape[0] for p in parts}) != 1:
+        raise ShapeError("concat: row counts differ")
+    sizes = [p.shape[-1] for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=-1)
 
     def backward_fn(g):
         grads = []
         off = 0
         for s in sizes:
-            grads.append(g[off : off + s])
+            grads.append(g[..., off : off + s])
             off += s
         return tuple(grads)
 
-    return _track(out, tuple(parts), backward_fn)
+    return track(out, tuple(parts), backward_fn)
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -180,7 +188,7 @@ def row(a: Tensor, i: int) -> Tensor:
         ga[i] = g
         return (ga,)
 
-    return _track(a.data[i].copy(), (a,), backward_fn)
+    return track(a.data[i].copy(), (a,), backward_fn)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -193,7 +201,28 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return _track(a.data[idx], (a,), backward_fn)
+    return track(a.data[idx], (a,), backward_fn)
+
+
+def tile_rows(a: Tensor, m: int) -> Tensor:
+    """Stack m copies of a (d,) vector into an (m, d) matrix."""
+    if a.data.ndim != 1:
+        raise ShapeError("tile_rows expects a rank-1 tensor")
+    return track(np.tile(a.data, (m, 1)), (a,), lambda g: (g.sum(axis=0),))
+
+
+def segment_sum(a: Tensor, starts) -> Tensor:
+    """Sum consecutive row blocks of an (n, d) matrix: block i is rows
+    starts[i] up to starts[i + 1] (or n). starts begins at 0 and strictly
+    increases, so no block is empty."""
+    if a.data.ndim != 2:
+        raise ShapeError("segment_sum expects a rank-2 tensor")
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.diff(np.append(starts, a.shape[0]))
+    if starts.size == 0 or starts[0] != 0 or np.any(lengths < 1):
+        raise ShapeError("segment_sum needs non-empty blocks starting at row 0")
+    out = np.add.reduceat(a.data, starts, axis=0)
+    return track(out, (a,), lambda g: (np.repeat(g, lengths, axis=0),))
 
 
 def row_sum(a: Tensor) -> Tensor:
@@ -205,7 +234,7 @@ def row_sum(a: Tensor) -> Tensor:
     def backward_fn(g):
         return (np.tile(g, (n, 1)),)
 
-    return _track(a.data.sum(axis=0), (a,), backward_fn)
+    return track(a.data.sum(axis=0), (a,), backward_fn)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -215,24 +244,24 @@ def sum_all(a: Tensor) -> Tensor:
     def backward_fn(g):
         return (np.full(shape, g, dtype=np.float64),)
 
-    return _track(a.data.sum(), (a,), backward_fn)
+    return track(a.data.sum(), (a,), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return _track(a.data * mask, (a,), lambda g: (g * mask,))
+    return track(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     # exp(-|x|) never overflows; the same expression serves both signs
     e = np.exp(-np.abs(a.data))
     out = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
-    return _track(out, (a,), lambda g: (g * out * (1.0 - out),))
+    return track(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _track(out, (a,), lambda g: (g * out,))
+    return track(out, (a,), lambda g: (g * out,))
 
 
 def logsigmoid(a: Tensor) -> Tensor:
@@ -240,7 +269,7 @@ def logsigmoid(a: Tensor) -> Tensor:
     e = np.exp(-np.abs(a.data))
     out = np.minimum(a.data, 0) - np.log1p(e)
     sig = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
-    return _track(out, (a,), lambda g: (g * (1.0 - sig),))
+    return track(out, (a,), lambda g: (g * (1.0 - sig),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -254,24 +283,29 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return _track(out, (a,), backward_fn)
+    return track(out, (a,), backward_fn)
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target] for a rank-1 logits vector."""
-    if logits.data.ndim != 1:
-        raise ShapeError("cross_entropy expects rank-1 logits")
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """-log softmax(logits)[target] over the last axis: a scalar for a
+    rank-1 logits vector and an int target, one value per row for (m, k)
+    logits and m targets."""
     x = logits.data
-    m = x.max()
-    lse = m + np.log(np.exp(x - m).sum())
-    out = lse - x[target]
+    if x.ndim == 0:
+        raise ShapeError("cross_entropy expects rank-1 or rank-2 logits")
+    target = np.asarray(target, dtype=np.int64)
+    if target.shape != x.shape[:-1]:
+        raise ShapeError(f"cross_entropy: targets {target.shape} for logits {x.shape}")
+    m = x.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(x, target[..., None], axis=-1)
+    out = (lse - picked)[..., 0]
 
     def backward_fn(g):
-        p = np.exp(x - lse)
-        p[target] -= 1.0
-        return (g * p,)
+        p = np.exp(x - lse) - (np.arange(x.shape[-1]) == target[..., None])
+        return (np.asarray(g)[..., None] * p,)
 
-    return _track(out, (logits,), backward_fn)
+    return track(out, (logits,), backward_fn)
 
 
 def gaussian_kl(mu: Tensor, log_sigma: Tensor) -> Tensor:
@@ -286,7 +320,7 @@ def gaussian_kl(mu: Tensor, log_sigma: Tensor) -> Tensor:
     def backward_fn(g):
         return (g * mu.data, g * (s2 - 1.0))
 
-    return _track(out, (mu, log_sigma), backward_fn)
+    return track(out, (mu, log_sigma), backward_fn)
 
 
 def backward(loss: Tensor) -> None:

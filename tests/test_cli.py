@@ -133,6 +133,28 @@ class TestConfigValidation:
         assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"train": {"entropy_weight": "0.1"}},
+            {"train": {"batch_size": 16.0}},
+            {"model": {"hidden": None}},
+            {"corpus": {"ring_prob": True}},
+            {"train": 5},
+        ],
+    )
+    def test_non_numeric_value_rejected_before_writing(self, tmp_path, section):
+        cfg = write_config(tmp_path, tmp_path / "run", **section)
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_non_positive_corpus_size_rejected_before_writing(self, tmp_path, size):
+        corpus = {"size": size, "atoms_min": 9, "atoms_max": 13}
+        cfg = write_config(tmp_path, tmp_path / "run", corpus=corpus)
+        assert main(["run-all", "--config", str(cfg)]) == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
     def test_zero_pretrain_epochs_rejected_before_writing(self, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "run", train={"pretrain_epochs": 0})
         assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG

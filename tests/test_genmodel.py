@@ -7,6 +7,7 @@ from molrationale import numsub as ns
 from molrationale.chemgraph import (
     MolGraph,
     canonical_key,
+    canonical_ranks,
     contains_subgraph,
     is_connected,
     parse_smiles,
@@ -20,12 +21,15 @@ from molrationale.genmodel import (
     GenModel,
     GenModelError,
     LikelihoodError,
+    _mlp,
+    _mpn,
     TruncationError,
     atom_types_from_corpus,
     complete,
     complete_with_trace,
     encode,
     log_likelihood,
+    log_likelihood_tensor,
     mpn_embed,
     prior_latent,
     sample_latent,
@@ -33,7 +37,8 @@ from molrationale.genmodel import (
     trace_log_likelihood,
 )
 
-from helpers import oracle_embeddings
+from helpers import oracle_embeddings, random_corpus
+from test_numsub import check_gradients
 
 
 def rat(smiles, peripheral):
@@ -112,6 +117,115 @@ def enumerate_completions(model, rationale, z, prune=0.0):
     return results
 
 
+def dense_mpn(model, prefix, type_ids, edges):
+    """Reference MPN with explicit dense message and incidence matrices, built
+    edge pair by edge pair (forward only)."""
+    p = {k: t.data for k, t in model.params.items()}
+    relu = lambda a: np.maximum(a, 0.0)
+    out = p["emb_atom"][type_ids] @ p[f"{prefix}_u1"]
+    directed = [d for u, v, bt in edges for d in ((u, v, bt), (v, u, bt))]
+    if directed:
+        amat = np.zeros((len(directed), len(directed)))
+        bmat = np.zeros((len(type_ids), len(directed)))
+        for i, (u, v, _) in enumerate(directed):
+            bmat[v, i] = 1.0
+            for j, (w, x, _) in enumerate(directed):
+                if x == u and w != v:
+                    amat[i, j] = 1.0
+        base = (
+            p["emb_atom"][[type_ids[u] for u, _, _ in directed]] @ p[f"{prefix}_w1"]
+            + p["emb_bond"][[bt for _, _, bt in directed]] @ p[f"{prefix}_w2"]
+        )
+        msg = relu(base)
+        for _ in range(model.rounds - 1):
+            msg = relu(base + amat @ msg @ p[f"{prefix}_w3"])
+        out = out + bmat @ msg @ p[f"{prefix}_u2"]
+    return relu(out)
+
+
+def graph_inputs(model, g):
+    return (
+        [model.type_of_atom(a) for a in g.atoms],
+        [(b.u, b.v, BOND_TYPES.index(b.order)) for b in g.bonds],
+    )
+
+
+def stepwise_log_prob(model, rationale, z, decide):
+    """Oracle: walk the decoder one step_logits call per step and sum the log
+    of the probability of each decision that decide(kind, ...) takes; returns
+    that sum and the most bond decisions one new atom took."""
+    state = DecoderState.from_rationale(model, rationale)
+    total = 0.0
+    widest = 0
+    while state.queue:
+        v = state.queue[0]
+        if not state.can_accept_any_bond(v):
+            state.queue.popleft()
+            continue
+        sl = step_logits(model, state, z)
+        logit = float(sl.expand_logit.data)
+        if not decide("expand", v):
+            total -= np.logaddexp(0.0, logit)
+            state.queue.popleft()
+            continue
+        total -= np.logaddexp(0.0, -logit)
+        t = decide("atom", None)
+        total += math.log(sl.atom_probs[t])
+        members = list(state.queue)
+        widest = max(widest, len(members))
+        prior = []
+        for q in members:
+            probs, _ = sl.bond_probs(t, prior)
+            b = decide("bond", q)
+            total += math.log(probs[b])
+            prior.append(b)
+        u = state._append_atom(model.atom_types[t].to_atom())
+        for q, b in zip(members, prior):
+            if b != NO_BOND_IDX:
+                state._append_bond(u, q, b)
+        state.queue.append(u)
+    return total, widest
+
+
+def teacher_decisions(model, g, mapping):
+    """Breadth-first teacher decisions for g: a new atom is the unplaced
+    neighbour of the queue head with the lowest canonical rank."""
+    ranks = canonical_ranks(g)
+    local = [mapping[i] for i in sorted(mapping)]
+    placed = set(local)
+
+    def decide(kind, v):
+        if kind == "expand":
+            rest = [w for w in g.neighbors(local[v]) if w not in placed]
+            if not rest:
+                return False
+            local.append(min(rest, key=lambda w: ranks[w]))
+            placed.add(local[-1])
+            return True
+        if kind == "atom":
+            a = g.atoms[local[-1]]
+            return model.type_index[AtomType(a.element, a.charge, a.aromatic)]
+        bond = g.bond_between(local[-1], local[v])
+        return NO_BOND_IDX if bond is None else BOND_TYPES.index(bond.order)
+
+    return decide
+
+
+def trace_decisions(trace):
+    it = iter(trace)
+    return lambda kind, v: next(it)
+
+
+def tape_size(t):
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
 class TestMPN:
     def test_single_atom_depends_only_on_embedding(self):
         model = small_model()
@@ -149,12 +263,72 @@ class TestMPN:
         h_with_c = mpn_embed(model, disjoint_union([a, parse_smiles("c1ccccc1")]))
         assert np.allclose(h_with_b[: a.n], h_with_c[: a.n], atol=1e-12)
 
+    @pytest.mark.parametrize("smiles", ["CC(=O)Nc1ccccc1O", "C1CC1C", "O", "OC1CC(N)C1=O", "CCCCCC"])
+    def test_matches_dense_reference(self, smiles):
+        model = small_model(seed=4)
+        model.rounds = 3
+        type_ids, edges = graph_inputs(model, parse_smiles(smiles))
+        got = _mpn(model, "dec", type_ids, edges).data
+        assert np.allclose(got, dense_mpn(model, "dec", type_ids, edges), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "smiles,rounds",
+        [("C1CCC1O", 1), ("C1CCC1O", 3), ("c1ccccc1N", 3), ("O", 1), ("O", 3), ("CCCC", 3), ("CC(C)(C)C", 1)],
+    )
+    def test_gradcheck(self, smiles, rounds):
+        model = small_model(seed=6, hidden=5, latent=2)
+        model.rounds = rounds
+        type_ids, edges = graph_inputs(model, parse_smiles(smiles))
+        weights = ns.const(np.random.default_rng(1).normal(size=(len(type_ids), model.hidden)))
+        params = {
+            k: t for k, t in model.params.items() if k.startswith(("emb_", "dec_"))
+        }
+
+        def loss_fn():
+            h = _mpn(model, "dec", type_ids, edges)
+            return ns.sum_all(ns.mul(ns.mul(h, h), weights))
+
+        check_gradients(loss_fn, params)
+
+    def test_unused_weights_get_no_gradient(self):
+        model = small_model()
+        model.rounds = 1
+        ns.zero_grads(model.params)
+        ns.backward(ns.sum_all(_mpn(model, "dec", *graph_inputs(model, parse_smiles("CO")))))
+        assert model.params["dec_w3"].grad is None and model.params["dec_w1"].grad is not None
+        ns.zero_grads(model.params)
+        ns.backward(ns.sum_all(_mpn(model, "dec", *graph_inputs(model, parse_smiles("O")))))
+        assert model.params["emb_bond"].grad is None and model.params["dec_u1"].grad is not None
+
     def test_unknown_atom_type_embeds(self):
         model = small_model()
         g = parse_smiles("CP")  # P is not in the small corpus
         assert model.type_of_atom(g.atoms[1]) == model.unknown_index
         h = mpn_embed(model, g)
         assert h.shape == (2, model.hidden)
+
+
+class TestMLP:
+    @pytest.mark.parametrize("shape", [(24,), (4, 24)])
+    def test_gradcheck(self, shape):
+        model = small_model(seed=8)
+        rng = np.random.default_rng(2)
+        params = {k: model.params[f"gin_{k}"] for k in ("w1", "b1", "w2", "b2")}
+        params["x"] = ns.param(rng.normal(size=shape))
+        weights = ns.const(rng.normal(size=shape[:-1] + (model.hidden,)))
+
+        def loss_fn():
+            out = _mlp(model, "gin", params["x"])
+            return ns.sum_all(ns.mul(ns.mul(out, out), weights))
+
+        check_gradients(loss_fn, params)
+
+    def test_rows_match_vectors(self):
+        model = small_model(seed=8)
+        x = np.random.default_rng(3).normal(size=(3, 2 * model.hidden))
+        rows = _mlp(model, "gin", ns.const(x)).data
+        for i in range(3):
+            assert np.allclose(rows[i], _mlp(model, "gin", ns.const(x[i])).data, rtol=1e-13, atol=1e-15)
 
 
 class TestEncode:
@@ -389,6 +563,60 @@ class TestLogLikelihood:
         ll2 = float(trace_log_likelihood(model, r, trace, z).data)
         assert ll1 == ll2
         assert ll1 <= 0.0
+
+
+class TestOnePassScorer:
+    def model_and_pairs(self):
+        from molrationale.train import make_pretrain_pairs
+
+        corpus = random_corpus(30, seed=21, atoms_min=8, atoms_max=14, ring_prob=0.5)
+        model = GenModel(atom_types_from_corpus(corpus), hidden=10, latent=4, rounds=3, seed=2)
+        pairs = make_pretrain_pairs(corpus, 4, 1, np.random.default_rng(5))
+        return model, pairs
+
+    def test_teacher_forcing_matches_stepwise_oracle(self):
+        model, pairs = self.model_and_pairs()
+        rng = np.random.default_rng(6)
+        widest = 0
+        for rationale, g in pairs:
+            mapping = dict(enumerate(rationale.sources[0][1]))
+            z = prior_latent(model, rng)
+            got = float(log_likelihood_tensor(model, g, rationale, z, mapping=mapping).data)
+            want, queue = stepwise_log_prob(model, rationale, z, teacher_decisions(model, g, mapping))
+            assert got == pytest.approx(want, abs=1e-9)
+            widest = max(widest, queue)
+        assert len(pairs) >= 20 and widest >= 3
+        assert any(len(g.bonds) >= g.n for _, g in pairs)  # rings
+
+    def test_trace_replay_matches_sampler_probabilities(self):
+        model, pairs = self.model_and_pairs()
+        model.params["expand_b2"].data = np.array([1.0])
+        rng = np.random.default_rng(8)
+        long_queues = 0
+        for rationale, _g in pairs:
+            z = prior_latent(model, rng)
+            try:
+                _out, trace = complete_with_trace(model, rationale, z, rng, max_steps=12)
+            except TruncationError:
+                continue
+            got = float(trace_log_likelihood(model, rationale, trace, z).data)
+            want, queue = stepwise_log_prob(model, rationale, z, trace_decisions(trace))
+            assert got == pytest.approx(want, abs=1e-9)
+            long_queues += queue >= 3
+        assert long_queues >= 5
+
+    def test_tape_size_does_not_grow_with_decode_steps(self):
+        corpus = [parse_smiles("CC(C)CCO"), parse_smiles("CC(C)CC(C)CC(C)CC(C)CO")]
+        model = GenModel(atom_types_from_corpus(corpus), hidden=6, latent=3, rounds=3, seed=1)
+        r = rat("CC", (0, 1))
+        z = ns.param(np.full(model.latent, 0.1))
+        # atoms 1 and 3 start the queue, so some new atoms get several bond decisions
+        sizes = [
+            tape_size(log_likelihood_tensor(model, g, r, z, mapping={0: 1, 1: 3}))
+            for g in corpus
+        ]
+        assert [g.n for g in corpus] == [6, 14]
+        assert sizes[1] <= sizes[0] < 100
 
 
 class TestEnumerationConsistency:

@@ -194,6 +194,74 @@ class TestBackward:
         check_gradients(loss_fn, params)
 
 
+    def test_gradcheck_column_concat_and_tile_rows(self):
+        rng = np.random.default_rng(7)
+        params = {
+            "a": ns.param(rng.normal(size=(3, 2))),
+            "b": ns.param(rng.normal(size=(3, 4))),
+            "v": ns.param(rng.normal(size=5)),
+        }
+        weights = ns.const(rng.normal(size=(3, 11)))
+
+        def loss_fn():
+            x = ns.concat([params["a"], params["b"], ns.tile_rows(params["v"], 3)])
+            return ns.sum_all(ns.mul(ns.mul(x, x), weights))
+
+        check_gradients(loss_fn, params)
+
+    def test_gradcheck_segment_sum(self):
+        rng = np.random.default_rng(8)
+        params = {"a": ns.param(rng.normal(size=(6, 3)))}
+        weights = ns.const(rng.normal(size=(3, 3)))
+
+        def loss_fn():
+            s = ns.segment_sum(params["a"], [0, 1, 4])
+            return ns.sum_all(ns.mul(ns.mul(s, s), weights))
+
+        check_gradients(loss_fn, params)
+
+    def test_gradcheck_row_wise_cross_entropy(self):
+        rng = np.random.default_rng(9)
+        params = {"x": ns.param(rng.normal(size=(4, 5)))}
+        mask = np.zeros((4, 5))
+        mask[1, [0, 3]] = -1e30  # masked classes, as the decoder's bond heads use them
+
+        def loss_fn():
+            ce = ns.cross_entropy(ns.add(params["x"], ns.const(mask)), [2, 4, 0, 0])
+            return ns.sum_all(ns.mul(ce, ns.const([1.0, 2.0, -1.0, 0.5])))
+
+        check_gradients(loss_fn, params)
+
+
+class TestBatchOps:
+    def test_row_wise_cross_entropy_matches_rank_one(self):
+        x = np.array([[0.3, -1.2, 2.0], [1.0, 1.0, -4.0]])
+        rows = ns.cross_entropy(ns.const(x), [2, 0]).data
+        assert rows.shape == (2,)
+        for i, t in enumerate([2, 0]):
+            assert rows[i] == ns.cross_entropy(ns.const(x[i]), t).data
+
+    def test_segment_sum_and_tile_rows_values(self):
+        a = ns.const(np.arange(12.0).reshape(4, 3))
+        assert ns.segment_sum(a, [0, 3]).data.tolist() == [[9, 12, 15], [9, 10, 11]]
+        assert ns.tile_rows(ns.const([1.0, 2.0]), 3).data.tolist() == [[1, 2]] * 3
+
+    def test_shape_errors(self):
+        m = ns.const(np.ones((3, 2)))
+        with pytest.raises(ns.ShapeError):
+            ns.segment_sum(m, [0, 0, 2])  # an empty block
+        with pytest.raises(ns.ShapeError):
+            ns.segment_sum(m, [1])  # does not start at row 0
+        with pytest.raises(ns.ShapeError):
+            ns.concat([m, ns.const(np.ones(2))])
+        with pytest.raises(ns.ShapeError):
+            ns.concat([m, ns.const(np.ones((2, 2)))])
+        with pytest.raises(ns.ShapeError):
+            ns.cross_entropy(m, [0, 1])
+        with pytest.raises(ns.ShapeError):
+            ns.tile_rows(m, 2)
+
+
 class TestAdam:
     def test_zero_gradient_no_change(self):
         p = {"x": ns.param([1.0, 2.0])}
