@@ -1,0 +1,51 @@
+"""Microbenchmarks of the batch scorer: the fingerprint matrix, the forest walk
+and the Tanimoto matrix, on one and on 160 desk molecules (the README desk
+corpus settings: 9-14 atoms, ring probability 0.25, amide and phenol motifs
+planted at 0.2).
+
+Not part of the test suite; run with
+
+    PYTHONPATH=src python -m pytest bench --benchmark-only
+"""
+
+import pytest
+
+from molrationale.chemgraph import parse_smiles
+from molrationale.fingerprint import fingerprint_matrix, tanimoto_matrix
+from molrationale.forest import predict_scores, train_forest
+from molrationale.synthetic import CorpusSpec, generate_corpus
+
+SIZES = [1, 160]
+
+
+@pytest.fixture(scope="module")
+def desk():
+    spec = CorpusSpec(size=160, atoms_min=9, atoms_max=14, ring_prob=0.25,
+                      decoy_prob=0.25, unique=False)
+    motifs = {"amide": parse_smiles("NC(=O)c1ccccc1"), "phenol": parse_smiles("Oc1ccccc1")}
+    mols, labels = generate_corpus(spec, motifs, {"amide": 0.2, "phenol": 0.2}, seed=11)
+    model = train_forest(list(zip(mols, labels["amide"])), n_trees=60, max_depth=12, seed=11)
+    return mols, model
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_fingerprint_matrix(benchmark, desk, n):
+    mols, _ = desk
+    X = benchmark(fingerprint_matrix, mols[:n])
+    assert X.shape == (n, 2048)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_predict_scores(benchmark, desk, n):
+    mols, model = desk
+    X = fingerprint_matrix(mols[:n])
+    scores = benchmark(predict_scores, model, X)
+    assert scores.shape == (n,)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_tanimoto_matrix(benchmark, desk, n):
+    mols, _ = desk
+    X = fingerprint_matrix(mols[:n])
+    sim = benchmark(tanimoto_matrix, X, X)
+    assert sim.shape == (n, n)

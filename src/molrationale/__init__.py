@@ -22,8 +22,22 @@ from .chemgraph import (
     write_smiles,
 )
 from .extract import Rationale, RationaleVocab, build_vocab, extract_rationales
-from .fingerprint import BitFingerprint, morgan_fingerprint, tanimoto
-from .forest import ForestModel, PropertySpec, auroc, predict_score, train_forest
+from .fingerprint import (
+    BitFingerprint,
+    fingerprint_matrix,
+    morgan_fingerprint,
+    tanimoto,
+    tanimoto_matrix,
+)
+from .forest import (
+    ForestModel,
+    PropertySpec,
+    auroc,
+    positive_mask,
+    predict_score,
+    predict_scores,
+    train_forest,
+)
 from .genmodel import GenModel, complete, encode, log_likelihood, sample_latent
 from .merge import build_multi_vocab, max_common_substructure, merge_pair
 from .metrics import EvalReport, diversity, evaluate, novelty, success_rate

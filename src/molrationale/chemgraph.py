@@ -637,13 +637,16 @@ def _canonical_perm(g: MolGraph) -> list[int]:
 
 
 @lru_cache(maxsize=200000)
-def _canonical_parts(g: MolGraph) -> tuple:
-    return _encode(g, _canonical_perm(g))
+def _canonical_parts(g: MolGraph) -> tuple[tuple[int, ...], tuple]:
+    """The canonical permutation of g and the encoding it gives, computed
+    once per graph; both are tuples, so no caller can change the cache."""
+    perm = tuple(_canonical_perm(g))
+    return perm, _encode(g, perm)
 
 
 def canonical_key(g: MolGraph) -> str:
     """Canonical string key: equal exactly for isomorphic graphs."""
-    atoms, edges = _canonical_parts(g)
+    _perm, (atoms, edges) = _canonical_parts(g)
     atom_str = ".".join(
         f"{el}{'~' if ar else ''}{'' if q == 0 else f'{q:+d}'}" for el, q, ar in atoms
     )
@@ -651,9 +654,9 @@ def canonical_key(g: MolGraph) -> str:
     return f"{len(atoms)}|{atom_str}|{edge_str}"
 
 
-def canonical_ranks(g: MolGraph) -> list[int]:
+def canonical_ranks(g: MolGraph) -> tuple[int, ...]:
     """Canonical position of each atom (ties fully broken)."""
-    return _canonical_perm(g)
+    return _canonical_parts(g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ evaluation, and the planted-motif faithfulness experiment.
 
 Every stage writes its artifacts plus a manifest recording the config hash
 and input hashes, and refuses mismatched upstream artifacts unless --force.
-Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric failure.
+Exit codes: 0 success, 1 invalid input (a chemistry, predictor, search or
+metric error), 2 config error, 3 missing artifact, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -33,8 +34,15 @@ from .chemgraph import (
     parse_smiles,
     write_smiles,
 )
-from .extract import RationaleVocab, build_vocab
-from .forest import ForestModel, PropertySpec, auroc, read_property_csv, train_forest
+from .extract import RationaleVocab, SearchError, build_vocab
+from .forest import (
+    ForestError,
+    ForestModel,
+    PropertySpec,
+    auroc,
+    read_property_csv,
+    train_forest,
+)
 from .genmodel import GenModel, GenModelError, atom_types_from_corpus
 from .merge import build_multi_vocab
 from .train import (
@@ -329,13 +337,19 @@ def cmd_train_predictor(cfg: RunConfig, force: bool) -> None:
             data, n_trees=f["trees"], max_depth=f["max_depth"], seed=cfg.seed
         )
         heldout = [(mols[i], labels[name][i]) for i in test_idx]
-        scores[name] = auroc(model, heldout)
+        # AUROC is undefined when the held-out split holds one class only
+        defined = len({label for _, label in heldout}) == 2
+        scores[name] = auroc(model, heldout) if defined else None
         out = cfg.run_dir / f"forest_{name}.json"
         model.save(out)
         outputs.append(out)
-        print(f"property {name}: held-out AUROC {scores[name]:.4f}")
+        shown = "n/a" if scores[name] is None else f"{scores[name]:.4f}"
+        print(f"property {name}: held-out AUROC {shown}")
     (cfg.run_dir / "predictor_scores.json").write_text(
-        json.dumps({k: round(v, 6) for k, v in sorted(scores.items())}, sort_keys=True)
+        json.dumps(
+            {k: None if v is None else round(v, 6) for k, v in sorted(scores.items())},
+            sort_keys=True,
+        )
     )
     outputs.append(cfg.run_dir / "predictor_scores.json")
     _write_manifest(cfg, "train-predictor", list(_corpus_paths(cfg)), outputs)
@@ -664,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingError, GenerationError, GenModelError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ChemError as exc:
+    except (ChemError, ForestError, SearchError, metrics_mod.MetricsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return EXIT_OK

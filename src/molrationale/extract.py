@@ -234,20 +234,23 @@ class _Search:
         self.prop = prop
         self.nodes: dict[str, SearchNode] = {}
         self.score_cache = score_cache if score_cache is not None else {}
-        self.root = self._node(root, tuple(range(root.n)))
+        key = canonical_key(root)
+        self._score_new([(key, root)])
+        self.root = self._node(root, tuple(range(root.n)), key)
 
-    def _score(self, key: str, g: MolGraph) -> float:
-        s = self.score_cache.get(key)
-        if s is None:
-            s = self.prop.score(g)
-            self.score_cache[key] = s
-        return s
+    def _score_new(self, keyed: list[tuple[str, MolGraph]]) -> None:
+        """Score, as one batch, the states whose keys have no cached score."""
+        new: dict[str, MolGraph] = {}
+        for key, g in keyed:
+            if key not in self.score_cache:
+                new.setdefault(key, g)
+        if new:
+            self.score_cache.update(zip(new, self.prop.scores(list(new.values())).tolist()))
 
-    def _node(self, g: MolGraph, origin: tuple[int, ...]) -> SearchNode:
-        key = canonical_key(g)
+    def _node(self, g: MolGraph, origin: tuple[int, ...], key: str) -> SearchNode:
         node = self.nodes.get(key)
         if node is None:
-            node = SearchNode(graph=g, origin=origin, key=key, score=self._score(key, g))
+            node = SearchNode(graph=g, origin=origin, key=key, score=self.score_cache[key])
             self.nodes[key] = node
         return node
 
@@ -255,12 +258,16 @@ class _Search:
         if node.deletions or node.edges:
             return
         node.deletions = peripheral_deletions(node.graph)
+        children = []
         for d in node.deletions:
             child_graph, remap = apply_deletion_with_map(node.graph, d)
             child_origin = tuple(
                 node.origin[old] for old in sorted(remap, key=remap.get)
             )
-            child = self._node(child_graph, child_origin)
+            children.append((canonical_key(child_graph), child_graph, child_origin))
+        self._score_new([(key, g) for key, g, _ in children])
+        for key, child_graph, child_origin in children:
+            child = self._node(child_graph, child_origin, key)
             node.child_keys.append(child.key)
             node.edges.append(EdgeStats(r=child.score))
 
@@ -343,8 +350,8 @@ def build_vocab(
     vocab = RationaleVocab((prop.name,))
     score_cache: dict[str, float] = {}
     skipped = 0
-    for g in positives:
-        if prop.score(g) < prop.threshold:
+    for g, score in zip(positives, prop.scores(positives).tolist()):
+        if score < prop.threshold:
             skipped += 1
             continue
         for r in extract_rationales(

@@ -1,40 +1,45 @@
 """Circular (Morgan-style) bit fingerprints and Tanimoto similarity.
 
 Hashing uses a fixed 64-bit mixing function so fingerprints are bit-exact
-across platforms and runs.
+across platforms and runs. `fingerprint_matrix` hashes every atom of a batch
+of molecules at once; `morgan_fingerprint` and `tanimoto` are its one-row
+views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chemgraph import MolGraph, _ORDER_CODE
 
 DEFAULT_RADIUS = 2
 DEFAULT_WIDTH = 2048
+MAX_RADIUS = 4
 
-_MASK64 = (1 << 64) - 1
-_SEED = 0x9E3779B97F4A7C15
+_SEED = np.uint64(0x9E3779B97F4A7C15)
+_OFFSET = np.uint64(0x165667B19E3779F9)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 _ELEMENT_CODE = {el: i + 1 for i, el in enumerate(("C", "N", "O", "S", "P", "F", "Cl", "Br", "I"))}
 
 
-def _mix(x: int) -> int:
-    # splitmix64 finalizer
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
+def _mix(x: np.ndarray) -> np.ndarray:
+    # splitmix64 finalizer; uint64 array arithmetic wraps modulo 2**64
+    x = x ^ (x >> _S30)
+    x *= _MUL1
+    x ^= x >> _S27
+    x *= _MUL2
+    x ^= x >> _S31
     return x
 
 
-def _hash_ints(values) -> int:
-    h = _SEED
-    for v in values:
-        h = _mix(h ^ ((v + 0x165667B19E3779F9) & _MASK64))
-    return h
+def _absorb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One step of the running hash h <- mix(h ^ (v + offset))."""
+    return _mix(h ^ (v + _OFFSET))
 
 
 @dataclass(frozen=True)
@@ -44,11 +49,16 @@ class BitFingerprint:
     bits: frozenset[int]
 
     def __post_init__(self):
-        if self.width & (self.width - 1) or self.width <= 0:
-            raise ValueError(f"width must be a power of two, got {self.width}")
+        _check_width(self.width)
 
     def popcount(self) -> int:
         return len(self.bits)
+
+    def row(self) -> np.ndarray:
+        """The fingerprint as one 0/1 row of a fingerprint matrix."""
+        out = np.zeros(self.width, dtype=bool)
+        out[list(self.bits)] = True
+        return out
 
     def to_hex(self) -> str:
         buf = bytearray(self.width // 8)
@@ -65,50 +75,119 @@ class BitFingerprint:
         return cls(width=len(buf) * 8, radius=radius, bits=frozenset(bits))
 
 
+def _check_width(width: int) -> None:
+    if width & (width - 1) or width <= 0:
+        raise ValueError(f"width must be a power of two, got {width}")
+
+
+def _environment_rounds(mols: list[MolGraph], radius: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Environment hash of every atom of the batch for rounds 0..radius, over
+    the disjoint union of the molecules, and the molecule of each atom.
+
+    Round 0 hashes (element, degree, charge + 16, aromatic). Round r hashes
+    the atom's previous hash followed by its (bond order code, neighbour
+    hash) pairs in ascending order, each value absorbed in turn."""
+    if radius > MAX_RADIUS:
+        raise ValueError(f"radius > {MAX_RADIUS} not supported")
+    element: list[int] = []
+    charge: list[int] = []
+    aromatic: list[bool] = []
+    mol_of: list[int] = []
+    u: list[int] = []
+    v: list[int] = []
+    code: list[int] = []
+    offset = 0
+    for k, g in enumerate(mols):
+        element += [_ELEMENT_CODE[a.element] for a in g.atoms]
+        charge += [a.charge for a in g.atoms]
+        aromatic += [a.aromatic for a in g.atoms]
+        mol_of += [k] * g.n
+        u += [b.u + offset for b in g.bonds]
+        v += [b.v + offset for b in g.bonds]
+        code += [_ORDER_CODE[b.order] for b in g.bonds]
+        offset += g.n
+    n_atoms = offset
+    # each bond as two directed edges, src -> dst
+    src_a = np.array(u + v, dtype=np.intp)
+    dst_a = np.array(v + u, dtype=np.intp)
+    code_a = np.array(code + code, dtype=np.uint64)
+    degree = np.bincount(src_a, minlength=n_atoms)
+    # charge + 16 as int64 first, so that a negative value wraps modulo
+    # 2**64 as in the Python integer hash
+    labels = [
+        np.array(element, dtype=np.uint64),
+        degree.astype(np.uint64),
+        (np.array(charge, dtype=np.int64) + 16).astype(np.uint64),
+        np.array(aromatic, dtype=np.uint64),
+    ]
+
+    h = np.full(n_atoms, _SEED, dtype=np.uint64)
+    for column in labels:
+        h = _absorb(h, column)
+    rounds = [h]
+    # sorted by source atom first, the edges of atom a take positions
+    # start[a] .. start[a] + degree[a] - 1; slot k holds the atoms with more
+    # than k neighbours
+    start = np.cumsum(degree) - degree
+    slots = [np.flatnonzero(degree > k) for k in range(int(degree.max(initial=0)))]
+    for _ in range(radius):
+        nxt = _absorb(np.full(n_atoms, _SEED, dtype=np.uint64), h)
+        nb_hash = h[dst_a]
+        # each atom's directed edges, sorted by (order code, neighbour hash)
+        order = np.lexsort((nb_hash, code_a, src_a))
+        for k, atoms in enumerate(slots):
+            e = order[start[atoms] + k]
+            nxt[atoms] = _absorb(_absorb(nxt[atoms], code_a[e]), nb_hash[e])
+        h = nxt
+        rounds.append(h)
+    return rounds, np.array(mol_of, dtype=np.intp)
+
+
 def atom_environment_hashes(g: MolGraph, radius: int) -> list[list[int]]:
     """Per-round environment hash of every atom, rounds 0..radius."""
-    hashes = [
-        _hash_ints(
-            (_ELEMENT_CODE[a.element], g.degree(i), a.charge + 16, int(a.aromatic))
-        )
-        for i, a in enumerate(g.atoms)
-    ]
-    rounds = [list(hashes)]
-    for _ in range(radius):
-        nxt = []
-        for i in range(g.n):
-            nb = sorted(
-                (_ORDER_CODE[g.bond_between(i, j).order], hashes[j])
-                for j in g.neighbors(i)
-            )
-            flat = [hashes[i]]
-            for code, h in nb:
-                flat.append(code)
-                flat.append(h)
-            nxt.append(_hash_ints(flat))
-        hashes = nxt
-        rounds.append(list(hashes))
-    return rounds
+    rounds, _ = _environment_rounds([g], radius)
+    return [r.tolist() for r in rounds]
+
+
+def fingerprint_matrix(
+    mols: list[MolGraph], radius: int = DEFAULT_RADIUS, width: int = DEFAULT_WIDTH
+) -> np.ndarray:
+    """(len(mols), width) boolean matrix: row k has a bit set for every atom
+    environment hash of molecule k, up to the radius, folded modulo width."""
+    _check_width(width)
+    rounds, mol_of = _environment_rounds(mols, radius)
+    out = np.zeros((len(mols), width), dtype=bool)
+    mask = np.uint64(width - 1)
+    for h in rounds:
+        out[mol_of, (h & mask).astype(np.intp)] = True
+    return out
 
 
 def morgan_fingerprint(
     g: MolGraph, radius: int = DEFAULT_RADIUS, width: int = DEFAULT_WIDTH
 ) -> BitFingerprint:
     """Hash every atom environment up to the radius into a fixed-width bit set."""
-    if radius > 4:
-        raise ValueError("radius > 4 not supported")
-    bits = set()
-    for round_hashes in atom_environment_hashes(g, radius):
-        for h in round_hashes:
-            bits.add(h % width)
-    return BitFingerprint(width=width, radius=radius, bits=frozenset(bits))
+    row = fingerprint_matrix([g], radius, width)[0]
+    return BitFingerprint(width=width, radius=radius, bits=frozenset(np.flatnonzero(row).tolist()))
+
+
+def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) Tanimoto similarities |a_i & b_j| / |a_i | b_j| between the rows
+    of two 0/1 fingerprint matrices; 1.0 where both rows are empty.
+
+    The intersection counts are one float32 product of the 0/1 matrices:
+    every partial sum is an integer no larger than the width, well below
+    2**24, so the counts are exact in any summation order."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"fingerprint width mismatch: {a.shape[1]} vs {b.shape[1]}")
+    fa = a.astype(np.float32)
+    fb = fa if b is a else b.astype(np.float32)
+    inter = (fa @ fb.T).astype(np.float64)
+    union = fa.sum(axis=1, dtype=np.float64)[:, None] + fb.sum(axis=1, dtype=np.float64)[None, :]
+    union -= inter
+    return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
 
 
 def tanimoto(a: BitFingerprint, b: BitFingerprint) -> float:
     """|a & b| / |a | b|; 1.0 when both are empty."""
-    if a.width != b.width:
-        raise ValueError(f"fingerprint width mismatch: {a.width} vs {b.width}")
-    union = len(a.bits | b.bits)
-    if union == 0:
-        return 1.0
-    return len(a.bits & b.bits) / union
+    return float(tanimoto_matrix(a.row()[None, :], b.row()[None, :])[0, 0])

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chemgraph import MolGraph
-from .fingerprint import DEFAULT_RADIUS, DEFAULT_WIDTH, morgan_fingerprint
+from .fingerprint import DEFAULT_RADIUS, DEFAULT_WIDTH, fingerprint_matrix
 
 DEFAULT_TREES = 100
 DEFAULT_MAX_DEPTH = 12
@@ -63,6 +64,12 @@ class ForestModel:
         with open(path, "w") as fh:
             fh.write(self.to_json())
 
+    @cached_property
+    def flat(self) -> "_FlatForest":
+        """The trees as flat node arrays, built on first use (the trees are
+        not changed after the model is built or loaded)."""
+        return _FlatForest.build(self.trees)
+
     @classmethod
     def load(cls, path) -> "ForestModel":
         with open(path) as fh:
@@ -81,11 +88,25 @@ class PropertySpec:
         if not 0.0 <= self.threshold <= 1.0:
             raise ForestError(f"threshold must be in [0, 1], got {self.threshold}")
 
+    def scores(self, mols: list[MolGraph]) -> np.ndarray:
+        """Predicted score of every molecule of a batch."""
+        m = self.model
+        return predict_scores(m, fingerprint_matrix(mols, m.radius, m.width))
+
     def score(self, g: MolGraph) -> float:
         return predict_score(self.model, g)
 
     def is_positive(self, g: MolGraph) -> bool:
         return self.score(g) >= self.threshold
+
+
+def positive_mask(mols: list[MolGraph], props) -> np.ndarray:
+    """Which molecules score at or above every property's threshold; each
+    property scores the whole batch at once."""
+    mask = np.ones(len(mols), dtype=bool)
+    for p in props:
+        mask &= p.scores(mols) >= p.threshold
+    return mask
 
 
 def _gini(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -152,10 +173,7 @@ def train_forest(
     y = np.array([int(label) for _, label in data], dtype=np.int64)
     if y.min() == y.max():
         raise ForestError("training data must contain both classes")
-    X = np.zeros((len(data), width), dtype=bool)
-    for i, (g, _) in enumerate(data):
-        fp = morgan_fingerprint(g, radius=radius, width=width)
-        X[i, list(fp.bits)] = True
+    X = fingerprint_matrix([g for g, _ in data], radius, width)
 
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
@@ -177,17 +195,66 @@ def train_forest(
     )
 
 
-def _walk(tree: dict, bits: frozenset[int]) -> float:
-    node = tree
-    while "leaf" not in node:
-        node = node["right"] if node["bit"] in bits else node["left"]
-    return node["leaf"]
+@dataclass(frozen=True)
+class _FlatForest:
+    """Every node of every tree in flat arrays. A split node tests `bit` and
+    goes to `left` when it is off, `right` when it is on; a leaf has bit -1
+    and both children pointing at itself."""
+
+    roots: np.ndarray
+    bit: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf: np.ndarray
+
+    @classmethod
+    def build(cls, trees: list[dict]) -> "_FlatForest":
+        bit: list[int] = []
+        left: list[int] = []
+        right: list[int] = []
+        leaf: list[float] = []
+
+        def add(node: dict) -> int:
+            i = len(bit)
+            bit.append(node.get("bit", -1))
+            left.append(i)
+            right.append(i)
+            leaf.append(node.get("leaf", 0.0))
+            if "leaf" not in node:
+                left[i] = add(node["left"])
+                right[i] = add(node["right"])
+            return i
+
+        roots = [add(t) for t in trees]
+        return cls(
+            roots=np.array(roots, dtype=np.intp), bit=np.array(bit, dtype=np.intp),
+            left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
+            leaf=np.array(leaf, dtype=np.float64),
+        )
+
+
+def predict_scores(m: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Mean leaf value over the trees for every row of a fingerprint matrix
+    (n, width); each in [0, 1].
+
+    Every row walks every tree at once until all have reached a leaf, however
+    deep the trees are. A row's leaf values are summed in tree order, as a
+    running sum, and divided by the tree count."""
+    f = m.flat
+    rows = np.arange(len(X))[:, None]
+    node = np.broadcast_to(f.roots, (len(X), len(f.roots)))
+    while True:
+        bit = f.bit[node]
+        if not (bit >= 0).any():
+            break
+        # a leaf reads any column: both of its children are itself
+        node = np.where(X[rows, bit], f.right[node], f.left[node])
+    return np.cumsum(f.leaf[node], axis=1)[:, -1] / len(m.trees)
 
 
 def predict_score(m: ForestModel, g: MolGraph) -> float:
     """Mean positive fraction over the trees' leaves; in [0, 1]."""
-    fp = morgan_fingerprint(g, radius=m.radius, width=m.width)
-    return sum(_walk(t, fp.bits) for t in m.trees) / len(m.trees)
+    return float(predict_scores(m, fingerprint_matrix([g], m.radius, m.width))[0])
 
 
 def auroc_from_scores(scores, labels) -> float:
@@ -213,9 +280,8 @@ def auroc_from_scores(scores, labels) -> float:
 
 
 def auroc(m: ForestModel, data: list[tuple[MolGraph, int]]) -> float:
-    scores = [predict_score(m, g) for g, _ in data]
-    labels = [label for _, label in data]
-    return auroc_from_scores(scores, labels)
+    X = fingerprint_matrix([g for g, _ in data], m.radius, m.width)
+    return auroc_from_scores(predict_scores(m, X), [label for _, label in data])
 
 
 def read_property_csv(path) -> tuple[list[str], list[str], list[list[int]]]:

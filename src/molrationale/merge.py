@@ -268,8 +268,10 @@ def build_multi_vocab(
                     merged.setdefault(r.key, r)
         candidates = [merged[k] for k in sorted(merged)]
     out = RationaleVocab(names)
-    for r in candidates:
-        scores = {p.name: p.score(r.combined) for p in props}
+    combined = [r.combined for r in candidates]
+    columns = {p.name: p.scores(combined).tolist() for p in props}
+    for i, r in enumerate(candidates):
+        scores = {p.name: columns[p.name][i] for p in props}
         if all(scores[p.name] >= p.threshold for p in props):
             out.add(
                 Rationale(

@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chemgraph import MolGraph
-from .fingerprint import BitFingerprint, morgan_fingerprint, tanimoto
-from .forest import PropertySpec
+from .fingerprint import fingerprint_matrix, tanimoto_matrix
+from .forest import PropertySpec, positive_mask
 
 NOVELTY_CUTOFF = 0.4
 
@@ -52,50 +54,34 @@ class EvalReport:
         ]
 
 
-def _fps(mols: list[MolGraph]) -> list[BitFingerprint]:
-    return [morgan_fingerprint(g) for g in mols]
-
-
 def success_rate(samples: list[MolGraph], props: list[PropertySpec]) -> float:
     """Fraction of samples scoring at or above every property threshold."""
     if not samples:
         raise MetricsError("success_rate requires at least one sample")
-    hits = sum(1 for g in samples if all(p.is_positive(g) for p in props))
-    return hits / len(samples)
+    return int(positive_mask(samples, props).sum()) / len(samples)
 
 
-def diversity(positives: list[MolGraph]) -> float:
-    """1 - (2 / n(n-1)) * sum of pairwise Tanimoto similarities."""
-    n = len(positives)
+def diversity(sim: np.ndarray) -> float:
+    """1 - (2 / n(n-1)) * sum of pairwise Tanimoto similarities, from the
+    (n, n) similarity matrix of the set."""
+    n = len(sim)
     if n < 2:
         raise MetricsError("diversity requires at least two molecules")
-    fps = _fps(positives)
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += tanimoto(fps[i], fps[j])
+    # the pairs (i < j) in row order, summed left to right as a running sum
+    total = float(np.cumsum(sim[np.triu_indices(n, 1)])[-1])
     return 1.0 - (2.0 / (n * (n - 1))) * total
 
 
-def novelty_from_fingerprints(
-    fps: list[BitFingerprint], ref: list[BitFingerprint]
-) -> float:
-    """Fraction whose nearest-neighbor similarity to the reference is strictly
-    below the cutoff (a tie at the cutoff is not novel)."""
-    if not fps:
+def novelty(sim: np.ndarray) -> float:
+    """Fraction of molecules whose nearest-neighbor similarity to the
+    reference is strictly below the cutoff (a tie at the cutoff is not
+    novel), from the (n, m) similarity matrix to the m references."""
+    n, m = sim.shape
+    if not n:
         raise MetricsError("novelty requires at least one molecule")
-    if not ref:
+    if not m:
         raise MetricsError("novelty requires a non-empty reference set")
-    count = 0
-    for fp in fps:
-        nearest = max(tanimoto(fp, r) for r in ref)
-        if nearest < NOVELTY_CUTOFF:
-            count += 1
-    return count / len(fps)
-
-
-def novelty(positives: list[MolGraph], train_positives: list[MolGraph]) -> float:
-    return novelty_from_fingerprints(_fps(positives), _fps(train_positives))
+    return int((sim.max(axis=1) < NOVELTY_CUTOFF).sum()) / n
 
 
 def evaluate(
@@ -105,22 +91,29 @@ def evaluate(
     csv_path=None,
 ) -> EvalReport:
     """Assemble the metric suite; diversity and novelty are computed over the
-    positive samples only, with all-sample variants carried for debugging."""
+    positive samples only, with all-sample variants carried for debugging.
+
+    Each property scores the samples once, and one similarity matrix among
+    the samples and one to the reference serve both variants."""
     if not samples:
         raise MetricsError("evaluate requires at least one sample")
-    positives = [g for g in samples if all(p.is_positive(g) for p in props)]
-    per_property = {
-        p.name: sum(1 for g in samples if p.is_positive(g)) / len(samples)
-        for p in props
-    }
+    n = len(samples)
+    hits = [p.scores(samples) >= p.threshold for p in props]
+    positive = np.ones(n, dtype=bool)
+    for h in hits:
+        positive &= h
+    pos = np.flatnonzero(positive)
+    fps = fingerprint_matrix(samples)
+    sim = tanimoto_matrix(fps, fps)
+    to_ref = tanimoto_matrix(fps, fingerprint_matrix(train_positives)) if train_positives else None
     report = EvalReport(
-        n=len(samples),
-        success=len(positives) / len(samples),
-        diversity=diversity(positives) if len(positives) >= 2 else None,
-        novelty=novelty(positives, train_positives) if positives and train_positives else None,
-        per_property=per_property,
-        diversity_all=diversity(samples) if len(samples) >= 2 else None,
-        novelty_all=novelty(samples, train_positives) if train_positives else None,
+        n=n,
+        success=len(pos) / n,
+        diversity=diversity(sim[np.ix_(pos, pos)]) if len(pos) >= 2 else None,
+        novelty=novelty(to_ref[pos]) if len(pos) and to_ref is not None else None,
+        per_property={p.name: int(h.sum()) / n for p, h in zip(props, hits)},
+        diversity_all=diversity(sim) if n >= 2 else None,
+        novelty_all=novelty(to_ref) if to_ref is not None else None,
     )
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:

@@ -12,7 +12,8 @@ import numpy as np
 from . import numsub as ns
 from .chemgraph import MolGraph, canonical_key, induced_subgraph
 from .extract import Rationale, RationaleVocab
-from .forest import PropertySpec
+from .fingerprint import fingerprint_matrix, tanimoto_matrix
+from .forest import PropertySpec, positive_mask
 from .genmodel import (
     DEFAULT_MAX_STEPS,
     GenModel,
@@ -197,8 +198,45 @@ class FinetuneStats:
     sampled: int = 0
 
 
-def _positive(g: MolGraph, props: list[PropertySpec]) -> bool:
-    return all(p.is_positive(g) for p in props)
+def _decode_and_score(
+    model: GenModel,
+    vocab: RationaleVocab,
+    props: list[PropertySpec],
+    cfg: TrainConfig,
+    it: int,
+    ref: np.ndarray | None,
+) -> tuple[FinetuneStats, list[tuple[Rationale, list[int], np.ndarray]]]:
+    """One fine-tuning iteration's completions, decoded first and then
+    scored as one batch per property; returns the iteration's statistics and
+    the kept (rationale, trace, latent) trajectories. The completions and
+    their fingerprints are dropped on return, before the update's tape."""
+    from .metrics import diversity as diversity_fn
+    from .metrics import novelty as novelty_fn
+
+    drawn: list[tuple[Rationale, list[int], np.ndarray, MolGraph]] = []
+    for r_idx, rationale in enumerate(vocab.entries):
+        for s_idx in range(cfg.samples_per_rationale):
+            rng = np.random.default_rng([cfg.seed, 7919, it, r_idx, s_idx])
+            z = prior_latent(model, rng)
+            try:
+                g, trace_ids = complete_with_trace(
+                    model, rationale, z, rng, max_steps=cfg.max_decode_steps
+                )
+            except TruncationError:
+                continue
+            drawn.append((rationale, trace_ids, z, g))
+    keep = positive_mask([d[3] for d in drawn], props)
+    kept = [d[:3] for d, k in zip(drawn, keep) if k]
+    positives = [d[3] for d, k in zip(drawn, keep) if k]
+    div = nov = None
+    if positives:
+        fps = fingerprint_matrix(positives)
+        if len(positives) >= 2:
+            div = diversity_fn(tanimoto_matrix(fps, fps))
+        if ref is not None:
+            nov = novelty_fn(tanimoto_matrix(fps, ref))
+    success = len(kept) / len(drawn) if drawn else 0.0
+    return FinetuneStats(it, success, div, nov, len(kept), len(drawn)), kept
 
 
 def finetune(
@@ -216,42 +254,13 @@ def finetune(
     """
     if not vocab.entries:
         raise TrainingError("finetune requires a non-empty vocabulary")
-    from .metrics import diversity as diversity_fn
-    from .metrics import novelty as novelty_fn
-
+    ref = fingerprint_matrix(train_positives) if train_positives else None
     adam_state: dict = {}
     stats: list[FinetuneStats] = []
     empty_streak = 0
     for it in range(cfg.iterations):
-        kept: list[tuple[Rationale, list[int], np.ndarray]] = []
-        n_sampled = 0
-        n_positive = 0
-        positives: list[MolGraph] = []
-        for r_idx, rationale in enumerate(vocab.entries):
-            for s_idx in range(cfg.samples_per_rationale):
-                rng = np.random.default_rng(
-                    [cfg.seed, 7919, it, r_idx, s_idx]
-                )
-                z = prior_latent(model, rng)
-                try:
-                    g, trace_ids = complete_with_trace(
-                        model, rationale, z, rng, max_steps=cfg.max_decode_steps
-                    )
-                except TruncationError:
-                    continue
-                n_sampled += 1
-                if _positive(g, props):
-                    n_positive += 1
-                    positives.append(g)
-                    kept.append((rationale, trace_ids, z))
-        success = n_positive / n_sampled if n_sampled else 0.0
-        div = diversity_fn(positives) if len(positives) >= 2 else None
-        nov = (
-            novelty_fn(positives, train_positives)
-            if positives and train_positives
-            else None
-        )
-        stats.append(FinetuneStats(it, success, div, nov, len(kept), n_sampled))
+        it_stats, kept = _decode_and_score(model, vocab, props, cfg, it, ref)
+        stats.append(it_stats)
         if not kept:
             empty_streak += 1
             log.warning("finetune iteration %d: no positive samples, skipping update", it)
@@ -259,19 +268,32 @@ def finetune(
                 raise TrainingError("every fine-tuning iteration produced no positives")
             continue
         empty_streak = 0
-        ns.zero_grads(model.params)
-        loss = ns.const(0.0)
-        for rationale, trace_ids, z in kept:
-            loss = ns.add(
-                loss, ns.scale(trace_log_likelihood(model, rationale, trace_ids, z), -1.0)
-            )
-        loss = ns.scale(loss, 1.0 / len(kept))
-        if not np.isfinite(loss.data):
-            raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
-        ns.backward(loss)
-        grads = {k: t.grad for k, t in model.params.items() if t.grad is not None}
-        ns.adam_step(model.params, grads, adam_state, lr=cfg.learning_rate)
+        _policy_step(model, kept, cfg, adam_state, it)
     return stats
+
+
+def _policy_step(
+    model: GenModel,
+    kept: list[tuple[Rationale, list[int], np.ndarray]],
+    cfg: TrainConfig,
+    adam_state: dict,
+    it: int,
+) -> None:
+    """One Adam step on the mean negative log-likelihood of the kept
+    trajectories; the tape is dropped on return, before the next
+    iteration decodes."""
+    ns.zero_grads(model.params)
+    loss = ns.const(0.0)
+    for rationale, trace_ids, z in kept:
+        loss = ns.add(
+            loss, ns.scale(trace_log_likelihood(model, rationale, trace_ids, z), -1.0)
+        )
+    loss = ns.scale(loss, 1.0 / len(kept))
+    if not np.isfinite(loss.data):
+        raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
+    ns.backward(loss)
+    grads = {k: t.grad for k, t in model.params.items() if t.grad is not None}
+    ns.adam_step(model.params, grads, adam_state, lr=cfg.learning_rate)
 
 
 def closed_form_distribution(rewards, entropy_weight: float) -> np.ndarray:
@@ -298,22 +320,19 @@ def rationale_distribution(
     set P(S_k) proportional to exp(reward_k / entropy_weight)."""
     if entropy_weight <= 0:
         raise TrainingError("entropy_weight must be positive")
-    rewards = []
+    drawn: list[tuple[int, MolGraph]] = []
     for r_idx, rationale in enumerate(vocab.entries):
-        hits = 0
-        total = 0
         for s_idx in range(samples_per_rationale):
             rng = np.random.default_rng([seed, 104729, r_idx, s_idx])
             z = prior_latent(model, rng)
             try:
-                g = complete(model, rationale, z, rng, max_steps=max_steps)
+                drawn.append((r_idx, complete(model, rationale, z, rng, max_steps=max_steps)))
             except TruncationError:
-                total += 1
-                continue
-            total += 1
-            if _positive(g, props):
-                hits += 1
-        rewards.append(hits / total if total else 0.0)
+                continue  # a truncated completion counts as a miss
+    hits = [0] * len(vocab.entries)
+    for (r_idx, _), positive in zip(drawn, positive_mask([g for _, g in drawn], props)):
+        hits[r_idx] += int(positive)
+    rewards = [h / samples_per_rationale if samples_per_rationale else 0.0 for h in hits]
     rewards_arr = np.array(rewards)
     return RationaleDistribution(
         keys=tuple(r.key for r in vocab.entries),
@@ -359,18 +378,13 @@ def success_of_model(
     """Positive fraction of n completions with rationales drawn uniformly."""
     if not vocab.entries:
         raise TrainingError("empty vocabulary")
-    hits = 0
-    total = 0
+    drawn: list[MolGraph] = []
     for i in range(n):
         rng = np.random.default_rng([seed, 15485863, i])
         rationale = vocab.entries[int(rng.integers(len(vocab.entries)))]
         z = prior_latent(model, rng)
         try:
-            g = complete(model, rationale, z, rng, max_steps=max_steps)
+            drawn.append(complete(model, rationale, z, rng, max_steps=max_steps))
         except TruncationError:
-            total += 1
-            continue
-        total += 1
-        if _positive(g, props):
-            hits += 1
-    return hits / total if total else 0.0
+            continue  # a truncated completion counts as a miss
+    return int(positive_mask(drawn, props).sum()) / n if n else 0.0

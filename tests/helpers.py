@@ -11,8 +11,10 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 
 from molrationale.chemgraph import (
+    _ORDER_CODE,
     AROMATIC,
     MolGraph,
     canonical_key,
@@ -162,3 +164,102 @@ def dedupe_by_key(mols: list[MolGraph]) -> list[MolGraph]:
             seen.add(k)
             out.append(g)
     return out
+
+
+class StubProperty:
+    """Base of the duck-typed test properties: a subclass defines
+    `score(g)`, and the batch `scores` and `is_positive` follow from it."""
+
+    def scores(self, mols: list[MolGraph]) -> np.ndarray:
+        return np.array([float(self.score(g)) for g in mols], dtype=np.float64)
+
+    def is_positive(self, g: MolGraph) -> bool:
+        return self.score(g) >= self.threshold
+
+
+# ---------------------------------------------------------------------------
+# Scoring oracles: the one-molecule, one-tree and one-pair loops that the
+# batch scorer replaced, in plain Python integers, dicts and sets.
+
+_MASK64 = (1 << 64) - 1
+_ELEMENT_CODE = {el: i + 1 for i, el in enumerate(("C", "N", "O", "S", "P", "F", "Cl", "Br", "I"))}
+
+
+def _mix(x: int) -> int:
+    # splitmix64 finalizer
+    x &= _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return x
+
+
+def _hash_ints(values) -> int:
+    h = 0x9E3779B97F4A7C15
+    for v in values:
+        h = _mix(h ^ ((v + 0x165667B19E3779F9) & _MASK64))
+    return h
+
+
+def fold_environment_hashes(g: MolGraph, radius: int) -> list[list[int]]:
+    """Per-round environment hash of every atom, folded atom by atom."""
+    hashes = [
+        _hash_ints((_ELEMENT_CODE[a.element], g.degree(i), a.charge + 16, int(a.aromatic)))
+        for i, a in enumerate(g.atoms)
+    ]
+    rounds = [list(hashes)]
+    for _ in range(radius):
+        nxt = []
+        for i in range(g.n):
+            nb = sorted(
+                (_ORDER_CODE[g.bond_between(i, j).order], hashes[j]) for j in g.neighbors(i)
+            )
+            flat = [hashes[i]]
+            for code, h in nb:
+                flat += [code, h]
+            nxt.append(_hash_ints(flat))
+        hashes = nxt
+        rounds.append(list(hashes))
+    return rounds
+
+
+def fold_fingerprint_bits(g: MolGraph, radius: int = 2, width: int = 2048) -> frozenset[int]:
+    return frozenset(h % width for r in fold_environment_hashes(g, radius) for h in r)
+
+
+def walk_score(trees: list[dict], bits: frozenset[int]) -> float:
+    """Mean leaf value of a forest for one fingerprint, walking the dicts."""
+    total = 0
+    for node in trees:
+        while "leaf" not in node:
+            node = node["right"] if node["bit"] in bits else node["left"]
+        total += node["leaf"]
+    return total / len(trees)
+
+
+def set_tanimoto(a: frozenset, b: frozenset) -> float:
+    union = len(a | b)
+    return 1.0 if union == 0 else len(a & b) / union
+
+
+def loop_diversity(fps: list[frozenset]) -> float:
+    n = len(fps)
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += set_tanimoto(fps[i], fps[j])
+    return 1.0 - (2.0 / (n * (n - 1))) * total
+
+
+def loop_novelty(fps: list[frozenset], ref: list[frozenset], cutoff: float = 0.4) -> float:
+    return sum(1 for f in fps if max(set_tanimoto(f, r) for r in ref) < cutoff) / len(fps)
+
+
+def similarity(mols: list[MolGraph], ref: list[MolGraph] | None = None) -> np.ndarray:
+    """Tanimoto matrix of the molecules among themselves or to a reference."""
+    from molrationale.fingerprint import fingerprint_matrix, tanimoto_matrix
+
+    fps = fingerprint_matrix(mols)
+    return tanimoto_matrix(fps, fps if ref is None else fingerprint_matrix(ref))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from molrationale.chemgraph import (
+    _canonical_perm,
     AROMATIC,
     SINGLE,
     Atom,
@@ -167,6 +168,19 @@ class TestCanonicalKey:
         g = parse_smiles("CC(=O)Nc1ccccc1")
         ranks = canonical_ranks(g)
         assert sorted(ranks) == list(range(g.n))
+
+    def test_ranks_match_an_uncached_recomputation(self):
+        for g in random_corpus(40, seed=29, atoms_min=4, atoms_max=12, ring_prob=0.5):
+            canonical_key(g)  # the key and the ranks share one cache entry
+            assert canonical_ranks(g) == tuple(_canonical_perm(g))
+            assert canonical_ranks(g) is canonical_ranks(g)
+
+    def test_returned_ranks_cannot_change_the_cache(self):
+        g = parse_smiles("OC1CCC(N)CC1")
+        ranks = canonical_ranks(g)
+        with pytest.raises(TypeError):
+            ranks[0] = ranks[1]
+        assert canonical_ranks(g) == tuple(_canonical_perm(g))
 
 
 class TestPeripheralDeletions:

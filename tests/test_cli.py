@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from molrationale import cli
 from molrationale.chemgraph import contains_subgraph, parse_smiles
 from molrationale.cli import (
     EXIT_CONFIG,
@@ -11,7 +12,9 @@ from molrationale.cli import (
     load_config,
     main,
 )
-from molrationale.forest import read_property_csv
+from molrationale.extract import SearchError
+from molrationale.forest import ForestError, read_property_csv
+from molrationale.metrics import MetricsError
 
 
 def write_config(path: Path, run_dir: Path, **overrides) -> Path:
@@ -106,6 +109,55 @@ class TestStageSequencing:
         cfg2 = write_config(tmp_path, tmp_path / "run", seed=99)
         assert main(["train-predictor", "--config", str(cfg2)]) == EXIT_CONFIG
         assert main(["train-predictor", "--config", str(cfg2), "--force"]) == EXIT_OK
+
+
+README_PROPERTIES = [
+    {"name": "amide", "motif": "NC(=O)c1ccccc1", "plant_prob": 0.2},
+    {"name": "phenol", "motif": "Oc1ccccc1", "plant_prob": 0.2},
+]
+
+
+class TestLibraryErrors:
+    def test_one_class_heldout_split_records_null_auroc(self, tmp_path, capsys):
+        # 12 molecules at config seed 2: the 20% held-out split of each
+        # property holds one class only, so its AUROC is undefined
+        cfg_file = write_config(
+            tmp_path, tmp_path / "run", seed=2, corpus={"size": 12},
+            properties=README_PROPERTIES,
+        )
+        assert main(["gen-synthetic", "--config", str(cfg_file)]) == EXIT_OK
+        cfg = load_config(cfg_file)
+        mols, labels = cli._load_corpus(cfg)
+        _train, heldout = cli._split_indices(len(mols), cfg.seed)
+        one_class = {n for n, lab in labels.items() if len({lab[i] for i in heldout}) == 1}
+        assert one_class, "the corpus no longer gives a one-class held-out split"
+        capsys.readouterr()
+        assert main(["train-predictor", "--config", str(cfg_file)]) == EXIT_OK
+        scores = json.loads((tmp_path / "run" / "predictor_scores.json").read_text())
+        assert {n for n, v in scores.items() if v is None} == one_class
+        assert all(0.0 <= v <= 1.0 for n, v in scores.items() if v is not None)
+        out = capsys.readouterr().out
+        for name in one_class:
+            assert f"property {name}: held-out AUROC n/a" in out
+            assert (tmp_path / "run" / f"forest_{name}.json").exists()
+
+    def test_one_class_training_data_is_an_error_line(self, tmp_path, capsys):
+        props = [{"name": "amide", "motif": "NC(=O)c1ccccc1", "plant_prob": 0.0}]
+        cfg = write_config(tmp_path, tmp_path / "run", seed=3, corpus={"size": 40},
+                           properties=props)
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train-predictor", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: training data must contain both classes\n"
+
+    @pytest.mark.parametrize("error", [ForestError, SearchError, MetricsError])
+    def test_library_error_exits_1_with_one_line(self, monkeypatch, capsys, error):
+        def fail(path):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "load_config", fail)
+        assert main(["evaluate", "--config", "unused.json"]) == 1
+        assert capsys.readouterr().err == "error: bad input\n"
 
 
 class TestConfigValidation:

@@ -23,8 +23,10 @@ from molrationale.extract import (
 from molrationale.forest import PropertySpec, train_forest
 from molrationale.synthetic import CorpusSpec, generate_corpus
 
+from helpers import StubProperty
 
-class ScoreSpec:
+
+class ScoreSpec(StubProperty):
     """Duck-typed property: an arbitrary scoring function with a threshold."""
 
     def __init__(self, fn, name="toy", threshold=0.5):

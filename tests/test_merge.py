@@ -17,7 +17,7 @@ from molrationale.merge import (
 )
 from molrationale.synthetic import CorpusSpec, generate_corpus
 
-from helpers import oracle_max_common_connected_size
+from helpers import StubProperty, oracle_max_common_connected_size
 
 
 def rat(smiles: str, peripheral=(), scores=None) -> Rationale:
@@ -200,7 +200,7 @@ class TestBuildMultiVocab:
         # properties keyed to fragments with no shared atom type: the only
         # candidates are disjoint two-fragment rationales, kept when the
         # scorers accept them
-        class ContainsSpec:
+        class ContainsSpec(StubProperty):
             def __init__(self, name, motif):
                 self.name = name
                 self.threshold = 0.5

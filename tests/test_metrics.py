@@ -12,8 +12,10 @@ from molrationale.metrics import (
     success_rate,
 )
 
+from helpers import StubProperty, random_corpus, similarity
 
-class StubSpec:
+
+class StubSpec(StubProperty):
     """Property that scores by molecule size for controllable positives."""
 
     def __init__(self, name="size", max_atoms=3, threshold=0.5):
@@ -53,23 +55,21 @@ class TestSuccessRate:
 class TestDiversity:
     def test_identical_molecules_zero(self):
         mols = [parse_smiles("CCO")] * 5
-        assert diversity(mols) == pytest.approx(0.0)
+        assert diversity(similarity(mols)) == pytest.approx(0.0)
 
     def test_two_molecules(self):
         a, b = parse_smiles("CCO"), parse_smiles("CCN")
         sim = tanimoto(morgan_fingerprint(a), morgan_fingerprint(b))
-        assert diversity([a, b]) == pytest.approx(1.0 - sim)
+        assert diversity(similarity([a, b])) == pytest.approx(1.0 - sim)
 
     def test_three_molecule_formula(self):
         mols = [parse_smiles(s) for s in ["CCO", "CCN", "c1ccccc1"]]
         fps = [morgan_fingerprint(g) for g in mols]
         sims = [tanimoto(a, b) for a, b in itertools.combinations(fps, 2)]
         expected = 1.0 - (2.0 / (3 * 2)) * sum(sims)
-        assert diversity(mols) == pytest.approx(expected)
+        assert diversity(similarity(mols)) == pytest.approx(expected)
 
     def test_brute_force_equality_on_set(self):
-        from helpers import random_corpus
-
         mols = random_corpus(20, seed=3)
         fps = [morgan_fingerprint(g) for g in mols]
         n = len(mols)
@@ -77,28 +77,28 @@ class TestDiversity:
             tanimoto(fps[i], fps[j]) for i in range(n) for j in range(i + 1, n)
         )
         expected = 1.0 - total / (n * (n - 1) / 2)
-        assert diversity(mols) == pytest.approx(expected, abs=1e-12)
+        assert diversity(similarity(mols)) == pytest.approx(expected, abs=1e-12)
 
     def test_order_invariance(self):
-        from helpers import random_corpus
-
         mols = random_corpus(10, seed=9)
-        assert diversity(mols) == pytest.approx(diversity(list(reversed(mols))))
+        assert diversity(similarity(mols)) == pytest.approx(
+            diversity(similarity(list(reversed(mols))))
+        )
 
     def test_single_molecule_undefined(self):
         with pytest.raises(MetricsError):
-            diversity([parse_smiles("C")])
+            diversity(similarity([parse_smiles("C")]))
 
 
 class TestNovelty:
     def test_exact_training_copies_not_novel(self):
         train = [parse_smiles("CCO"), parse_smiles("CCN")]
-        assert novelty(list(train), train) == 0.0
+        assert novelty(similarity(list(train), train)) == 0.0
 
     def test_disjoint_reference_fully_novel(self):
         gen = [parse_smiles("c1ccccc1")]
         train = [parse_smiles("III"[0:1])]  # single iodine atom
-        assert novelty(gen, train) == 1.0
+        assert novelty(similarity(gen, train)) == 1.0
 
     def test_boundary_similarity_is_not_novel(self):
         # construct a pair whose Tanimoto is exactly 0.4, then shift around it
@@ -118,15 +118,13 @@ class TestNovelty:
         assert count == 0
 
     def test_order_invariance(self):
-        from helpers import random_corpus
-
         gen = random_corpus(8, seed=21)
         train = random_corpus(8, seed=22)
-        assert novelty(gen, train) == novelty(list(reversed(gen)), train)
+        assert novelty(similarity(gen, train)) == novelty(similarity(list(reversed(gen)), train))
 
     def test_empty_reference_raises(self):
         with pytest.raises(MetricsError):
-            novelty([parse_smiles("C")], [])
+            novelty(similarity([parse_smiles("C")], []))
 
 
 class TestEvaluate:
@@ -144,8 +142,8 @@ class TestEvaluate:
         positives = [g for g in mols if spec.is_positive(g)]
         assert report.n == 3
         assert report.success == pytest.approx(2 / 3)
-        assert report.diversity == pytest.approx(diversity(positives))
-        assert report.novelty == pytest.approx(novelty(positives, train))
+        assert report.diversity == pytest.approx(diversity(similarity(positives)))
+        assert report.novelty == pytest.approx(novelty(similarity(positives, train)))
         assert report.per_property == {"size": pytest.approx(2 / 3)}
 
     def test_csv_row_written(self, tmp_path):

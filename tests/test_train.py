@@ -18,6 +18,8 @@ from molrationale.train import (
     success_of_model,
 )
 
+from helpers import StubProperty
+
 
 def toy_corpus():
     return [
@@ -51,7 +53,7 @@ def quick_cfg(**kw):
     return TrainConfig(**base)
 
 
-class ConstSpec:
+class ConstSpec(StubProperty):
     def __init__(self, value, name="const", threshold=0.5):
         self._value = value
         self.name = name
@@ -256,7 +258,7 @@ class TestFinetune:
         pairs = make_pretrain_pairs(corpus, 5, 2, rng)
         pretrain(model, pairs, quick_cfg(pretrain_epochs=3))
 
-        class NitrogenSpec:
+        class NitrogenSpec(StubProperty):
             name = "hasN"
             threshold = 0.5
 
