@@ -266,18 +266,15 @@ def _load_corpus(cfg: RunConfig) -> tuple[list[MolGraph], dict[str, list[int]]]:
     return mols, labels
 
 
+def _forest_paths(cfg: RunConfig) -> list[Path]:
+    return [cfg.run_dir / f"forest_{p['name']}.json" for p in cfg.properties]
+
+
 def _load_predictors(cfg: RunConfig) -> list[PropertySpec]:
-    specs = []
-    for p in cfg.properties:
-        model_path = cfg.run_dir / f"forest_{p['name']}.json"
-        specs.append(
-            PropertySpec(
-                name=p["name"],
-                model=ForestModel.load(model_path),
-                threshold=p["threshold"],
-            )
-        )
-    return specs
+    return [
+        PropertySpec(name=p["name"], model=ForestModel.load(path), threshold=p["threshold"])
+        for p, path in zip(cfg.properties, _forest_paths(cfg))
+    ]
 
 
 def _split_indices(n: int, seed: int, holdout: float = 0.2) -> tuple[list[int], list[int]]:
@@ -377,22 +374,21 @@ def cmd_extract(cfg: RunConfig, force: bool) -> None:
         vocab.save(out)
         outputs.append(out)
         print(f"property {spec.name}: {len(vocab)} rationales from {len(positives)} positives")
-    _write_manifest(cfg, "extract", [], outputs)
+    _write_manifest(cfg, "extract", [*_corpus_paths(cfg), *_forest_paths(cfg)], outputs)
 
 
 def cmd_merge(cfg: RunConfig, force: bool) -> None:
     _require_stage(cfg, "extract", "merge", force)
     specs = _load_predictors(cfg)
-    vocabs = [
-        RationaleVocab.load(cfg.run_dir / f"vocab_{s.name}.json") for s in specs
-    ]
+    vocab_paths = [cfg.run_dir / f"vocab_{s.name}.json" for s in specs]
+    vocabs = [RationaleVocab.load(p) for p in vocab_paths]
     if len(specs) == 1:
         multi = vocabs[0]
     else:
         multi = build_multi_vocab(vocabs, specs, cfg.section("merge")["shortlist"])
     out = cfg.run_dir / "vocab_multi.json"
     multi.save(out)
-    _write_manifest(cfg, "merge", [], [out])
+    _write_manifest(cfg, "merge", [*vocab_paths, *_forest_paths(cfg)], [out])
     print(f"multi-property vocabulary: {len(multi)} rationales")
 
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .chemgraph import (
-    Atom,
     Bond,
     ChemError,
     MolGraph,
@@ -32,95 +32,89 @@ class AtomMapping:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-
-def _labels_match(a: Atom, b: Atom) -> bool:
-    return a.element == b.element and a.charge == b.charge and a.aromatic == b.aromatic
-
 
 def max_common_substructure(a: MolGraph, b: MolGraph) -> list[AtomMapping]:
     """All maximum-cardinality connected common-subgraph mappings between a and
-    b, deduplicated by their pair sets. Empty when no atom labels coincide."""
+    b, sorted by their pairs. Empty when no atom labels coincide.
+
+    The search grows each mapping at its frontier, as FMCS does (Dalke &
+    Hastings, 2013): next to a mapped pair (aj, bj) it pairs an unmapped
+    neighbour ai of aj with an unused neighbour bi of bj when their labels and
+    the orders of bonds (ai, aj) and (bi, bj) are equal, and keeps the pair
+    when b bonds bi to the image of every mapped neighbour of ai, if at all,
+    with that bond's order. Every state is visited once."""
     if a.n > MCS_ATOM_LIMIT or b.n > MCS_ATOM_LIMIT:
         raise ResourceLimitError(f"MCS limited to {MCS_ATOM_LIMIT} atoms per graph")
+    label_ids: dict[tuple, int] = {}
+    label_a, label_b = (
+        [label_ids.setdefault((x.element, x.charge, x.aromatic), len(label_ids)) for x in g.atoms]
+        for g in (a, b)
+    )
+    # (neighbour, bond order) per atom; b's bond orders keyed by neighbour
+    nbrs_a, nbrs_b = (
+        [[(j, g.bond_between(i, j).order) for j in g.neighbors(i)] for i in range(g.n)]
+        for g in (a, b)
+    )
+    orders_b = [dict(row) for row in nbrs_b]
+    # a state's key holds bi + 1 in the bit field of each mapped ai
+    shift = MCS_ATOM_LIMIT.bit_length()
+    a_to_b = [-1] * a.n
+    used_b = [False] * b.n
+    mapped: list[int] = []
+    seen: set[int] = set()
+    best: list[tuple[tuple[int, int], ...]] = []
 
-    best_size = 0
-    best: dict[frozenset, AtomMapping] = {}
+    def visit(key: int, ai: int, bi: int) -> None:
+        seen.add(key)
+        a_to_b[ai] = bi
+        used_b[bi] = True
+        mapped.append(ai)
+        extend(key)
+        mapped.pop()
+        used_b[bi] = False
+        a_to_b[ai] = -1
 
-    def consistent(ai: int, bi: int, mapping: dict[int, int]) -> bool:
-        # mapped neighbors must agree on bond order wherever both graphs bond
-        for aj, bj in mapping.items():
-            ab = a.bond_between(ai, aj)
-            bb = b.bond_between(bi, bj)
-            if ab is not None and bb is not None and ab.order != bb.order:
-                return False
-        return True
-
-    def shared_edge_exists(ai: int, bi: int, mapping: dict[int, int]) -> bool:
-        for aj, bj in mapping.items():
-            ab = a.bond_between(ai, aj)
-            bb = b.bond_between(bi, bj)
-            if ab is not None and bb is not None and ab.order == bb.order:
-                return True
-        return False
-
-    def record(mapping: dict[int, int]) -> None:
-        nonlocal best_size
-        size = len(mapping)
-        if size < best_size:
-            return
-        key = frozenset(mapping.items())
-        if size > best_size:
-            best_size = size
-            best.clear()
-        best[key] = AtomMapping(tuple(sorted(mapping.items())))
-
-    seen_states: set[frozenset] = set()
-
-    def extend(mapping: dict[int, int], used_b: set[int]) -> None:
-        state = frozenset(mapping.items())
-        if state in seen_states:
-            return
-        seen_states.add(state)
+    def extend(key: int) -> None:
         extended = False
-        for ai in range(a.n):
-            if ai in mapping:
-                continue
-            for bi in range(b.n):
-                if bi in used_b or not _labels_match(a.atoms[ai], b.atoms[bi]):
+        for aj in tuple(mapped):
+            bj = a_to_b[aj]
+            for ai, order in nbrs_a[aj]:
+                if a_to_b[ai] >= 0:
                     continue
-                # grow connectedly along an order-matched edge
-                if not shared_edge_exists(ai, bi, mapping):
-                    continue
-                if not consistent(ai, bi, mapping):
-                    continue
-                extended = True
-                mapping[ai] = bi
-                used_b.add(bi)
-                extend(mapping, used_b)
-                del mapping[ai]
-                used_b.discard(bi)
-        if not extended:
-            record(mapping)
+                for bi, b_order in nbrs_b[bj]:
+                    if b_order != order or used_b[bi] or label_b[bi] != label_a[ai]:
+                        continue
+                    child = key | ((bi + 1) << (shift * ai))
+                    # a seen state passed this check when it was reached
+                    if child not in seen:
+                        # unmapped neighbours have image -1, which b never bonds
+                        orders = orders_b[bi]
+                        if any(orders.get(a_to_b[ak], o) != o for ak, o in nbrs_a[ai]):
+                            continue
+                        visit(child, ai, bi)
+                    extended = True
+        if not extended and (not best or len(mapped) >= len(best[0])):
+            if best and len(mapped) > len(best[0]):
+                best.clear()
+            best.append(tuple((i, j) for i, j in enumerate(a_to_b) if j >= 0))
 
     for ai in range(a.n):
         for bi in range(b.n):
-            if _labels_match(a.atoms[ai], b.atoms[bi]):
-                extend({ai: bi}, {bi})
+            key = (bi + 1) << (shift * ai)
+            if label_a[ai] == label_b[bi] and key not in seen:
+                visit(key, ai, bi)
 
-    return [best[k] for k in sorted(best, key=lambda s: sorted(s))]
+    return [AtomMapping(pairs) for pairs in sorted(best)]
 
 
-def _superpose(a: MolGraph, b: MolGraph, mapping: AtomMapping) -> MolGraph | None:
-    """Union of a and b with mapped atoms identified; None when bond orders
-    conflict or the union violates valence."""
-    pair = mapping.as_dict()
-    b_to_new: dict[int, int] = {}
+def _superpose(
+    a: MolGraph, b: MolGraph, mapping: AtomMapping
+) -> tuple[MolGraph, dict[int, int]] | None:
+    """Union of a and b with mapped atoms identified, and the map from b's
+    atoms to the union's; None when bond orders conflict or the union
+    violates valence."""
+    b_to_new = {bi: ai for ai, bi in mapping.pairs}
     atoms = list(a.atoms)
-    for ai, bi in pair.items():
-        b_to_new[bi] = ai
     for bi in range(b.n):
         if bi not in b_to_new:
             b_to_new[bi] = len(atoms)
@@ -137,25 +131,18 @@ def _superpose(a: MolGraph, b: MolGraph, mapping: AtomMapping) -> MolGraph | Non
             return None
         bonds[key] = bond.order
     try:
-        return MolGraph(atoms, [Bond(u, v, o) for (u, v), o in bonds.items()])
+        union = MolGraph(atoms, [Bond(u, v, o) for (u, v), o in bonds.items()])
     except ChemError:
         return None
+    return union, b_to_new
 
 
 def _merged_rationale(
-    graph_or_fragments, a: Rationale, b: Rationale, b_index_map: dict[int, int] | None
+    fragments: tuple[MolGraph, ...], a: Rationale, b: Rationale, b_to_new: dict[int, int]
 ) -> Rationale:
     """Assemble the merged rationale with peripheral atoms carried over from
-    both inputs (b's indices translated through the identification)."""
-    if isinstance(graph_or_fragments, MolGraph):
-        fragments = (graph_or_fragments,)
-        peripheral = set(a.peripheral)
-        for p in b.peripheral:
-            peripheral.add(b_index_map[p])
-    else:
-        fragments = tuple(graph_or_fragments)
-        offset = sum(f.n for f in a.fragments)
-        peripheral = set(a.peripheral) | {p + offset for p in b.peripheral}
+    both inputs (b's indices translated to the merged atom indices)."""
+    peripheral = set(a.peripheral) | {b_to_new[p] for p in b.peripheral}
     return Rationale(
         fragments=fragments,
         scores={},
@@ -176,20 +163,14 @@ def merge_pair(a: Rationale, b: Rationale) -> list[Rationale]:
     ga, gb = a.fragments[0], b.fragments[0]
     mappings = max_common_substructure(ga, gb)
     if not mappings:
-        return [_merged_rationale((ga, gb), a, b, None)]
+        return [_merged_rationale((ga, gb), a, b, {bi: ga.n + bi for bi in range(gb.n)})]
     out: dict[str, Rationale] = {}
     for m in mappings:
-        union = _superpose(ga, gb, m)
-        if union is None:
+        superposed = _superpose(ga, gb, m)
+        if superposed is None:
             continue
-        pair = m.as_dict()
-        b_to_new: dict[int, int] = {bi: ai for ai, bi in pair.items()}
-        nxt = ga.n
-        for bi in range(gb.n):
-            if bi not in b_to_new:
-                b_to_new[bi] = nxt
-                nxt += 1
-        r = _merged_rationale(union, a, b, b_to_new)
+        union, b_to_new = superposed
+        r = _merged_rationale((union,), a, b, b_to_new)
         out.setdefault(r.key, r)
     return [out[k] for k in sorted(out)]
 
@@ -201,32 +182,23 @@ def _merge_into(acc: Rationale, nxt: Rationale) -> list[Rationale]:
     if len(acc.fragments) == 1:
         return merge_pair(acc, nxt)
     results: dict[str, Rationale] = {}
+    offsets = list(accumulate((f.n for f in acc.fragments), initial=0))
     for fi, frag in enumerate(acc.fragments):
+        start, end = offsets[fi], offsets[fi + 1]
         part = Rationale(
             fragments=(frag,),
             scores={},
-            peripheral=tuple(
-                p - sum(f.n for f in acc.fragments[:fi])
-                for p in acc.peripheral
-                if sum(f.n for f in acc.fragments[:fi]) <= p < sum(f.n for f in acc.fragments[: fi + 1])
-            ),
+            peripheral=tuple(p - start for p in acc.peripheral if start <= p < end),
         )
-        merged = merge_pair(part, nxt)
-        for m in merged:
+        for m in merge_pair(part, nxt):
             if len(m.fragments) > 1 and fi < len(acc.fragments) - 1:
                 continue  # only append as a trailing fragment once
             new_fragments = (
                 acc.fragments[:fi] + m.fragments + acc.fragments[fi + 1 :]
             )
-            offset_before = sum(f.n for f in acc.fragments[:fi])
             delta = sum(f.n for f in m.fragments) - frag.n
-            peripheral = set()
-            for p in acc.peripheral:
-                if p < offset_before:
-                    peripheral.add(p)
-                elif p >= offset_before + frag.n:
-                    peripheral.add(p + delta)
-            peripheral.update(p + offset_before for p in m.peripheral)
+            peripheral = {p if p < start else p + delta for p in acc.peripheral if not start <= p < end}
+            peripheral.update(p + start for p in m.peripheral)
             r = Rationale(
                 fragments=new_fragments,
                 scores={},

@@ -16,9 +16,12 @@ import numpy as np
 from molrationale.chemgraph import (
     _ORDER_CODE,
     AROMATIC,
+    Atom,
     MolGraph,
+    ResourceLimitError,
     canonical_key,
 )
+from molrationale.merge import MCS_ATOM_LIMIT, AtomMapping
 from molrationale.synthetic import random_molecule
 
 
@@ -144,6 +147,92 @@ def _embeds_with_bond_match(a: MolGraph, b: MolGraph, nodes: tuple[int, ...]) ->
         if ok and len(nodes) > 0 and nx.is_connected(shared):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# MCS oracle: the all-pairs backtracking search that the frontier search in
+# `merge.max_common_substructure` replaced.
+
+
+def _labels_match(a: Atom, b: Atom) -> bool:
+    return a.element == b.element and a.charge == b.charge and a.aromatic == b.aromatic
+
+
+def oracle_mcs_mappings(a: MolGraph, b: MolGraph) -> list[AtomMapping]:
+    """All maximum-cardinality connected common-subgraph mappings between a and
+    b, deduplicated by their pair sets. Empty when no atom labels coincide.
+
+    The backtracking search that `merge.max_common_substructure` replaced: it
+    tries every unmapped (ai, bi) pair at every state and rescans the whole
+    mapping through `bond_between` to keep it connected and consistent."""
+    if a.n > MCS_ATOM_LIMIT or b.n > MCS_ATOM_LIMIT:
+        raise ResourceLimitError(f"MCS limited to {MCS_ATOM_LIMIT} atoms per graph")
+
+    best_size = 0
+    best: dict[frozenset, AtomMapping] = {}
+
+    def consistent(ai: int, bi: int, mapping: dict[int, int]) -> bool:
+        # mapped neighbors must agree on bond order wherever both graphs bond
+        for aj, bj in mapping.items():
+            ab = a.bond_between(ai, aj)
+            bb = b.bond_between(bi, bj)
+            if ab is not None and bb is not None and ab.order != bb.order:
+                return False
+        return True
+
+    def shared_edge_exists(ai: int, bi: int, mapping: dict[int, int]) -> bool:
+        for aj, bj in mapping.items():
+            ab = a.bond_between(ai, aj)
+            bb = b.bond_between(bi, bj)
+            if ab is not None and bb is not None and ab.order == bb.order:
+                return True
+        return False
+
+    def record(mapping: dict[int, int]) -> None:
+        nonlocal best_size
+        size = len(mapping)
+        if size < best_size:
+            return
+        key = frozenset(mapping.items())
+        if size > best_size:
+            best_size = size
+            best.clear()
+        best[key] = AtomMapping(tuple(sorted(mapping.items())))
+
+    seen_states: set[frozenset] = set()
+
+    def extend(mapping: dict[int, int], used_b: set[int]) -> None:
+        state = frozenset(mapping.items())
+        if state in seen_states:
+            return
+        seen_states.add(state)
+        extended = False
+        for ai in range(a.n):
+            if ai in mapping:
+                continue
+            for bi in range(b.n):
+                if bi in used_b or not _labels_match(a.atoms[ai], b.atoms[bi]):
+                    continue
+                # grow connectedly along an order-matched edge
+                if not shared_edge_exists(ai, bi, mapping):
+                    continue
+                if not consistent(ai, bi, mapping):
+                    continue
+                extended = True
+                mapping[ai] = bi
+                used_b.add(bi)
+                extend(mapping, used_b)
+                del mapping[ai]
+                used_b.discard(bi)
+        if not extended:
+            record(mapping)
+
+    for ai in range(a.n):
+        for bi in range(b.n):
+            if _labels_match(a.atoms[ai], b.atoms[bi]):
+                extend({ai: bi}, {bi})
+
+    return [best[k] for k in sorted(best, key=lambda s: sorted(s))]
 
 
 def random_corpus(n: int, seed: int, atoms_min: int = 4, atoms_max: int = 14,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -236,6 +237,20 @@ class TestArtifacts:
             assert doc["schema_version"] == 1
             assert doc["stage"] == stage
             assert doc["config_hash"]
+
+    def test_extract_and_merge_manifests_list_inputs(self, pipeline):
+        _cfg, run_dir = pipeline
+        forests = ["forest_amide.json", "forest_phenol.json"]
+        expected = {
+            "extract": ["corpus.smi", "properties.csv", *forests],
+            "merge": ["vocab_amide.json", "vocab_phenol.json", *forests],
+        }
+        for stage, names in expected.items():
+            doc = json.loads((run_dir / f"{stage}.manifest.json").read_text())
+            assert sorted(doc["inputs"]) == sorted(names)
+            for name in names:
+                digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                assert doc["inputs"][name] == digest, (stage, name)
 
     def test_rerun_stage_reproduces_artifact_hashes(self, pipeline):
         cfg_file, run_dir = pipeline

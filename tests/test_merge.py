@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -8,16 +9,20 @@ from molrationale.chemgraph import (
     contains_subgraph,
     parse_smiles,
 )
+from molrationale.cli import cmd_extract, cmd_gen_synthetic, cmd_train_predictor, load_config
 from molrationale.extract import Rationale, RationaleVocab
 from molrationale.forest import PropertySpec, train_forest
 from molrationale.merge import (
+    _shortlist,
     build_multi_vocab,
     max_common_substructure,
     merge_pair,
 )
 from molrationale.synthetic import CorpusSpec, generate_corpus
 
-from helpers import StubProperty, oracle_max_common_connected_size
+from helpers import StubProperty, oracle_max_common_connected_size, oracle_mcs_mappings
+
+AMIDE, PHENOL = "NC(=O)c1ccccc1", "Oc1ccccc1"
 
 
 def rat(smiles: str, peripheral=(), scores=None) -> Rationale:
@@ -62,6 +67,8 @@ class TestMCS:
             "CC(C)C", "OCC", "C1CCC1", "N#CC",
         ]
         graphs = [parse_smiles(s) for s in pool]
+        for a, b in itertools.product(graphs, repeat=2):
+            assert max_common_substructure(a, b) == oracle_mcs_mappings(a, b), (a, b)
         for a, b in itertools.combinations(graphs, 2):
             if a.n > 8 or b.n > 8:
                 continue
@@ -73,6 +80,54 @@ class TestMCS:
         big = parse_smiles("C" * 25)
         with pytest.raises(ResourceLimitError):
             max_common_substructure(big, parse_smiles("CC"))
+
+    def test_oracle_mappings_rings(self):
+        # many automorphic maps: benzene onto itself has 12, and ring pairs
+        # share paths and rings in many placements
+        pool = [
+            "c1ccccc1", "C1CCCCC1", "c1ccc2ccccc2c1", "C1CCC2CCCCC2C1",
+            "c1ccc(-c2ccccc2)cc1", "C1CC12CC2", "c1ccncc1", "C1=CC=CC1",
+            AMIDE, PHENOL, "Oc1ccc(O)cc1",
+            # a ring closed by a bond of another order: the paths match, the
+            # closures conflict
+            "C1CCCC1", "C1=CCCC1", "C1=CC=CC=C1", "C1CC1", "C1=CC1",
+        ]
+        for a, b in itertools.product([parse_smiles(s) for s in pool], repeat=2):
+            assert max_common_substructure(a, b) == oracle_mcs_mappings(a, b), (a, b)
+        benzene = parse_smiles("c1ccccc1")
+        assert len(max_common_substructure(benzene, benzene)) == 12
+
+    def test_oracle_mappings_random_desk_pairs(self):
+        spec = CorpusSpec(size=400, atoms_min=9, atoms_max=14, ring_prob=0.25,
+                          decoy_prob=0.25, unique=False)
+        motifs = {"amide": parse_smiles(AMIDE), "phenol": parse_smiles(PHENOL)}
+        mols, _ = generate_corpus(spec, motifs, {"amide": 0.4, "phenol": 0.4}, seed=23)
+        for a, b in zip(mols[0::2], mols[1::2]):
+            assert max_common_substructure(a, b) == oracle_mcs_mappings(a, b), (a, b)
+
+    def test_oracle_mappings_desk_shortlists(self, tmp_path):
+        # the README minimal config: the 8 x 8 shortlist pairs that merge
+        # superposes on one desk corpus
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "run_dir": str(tmp_path / "run"),
+            "seed": 11,
+            "properties": [
+                {"name": "amide", "motif": AMIDE, "plant_prob": 0.2},
+                {"name": "phenol", "motif": PHENOL, "plant_prob": 0.2},
+            ],
+        }))
+        cfg = load_config(cfg_file)
+        for stage in (cmd_gen_synthetic, cmd_train_predictor, cmd_extract):
+            stage(cfg, False)
+        shortlists = [
+            _shortlist(RationaleVocab.load(cfg.run_dir / f"vocab_{name}.json"), name, 8)
+            for name in ("amide", "phenol")
+        ]
+        assert [len(s) for s in shortlists] == [8, 8]
+        for ra, rb in itertools.product(*shortlists):
+            a, b = ra.fragments[0], rb.fragments[0]
+            assert max_common_substructure(a, b) == oracle_mcs_mappings(a, b), (a, b)
 
     def test_mapping_labels_agree(self):
         a, b = parse_smiles("CCO"), parse_smiles("OCC")
