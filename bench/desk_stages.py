@@ -1,0 +1,112 @@
+"""Wall time and peak RSS of every run-all stage on the README minimal config
+(seed 11), each stage run as a fresh `python -m molrationale <stage>`
+process from the `src/` of this checkout.
+
+A stage's peak RSS is the `ru_maxrss` that `os.wait4` reports for its
+process, so stages do not inherit one another's peak. BLAS is pinned to one
+thread. The record names the config, the commit (`git rev-parse HEAD`) and
+the machine.
+
+Not part of the test suite; run from anywhere with
+
+    python3 bench/desk_stages.py --out BENCH.json [--run-dir DIR]
+
+Without `--run-dir` the stages write into a temporary directory that is
+removed at the end; with it, the run's artifacts are kept there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from molrationale.cli import _STAGES  # noqa: E402
+
+# The README minimal config; every other key takes its desk default.
+CONFIG = {
+    "seed": 11,
+    "properties": [
+        {"name": "amide", "motif": "NC(=O)c1ccccc1", "plant_prob": 0.2},
+        {"name": "phenol", "motif": "Oc1ccccc1", "plant_prob": 0.2},
+    ],
+}
+
+
+def run_stage(stage: str, cfg_path: Path, env: dict) -> tuple[float, float]:
+    """Run one stage to completion; return (wall seconds, peak RSS MB)."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "molrationale", stage, "--config", str(cfg_path)],
+        env=env, stdout=subprocess.DEVNULL,
+    )
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise SystemExit(f"stage {stage} exited with code {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def commit() -> str:
+    out = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def run_all(run_dir: Path) -> list[dict]:
+    run_dir.mkdir(parents=True, exist_ok=True)
+    cfg_path = run_dir / "desk_config.json"
+    cfg_path.write_text(json.dumps({"run_dir": str(run_dir / "run"), **CONFIG}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    rows = []
+    for stage, _fn in _STAGES:
+        wall, rss = run_stage(stage, cfg_path, env)
+        rows.append({"stage": stage, "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)})
+        print(f"{stage:16s} {wall:8.2f} s {rss:8.1f} MB", file=sys.stderr)
+    return rows
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON record to write")
+    parser.add_argument("--run-dir", default=None, help="keep the run's artifacts here")
+    args = parser.parse_args()
+    head = commit()
+    if args.run_dir:
+        stages = run_all(Path(args.run_dir).resolve())
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            stages = run_all(Path(tmp))
+    record = {
+        "commit": head,
+        "config": CONFIG,
+        "blas_threads": 1,
+        "machine": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
+        "stages": stages,
+        "total_wall_s": round(sum(s["wall_s"] for s in stages), 3),
+    }
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

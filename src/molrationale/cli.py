@@ -270,6 +270,10 @@ def _forest_paths(cfg: RunConfig) -> list[Path]:
     return [cfg.run_dir / f"forest_{p['name']}.json" for p in cfg.properties]
 
 
+def _ckpt_paths(cfg: RunConfig, stage: str) -> list[Path]:
+    return [cfg.run_dir / f"{stage}.ckpt.json", cfg.run_dir / f"{stage}.ckpt.bin"]
+
+
 def _load_predictors(cfg: RunConfig) -> list[PropertySpec]:
     return [
         PropertySpec(name=p["name"], model=ForestModel.load(path), threshold=p["threshold"])
@@ -418,8 +422,7 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> None:
         for i, loss in enumerate(trace):
             writer.writerow([i, f"{loss:.6f}"])
     _write_manifest(
-        cfg, "pretrain", list(_corpus_paths(cfg)),
-        [Path(stem + ".json"), Path(stem + ".bin"), loss_path],
+        cfg, "pretrain", list(_corpus_paths(cfg)), [*_ckpt_paths(cfg, "pretrain"), loss_path]
     )
     print(f"pretrain: {len(pairs)} pairs, loss {trace[0]:.3f} -> {trace[-1]:.3f}")
 
@@ -439,15 +442,21 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
     stats_path = cfg.run_dir / "finetune_stats.csv"
     with open(stats_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "success", "diversity", "novelty", "kept"])
+        writer.writerow(
+            ["iteration", "success", "diversity", "novelty", "kept", "sampled",
+             "atoms_added_mean", "unchanged_share"]
+        )
         for s in stats:
             writer.writerow(
                 [
                     s.iteration,
                     f"{s.success:.6f}",
-                    "" if s.diversity is None else f"{s.diversity:.6f}",
-                    "" if s.novelty is None else f"{s.novelty:.6f}",
+                    _optional(s.diversity),
+                    _optional(s.novelty),
                     s.kept,
+                    s.sampled,
+                    _optional(s.atoms_added_mean),
+                    _optional(s.unchanged_share),
                 ]
             )
     dist = rationale_distribution(
@@ -458,13 +467,19 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
     dist_path = cfg.run_dir / "distribution.json"
     dist_path.write_text(dist.to_json())
     _write_manifest(
-        cfg, "finetune", [],
-        [Path(stem + ".json"), Path(stem + ".bin"), stats_path, dist_path],
+        cfg, "finetune",
+        [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "vocab_multi.json",
+         *_ckpt_paths(cfg, "pretrain")],
+        [*_ckpt_paths(cfg, "finetune"), stats_path, dist_path],
     )
     print(
         f"finetune: success {stats[0].success:.3f} -> {stats[-1].success:.3f} "
         f"over {len(stats)} iterations"
     )
+
+
+def _optional(x: float | None) -> str:
+    return "" if x is None else f"{x:.6f}"
 
 
 def _train_positives(
@@ -530,7 +545,12 @@ def cmd_sample(cfg: RunConfig, force: bool, n_override: int | None = None) -> No
             text = _sample_smiles(g)
             smi_fh.write(text + "\n")
             js_fh.write(json.dumps({"smiles": text, "rationale": key}) + "\n")
-    _write_manifest(cfg, "sample", [], [smi_path, jsonl_path])
+    _write_manifest(
+        cfg, "sample",
+        [cfg.run_dir / "vocab_multi.json", *_ckpt_paths(cfg, "finetune"),
+         cfg.run_dir / "distribution.json"],
+        [smi_path, jsonl_path],
+    )
     print(f"sampled {len(samples)} molecules -> {smi_path}")
 
 
@@ -547,7 +567,10 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
     train_pos = _train_positives(mols, labels, specs)
     out = cfg.run_dir / "evaluation.csv"
     report = metrics_mod.evaluate(samples, specs, train_pos, csv_path=out)
-    _write_manifest(cfg, "evaluate", [cfg.run_dir / "samples.smi"], [out])
+    _write_manifest(
+        cfg, "evaluate",
+        [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "samples.smi"], [out],
+    )
 
     def show(x):
         return "-" if x is None else f"{x:.4f}"
@@ -616,7 +639,10 @@ def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
         )
     out = cfg.run_dir / "faithfulness.json"
     out.write_text(json.dumps(report, sort_keys=True, indent=2))
-    _write_manifest(cfg, "faithfulness", [], [out])
+    vocab_paths = [cfg.run_dir / f"vocab_{spec.name}.json" for spec in specs]
+    _write_manifest(
+        cfg, "faithfulness", [*_corpus_paths(cfg), *_forest_paths(cfg), *vocab_paths], [out]
+    )
 
 
 _STAGES = [

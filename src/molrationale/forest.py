@@ -116,9 +116,16 @@ def _gini(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _build_tree(
-    X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator,
-    max_depth: int, n_candidates: int,
+    F: np.ndarray, cols: np.ndarray, y: np.ndarray, idx: np.ndarray,
+    rng: np.random.Generator, max_depth: int, n_candidates: int,
 ) -> dict:
+    """Grow one tree on the bootstrap rows `idx` (with repeats) of the
+    float32 fingerprint columns `F`, which hold the bits `cols`.
+
+    A node's bit counts are its bootstrap multiplicities times F. They are
+    integers no larger than the bootstrap size, far below 2^24, so the
+    float32 products are exact in any summation order, and they equal the
+    counts over the copied rows."""
     n = len(idx)
     pos = int(y[idx].sum())
     if n == 0:
@@ -128,15 +135,15 @@ def _build_tree(
         return {"leaf": value}
     # candidate bits are sampled among those that vary within this node;
     # constant bits cannot split
-    col = X[idx].sum(axis=0)
+    counts = np.bincount(idx, minlength=len(F)).astype(np.float32)
+    col = (counts @ F).astype(np.int64)
     varying = np.flatnonzero((col > 0) & (col < n))
     if varying.size == 0:
         return {"leaf": value}
     k = min(n_candidates, varying.size)
-    bits = np.sort(rng.choice(varying, size=k, replace=False))
-    sub = X[np.ix_(idx, bits)]
-    n_on = sub.sum(axis=0)
-    pos_on = (sub & y[idx, None].astype(bool)).sum(axis=0)
+    picked = np.sort(rng.choice(varying, size=k, replace=False))
+    n_on = col[picked]
+    pos_on = ((counts * y) @ F[:, picked]).astype(np.int64)
     n_off = n - n_on
     pos_off = pos - pos_on
     parent = _gini(np.array([pos]), np.array([n]))[0]
@@ -146,14 +153,11 @@ def _build_tree(
     best = int(np.argmax(gains))
     if gains[best] <= 1e-12:
         return {"leaf": value}
-    bit = int(bits[best])
-    mask = X[idx, bit]
-    left_idx = idx[~mask]
-    right_idx = idx[mask]
+    mask = F[idx, picked[best]] > 0
     return {
-        "bit": bit,
-        "left": _build_tree(X, y, left_idx, rng, max_depth - 1, n_candidates),
-        "right": _build_tree(X, y, right_idx, rng, max_depth - 1, n_candidates),
+        "bit": int(cols[picked[best]]),
+        "left": _build_tree(F, cols, y, idx[~mask], rng, max_depth - 1, n_candidates),
+        "right": _build_tree(F, cols, y, idx[mask], rng, max_depth - 1, n_candidates),
     }
 
 
@@ -174,6 +178,9 @@ def train_forest(
     if y.min() == y.max():
         raise ForestError("training data must contain both classes")
     X = fingerprint_matrix([g for g, _ in data], radius, width)
+    # a bit set in no training row never varies, so it never splits
+    cols = np.flatnonzero(X.any(axis=0))
+    F = X[:, cols].astype(np.float32)
 
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
@@ -188,7 +195,7 @@ def train_forest(
                 rng.choice(neg_idx, size=len(neg_idx), replace=True),
             ]
         )
-        trees.append(_build_tree(X, y, boot, rng, max_depth, n_candidates))
+        trees.append(_build_tree(F, cols, y, boot, rng, max_depth, n_candidates))
     return ForestModel(
         trees=trees, width=width, radius=radius,
         n_trees=n_trees, max_depth=max_depth, seed=seed,

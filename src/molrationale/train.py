@@ -196,6 +196,8 @@ class FinetuneStats:
     novelty: float | None
     kept: int
     sampled: int = 0
+    atoms_added_mean: float | None = None  # over every completion drawn
+    unchanged_share: float | None = None  # completions that add no atom
 
 
 def _decode_and_score(
@@ -236,7 +238,11 @@ def _decode_and_score(
         if ref is not None:
             nov = novelty_fn(tanimoto_matrix(fps, ref))
     success = len(kept) / len(drawn) if drawn else 0.0
-    return FinetuneStats(it, success, div, nov, len(kept), len(drawn)), kept
+    added = np.array([d[3].n - d[0].n_atoms for d in drawn])
+    added_mean = float(added.mean()) if drawn else None
+    unchanged = float((added == 0).mean()) if drawn else None
+    stats = FinetuneStats(it, success, div, nov, len(kept), len(drawn), added_mean, unchanged)
+    return stats, kept
 
 
 def finetune(
@@ -280,18 +286,17 @@ def _policy_step(
     it: int,
 ) -> None:
     """One Adam step on the mean negative log-likelihood of the kept
-    trajectories; the tape is dropped on return, before the next
-    iteration decodes."""
+    trajectories. Each trajectory is back-propagated as soon as it is
+    replayed, its gradient adding to those of the earlier ones, so the tape
+    holds one trajectory at a time. A non-finite trajectory raises before the
+    Adam step, leaving the parameters unchanged."""
     ns.zero_grads(model.params)
-    loss = ns.const(0.0)
+    weight = -1.0 / len(kept)
     for rationale, trace_ids, z in kept:
-        loss = ns.add(
-            loss, ns.scale(trace_log_likelihood(model, rationale, trace_ids, z), -1.0)
-        )
-    loss = ns.scale(loss, 1.0 / len(kept))
-    if not np.isfinite(loss.data):
-        raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
-    ns.backward(loss)
+        ll = trace_log_likelihood(model, rationale, trace_ids, z)
+        if not np.isfinite(ll.data):
+            raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
+        ns.backward(ns.scale(ll, weight))
     grads = {k: t.grad for k, t in model.params.items() if t.grad is not None}
     ns.adam_step(model.params, grads, adam_state, lr=cfg.learning_rate)
 

@@ -21,6 +21,9 @@ from molrationale.chemgraph import (
     ResourceLimitError,
     canonical_key,
 )
+from molrationale import numsub as ns
+from molrationale.forest import _gini
+from molrationale.genmodel import trace_log_likelihood
 from molrationale.merge import MCS_ATOM_LIMIT, AtomMapping
 from molrationale.synthetic import random_molecule
 
@@ -352,3 +355,103 @@ def similarity(mols: list[MolGraph], ref: list[MolGraph] | None = None) -> np.nd
 
     fps = fingerprint_matrix(mols)
     return tanimoto_matrix(fps, fps if ref is None else fingerprint_matrix(ref))
+
+
+# ---------------------------------------------------------------------------
+# Forest oracle: the tree builder that copied the node's fingerprint rows to
+# count bits, and the bootstrap loop of `train_forest` around it.
+
+
+def row_copy_build_tree(
+    X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator,
+    max_depth: int, n_candidates: int,
+) -> dict:
+    n = len(idx)
+    pos = int(y[idx].sum())
+    if n == 0:
+        return {"leaf": 0.0}
+    value = pos / n
+    if pos == 0 or pos == n or max_depth == 0 or n < 2:
+        return {"leaf": value}
+    # candidate bits are sampled among those that vary within this node;
+    # constant bits cannot split
+    col = X[idx].sum(axis=0)
+    varying = np.flatnonzero((col > 0) & (col < n))
+    if varying.size == 0:
+        return {"leaf": value}
+    k = min(n_candidates, varying.size)
+    bits = np.sort(rng.choice(varying, size=k, replace=False))
+    sub = X[np.ix_(idx, bits)]
+    n_on = sub.sum(axis=0)
+    pos_on = (sub & y[idx, None].astype(bool)).sum(axis=0)
+    n_off = n - n_on
+    pos_off = pos - pos_on
+    parent = _gini(np.array([pos]), np.array([n]))[0]
+    children = (n_off * _gini(pos_off, n_off) + n_on * _gini(pos_on, n_on)) / n
+    gains = parent - children
+    gains[(n_on == 0) | (n_off == 0)] = -1.0
+    best = int(np.argmax(gains))
+    if gains[best] <= 1e-12:
+        return {"leaf": value}
+    bit = int(bits[best])
+    mask = X[idx, bit]
+    left_idx = idx[~mask]
+    right_idx = idx[mask]
+    return {
+        "bit": bit,
+        "left": row_copy_build_tree(X, y, left_idx, rng, max_depth - 1, n_candidates),
+        "right": row_copy_build_tree(X, y, right_idx, rng, max_depth - 1, n_candidates),
+    }
+
+
+def row_copy_forest_trees(
+    data: list[tuple[MolGraph, int]], n_trees: int, max_depth: int, seed: int,
+    width: int = 2048, radius: int = 2,
+) -> list[dict]:
+    """The trees `train_forest` grows, each built by `row_copy_build_tree`."""
+    from molrationale.fingerprint import fingerprint_matrix
+
+    y = np.array([int(label) for _, label in data], dtype=np.int64)
+    X = fingerprint_matrix([g for g, _ in data], radius, width)
+    pos_idx = np.flatnonzero(y == 1)
+    neg_idx = np.flatnonzero(y == 0)
+    n_candidates = max(1, int(np.sqrt(width)))
+    trees = []
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(tree_seed)
+        boot = np.concatenate(
+            [
+                rng.choice(pos_idx, size=len(pos_idx), replace=True),
+                rng.choice(neg_idx, size=len(neg_idx), replace=True),
+            ]
+        )
+        trees.append(row_copy_build_tree(X, y, boot, rng, max_depth, n_candidates))
+    return trees
+
+
+# ---------------------------------------------------------------------------
+# Policy-step oracle: the fine-tuning loss recorded as one tape over every
+# kept trajectory, then back-propagated once.
+
+
+def single_tape_policy_loss(model, kept) -> ns.Tensor:
+    """Mean negative log-likelihood of the kept (rationale, trace, latent)
+    trajectories, all on one tape."""
+    loss = ns.const(0.0)
+    for rationale, trace_ids, z in kept:
+        loss = ns.add(
+            loss, ns.scale(trace_log_likelihood(model, rationale, trace_ids, z), -1.0)
+        )
+    return ns.scale(loss, 1.0 / len(kept))
+
+
+def tape_size(loss: ns.Tensor) -> int:
+    """Number of tape nodes reachable from a loss."""
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -238,12 +239,19 @@ class TestArtifacts:
             assert doc["stage"] == stage
             assert doc["config_hash"]
 
-    def test_extract_and_merge_manifests_list_inputs(self, pipeline):
+    def test_manifests_list_inputs(self, pipeline):
         _cfg, run_dir = pipeline
         forests = ["forest_amide.json", "forest_phenol.json"]
+        corpus = ["corpus.smi", "properties.csv"]
         expected = {
-            "extract": ["corpus.smi", "properties.csv", *forests],
+            "extract": [*corpus, *forests],
             "merge": ["vocab_amide.json", "vocab_phenol.json", *forests],
+            "finetune": [*corpus, *forests, "vocab_multi.json",
+                         "pretrain.ckpt.json", "pretrain.ckpt.bin"],
+            "sample": ["vocab_multi.json", "finetune.ckpt.json", "finetune.ckpt.bin",
+                       "distribution.json"],
+            "evaluate": [*corpus, *forests, "samples.smi"],
+            "faithfulness": [*corpus, *forests, "vocab_amide.json", "vocab_phenol.json"],
         }
         for stage, names in expected.items():
             doc = json.loads((run_dir / f"{stage}.manifest.json").read_text())
@@ -281,7 +289,21 @@ class TestArtifacts:
     def test_finetune_stats_columns(self, pipeline):
         _cfg, run_dir = pipeline
         header = (run_dir / "finetune_stats.csv").read_text().splitlines()[0]
-        assert header == "iteration,success,diversity,novelty,kept"
+        assert header == (
+            "iteration,success,diversity,novelty,kept,sampled,atoms_added_mean,unchanged_share"
+        )
+
+    def test_finetune_stats_record_completion_sizes(self, pipeline):
+        _cfg, run_dir = pipeline
+        with open(run_dir / "finetune_stats.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            sampled = int(row["sampled"])
+            assert 0 <= int(row["kept"]) <= sampled
+            assert float(row["success"]) == pytest.approx(int(row["kept"]) / sampled, abs=1e-6)
+            assert float(row["atoms_added_mean"]) >= 0.0
+            assert 0.0 <= float(row["unchanged_share"]) <= 1.0
 
     def test_distribution_normalized(self, pipeline):
         _cfg, run_dir = pipeline

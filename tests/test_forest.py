@@ -16,6 +16,8 @@ from molrationale.forest import (
 )
 from molrationale.synthetic import CorpusSpec, generate_corpus
 
+from helpers import row_copy_forest_trees
+
 MOTIF = "NC(=O)c1ccc(O)cc1"
 
 
@@ -61,6 +63,21 @@ class TestTrainForest:
         test = [data[i] for i in order[400:]]
         model = train_forest(train, n_trees=40, max_depth=12, seed=3)
         assert auroc(model, test) >= 0.95
+
+
+    @pytest.mark.parametrize(
+        "size,atoms_min,atoms_max,seed",
+        [(80, 9, 14, 1), (200, 9, 13, 2), (120, 20, 28, 3), (60, 4, 8, 4)],
+    )
+    def test_counted_trees_equal_row_copy_oracle(self, size, atoms_min, atoms_max, seed):
+        spec = CorpusSpec(size=size, atoms_min=atoms_min, atoms_max=atoms_max, ring_prob=0.25)
+        motifs = {"amide": parse_smiles("NC(=O)c1ccccc1"), "phenol": parse_smiles("Oc1ccccc1")}
+        mols, labels = generate_corpus(spec, motifs, {"amide": 0.2, "phenol": 0.2}, seed=seed)
+        for name in motifs:
+            data = list(zip(mols, labels[name]))
+            for forest_seed in (seed, seed + 100):
+                model = train_forest(data, n_trees=12, max_depth=10, seed=forest_seed)
+                assert model.trees == row_copy_forest_trees(data, 12, 10, forest_seed)
 
 
 class TestPredict:

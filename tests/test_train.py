@@ -6,7 +6,15 @@ import pytest
 from molrationale import numsub as ns
 from molrationale.chemgraph import canonical_key, contains_subgraph, is_connected, parse_smiles
 from molrationale.extract import Rationale, RationaleVocab
-from molrationale.genmodel import GenModel, atom_types_from_corpus, encode
+from molrationale.genmodel import (
+    GenModel,
+    TruncationError,
+    atom_types_from_corpus,
+    complete_with_trace,
+    encode,
+    prior_latent,
+)
+from molrationale import train
 from molrationale.train import (
     TrainConfig,
     TrainingError,
@@ -18,7 +26,7 @@ from molrationale.train import (
     success_of_model,
 )
 
-from helpers import StubProperty
+from helpers import StubProperty, single_tape_policy_loss, tape_size
 
 
 def toy_corpus():
@@ -273,6 +281,93 @@ class TestFinetune:
         stats = finetune(model, vocab, [NitrogenSpec()], quick_cfg(iterations=3, samples_per_rationale=8))
         assert len(stats) == 3
         assert stats[-1].success >= 0.99  # the rationale already contains N
+
+
+def kept_trajectories(model, count):
+    """Sampled (rationale, trace, latent) trajectories from a toy vocabulary,
+    one per distinct trace length."""
+    rationales = [
+        Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,))
+        for s in ("CCO", "CCN", "CN")
+    ]
+    by_length = {}
+    for i in range(200):
+        rng = np.random.default_rng([3, i])
+        rationale = rationales[i % len(rationales)]
+        z = prior_latent(model, rng)
+        try:
+            _g, trace_ids = complete_with_trace(model, rationale, z, rng, max_steps=12)
+        except TruncationError:
+            continue
+        by_length.setdefault(len(trace_ids), (rationale, trace_ids, z))
+        if len(by_length) == count:
+            break
+    assert len(by_length) == count, "the toy decoder no longer gives enough trace lengths"
+    return list(by_length.values())
+
+
+class TestPolicyStep:
+    def adam_grads(self, model, kept, monkeypatch):
+        """Run one policy step; return the gradients it handed to Adam."""
+        seen = {}
+
+        def capture(params, grads, state, lr):
+            seen.update({k: g.copy() for k, g in grads.items()})
+
+        monkeypatch.setattr(ns, "adam_step", capture)
+        train._policy_step(model, kept, quick_cfg(), {}, 0)
+        return seen
+
+    def test_gradient_equals_single_tape_oracle(self, monkeypatch):
+        model = toy_model(toy_corpus(), seed=0)
+        kept = kept_trajectories(model, 10)
+        grads = self.adam_grads(model, kept, monkeypatch)
+        ns.zero_grads(model.params)
+        ns.backward(single_tape_policy_loss(model, kept))
+        oracle = {k: t.grad for k, t in model.params.items() if t.grad is not None}
+        assert sorted(grads) == sorted(oracle)
+        for name, want in oracle.items():
+            err = np.linalg.norm(grads[name] - want)
+            assert err <= 1e-12 * np.linalg.norm(want), name
+
+    def test_tape_holds_one_trajectory(self, monkeypatch):
+        model = toy_model(toy_corpus(), seed=0)
+        distinct = kept_trajectories(model, 5)
+        real_backward = ns.backward
+        sizes = []
+
+        def measured(loss):
+            sizes.append(tape_size(loss))
+            real_backward(loss)
+
+        monkeypatch.setattr(ns, "backward", measured)
+        peaks = []
+        for kept in (distinct, distinct * 10):
+            sizes.clear()
+            train._policy_step(model, kept, quick_cfg(), {}, 0)
+            assert len(sizes) == len(kept)
+            peaks.append(max(sizes))
+        assert peaks[0] == peaks[1]
+
+    def test_non_finite_trajectory_raises_before_any_step(self, monkeypatch):
+        model = toy_model(toy_corpus(), seed=0)
+        kept = kept_trajectories(model, 6)
+        before = {k: t.data.copy() for k, t in model.params.items()}
+        real = train.trace_log_likelihood
+        calls = []
+
+        def poisoned(*args):
+            calls.append(1)
+            ll = real(*args)
+            return ns.scale(ll, np.nan) if len(calls) == 4 else ll
+
+        monkeypatch.setattr(train, "trace_log_likelihood", poisoned)
+        adam_state = {}
+        with pytest.raises(TrainingError, match="iteration 7"):
+            train._policy_step(model, kept, quick_cfg(), adam_state, 7)
+        assert adam_state == {}
+        for name, data in before.items():
+            assert np.array_equal(model.params[name].data, data), name
 
 
 class TestRationaleDistribution:
