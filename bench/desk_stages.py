@@ -5,7 +5,8 @@ process from the `src/` of this checkout.
 A stage's peak RSS is the `ru_maxrss` that `os.wait4` reports for its
 process, so stages do not inherit one another's peak. BLAS is pinned to one
 thread. The record names the config, the commit (`git rev-parse HEAD`) and
-the machine.
+the machine, and the SHA-256 of every artifact a change is expected to keep
+byte-identical (`ARTIFACTS`), so that two records show which of them moved.
 
 Not part of the test suite; run from anywhere with
 
@@ -18,6 +19,7 @@ removed at the end; with it, the run's artifacts are kept there.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -33,6 +35,14 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from molrationale.cli import _STAGES  # noqa: E402
+
+# The run's byte-compared artifacts: the samples, the metrics, the rationale
+# distribution, the fine-tuning record and both checkpoints.
+ARTIFACTS = (
+    "samples.smi", "samples.jsonl", "evaluation.csv", "faithfulness.json",
+    "distribution.json", "finetune_stats.csv", "pretrain.ckpt.json", "pretrain.ckpt.bin",
+    "finetune.ckpt.json", "finetune.ckpt.bin",
+)
 
 # The README minimal config; every other key takes its desk default.
 CONFIG = {
@@ -66,7 +76,8 @@ def commit() -> str:
     return out.stdout.strip()
 
 
-def run_all(run_dir: Path) -> list[dict]:
+def run_all(run_dir: Path) -> tuple[list[dict], dict[str, str]]:
+    """Run every stage; return the per-stage rows and the artifact hashes."""
     run_dir.mkdir(parents=True, exist_ok=True)
     cfg_path = run_dir / "desk_config.json"
     cfg_path.write_text(json.dumps({"run_dir": str(run_dir / "run"), **CONFIG}))
@@ -79,7 +90,10 @@ def run_all(run_dir: Path) -> list[dict]:
         wall, rss = run_stage(stage, cfg_path, env)
         rows.append({"stage": stage, "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1)})
         print(f"{stage:16s} {wall:8.2f} s {rss:8.1f} MB", file=sys.stderr)
-    return rows
+    out = run_dir / "run"
+    return rows, {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS
+    }
 
 
 def main() -> None:
@@ -89,10 +103,10 @@ def main() -> None:
     args = parser.parse_args()
     head = commit()
     if args.run_dir:
-        stages = run_all(Path(args.run_dir).resolve())
+        stages, artifacts = run_all(Path(args.run_dir).resolve())
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            stages = run_all(Path(tmp))
+            stages, artifacts = run_all(Path(tmp))
     record = {
         "commit": head,
         "config": CONFIG,
@@ -104,6 +118,7 @@ def main() -> None:
         },
         "stages": stages,
         "total_wall_s": round(sum(s["wall_s"] for s in stages), 3),
+        "artifacts_sha256": artifacts,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
 

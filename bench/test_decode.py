@@ -1,0 +1,116 @@
+"""Microbenchmarks of the decoder: one sampled completion, fresh and from a
+prepared start; one StepLogits step; the decoder MPN forward and backward on
+a desk molecule; and one pretraining pair's teacher-forced likelihood with
+its backward pass. The model has the desk widths (hidden 64, latent 16, three
+rounds) over the atom types of a README desk corpus (9-14 atoms, ring
+probability 0.25, amide and phenol motifs planted at 0.2), with its initial
+parameters and an expand bias of 1, so that the timed completion adds three
+atoms in 14 decisions.
+
+Not part of the test suite; run with
+
+    PYTHONPATH=src python -m pytest bench --benchmark-only
+"""
+
+import numpy as np
+import pytest
+
+from molrationale import numsub as ns
+from molrationale.chemgraph import parse_smiles
+from molrationale.extract import Rationale
+from molrationale.genmodel import (
+    BOND_TYPES,
+    DecoderState,
+    GenModel,
+    StepLogits,
+    TruncationError,
+    _decoder_vectors,
+    _mpn,
+    atom_types_from_corpus,
+    complete_with_trace,
+    log_likelihood_tensor,
+    prepare_start,
+    prior_latent,
+)
+from molrationale.synthetic import CorpusSpec, generate_corpus
+from molrationale.train import make_pretrain_pairs
+
+# the two desk motifs superposed, grown from the amide N and the phenol O
+RATIONALE = Rationale(
+    fragments=(parse_smiles("NC(=O)c1ccc(O)cc1"),), scores={}, peripheral=(0, 7)
+)
+
+
+@pytest.fixture(scope="module")
+def desk():
+    spec = CorpusSpec(size=160, atoms_min=9, atoms_max=14, ring_prob=0.25,
+                      decoy_prob=0.25, unique=False)
+    motifs = {"amide": parse_smiles("NC(=O)c1ccccc1"), "phenol": parse_smiles("Oc1ccccc1")}
+    mols, _ = generate_corpus(spec, motifs, {"amide": 0.2, "phenol": 0.2}, seed=11)
+    model = GenModel(atom_types_from_corpus(mols), hidden=64, latent=16, rounds=3, seed=11)
+    model.params["expand_b2"].data = np.array([1.0])
+    return mols, model
+
+
+def decode(model, start):
+    rng = np.random.default_rng(10)
+    z = prior_latent(model, rng)
+    try:
+        return len(complete_with_trace(model, RATIONALE, z, rng, start=start)[1])
+    except TruncationError:
+        return -1
+
+
+@pytest.mark.parametrize("prepared", [False, True], ids=["fresh", "prepared"])
+def test_completion(benchmark, desk, prepared):
+    _, model = desk
+    start = prepare_start(model, RATIONALE) if prepared else None
+    assert benchmark(decode, model, start) == 14
+
+
+@pytest.mark.parametrize("expanded", [False, True], ids=["declined", "expanded"])
+def test_step_logits(benchmark, desk, expanded):
+    """A declined step reads the expand head; an expanded one also reads the
+    atom head and the first bond distribution."""
+    _, model = desk
+    state = DecoderState.from_rationale(model, RATIONALE)
+    h, hg = _decoder_vectors(model, state)
+    z = prior_latent(model, np.random.default_rng(3))
+
+    def step():
+        sl = StepLogits(model, state, z, h, hg)
+        if expanded:
+            t = int(np.argmax(sl.atom_probs))
+            return sl.bond_probs(t, [])[0]
+        return sl.expand_prob
+
+    benchmark(step)
+
+
+def test_mpn_forward_backward(benchmark, desk):
+    mols, model = desk
+    g = max(mols, key=lambda m: (m.n, len(m.bonds)))
+    type_ids = [model.type_of_atom(a) for a in g.atoms]
+    edges = [(b.u, b.v, BOND_TYPES.index(b.order)) for b in g.bonds]
+
+    def step():
+        ns.zero_grads(model.params)
+        ns.backward(ns.sum_all(_mpn(model, "dec", type_ids, edges)))
+
+    benchmark(step)
+    assert model.params["dec_u2"].grad is not None
+
+
+def test_pair_likelihood_backward(benchmark, desk):
+    mols, model = desk
+    pairs = make_pretrain_pairs(mols, 20, 1, np.random.default_rng(5))
+    rationale, g = max(pairs, key=lambda p: p[1].n - p[0].n_atoms)
+    mapping = dict(enumerate(rationale.sources[0][1]))
+    z = ns.const(prior_latent(model, np.random.default_rng(3)))
+
+    def step():
+        ns.zero_grads(model.params)
+        ns.backward(log_likelihood_tensor(model, g, rationale, z, mapping=mapping))
+
+    benchmark(step)
+    assert model.params["bond_w2"].grad is not None

@@ -3,7 +3,9 @@ extraction and merging, generator pre-training and fine-tuning, sampling,
 evaluation, and the planted-motif faithfulness experiment.
 
 Every stage writes its artifacts plus a manifest recording the config hash
-and input hashes, and refuses mismatched upstream artifacts unless --force.
+and the SHA-256 of its inputs and outputs. A stage refuses an upstream stage
+run under another config, or whose recorded outputs are missing or changed on
+disk, unless --force.
 Exit codes: 0 success, 1 invalid input (a chemistry, predictor, search or
 metric error), 2 config error, 3 missing artifact, 4 numeric failure.
 """
@@ -248,10 +250,20 @@ def _require_stage(cfg: RunConfig, stage: str, needed_by: str, force: bool) -> N
     doc = json.loads(path.read_text())
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema version")
-    if doc.get("config_hash") != cfg.config_hash and not force:
+    if force:
+        return
+    if doc.get("config_hash") != cfg.config_hash:
         raise ConfigError(
             f"{path}: artifacts were produced with a different config; rerun or use --force"
         )
+    for name, digest in sorted(doc.get("outputs", {}).items()):
+        out = cfg.run_dir / name
+        if not out.exists():
+            raise MissingArtifactError(f"{out}: recorded by '{stage}' but missing; rerun {stage}")
+        if _sha256(out) != digest:
+            raise MissingArtifactError(
+                f"{out}: changed since '{stage}' wrote it; rerun {stage} or use --force"
+            )
 
 
 def _corpus_paths(cfg: RunConfig) -> tuple[Path, Path]:
@@ -444,7 +456,7 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
         writer = csv.writer(fh)
         writer.writerow(
             ["iteration", "success", "diversity", "novelty", "kept", "sampled",
-             "atoms_added_mean", "unchanged_share"]
+             "atoms_added_mean", "unchanged_share", "truncated"]
         )
         for s in stats:
             writer.writerow(
@@ -457,6 +469,7 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
                     s.sampled,
                     _optional(s.atoms_added_mean),
                     _optional(s.unchanged_share),
+                    s.truncated,
                 ]
             )
     dist = rationale_distribution(
@@ -674,7 +687,10 @@ def main(argv: list[str] | None = None) -> int:
     for name, _fn in _STAGES + [("run-all", cmd_run_all)]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--force", action="store_true", help="ignore config-hash mismatches")
+        p.add_argument(
+            "--force", action="store_true",
+            help="ignore config-hash mismatches and changed artifacts",
+        )
         if name == "sample":
             p.add_argument("--n", type=int, default=None)
     args = parser.parse_args(argv)

@@ -5,8 +5,10 @@ molecule outward from a rationale's peripheral atoms through a FIFO frontier
 queue, predicting per step whether to attach a new atom, its type, and its
 bonds to every queued atom in order.
 
-Sampling decides as it goes: each step evaluates the heads on the graph so
-far. Scoring a known decision sequence (teacher forcing, trace replay) first
+Sampling decides as it goes: each step evaluates the heads, in numpy only,
+on the graph so far. A prepared start holds a rationale's initial state and
+its decoder MPN output, so the completions of one rationale share the first
+step's MPN. Scoring a known decision sequence (teacher forcing, trace replay) first
 walks the decisions without tensors, then evaluates each head once over all
 of its decisions, with one MPN over the disjoint union of the graphs the
 steps saw.
@@ -170,14 +172,21 @@ class GenModel:
         )
 
 
+def _mlp_forward(model: GenModel, name: str, xd: np.ndarray):
+    """A two-layer ReLU perceptron's forward pass over a (d,) vector or each
+    row of an (m, d) matrix: (pre-activation, hidden, output) arrays."""
+    p = model.params
+    pre = xd @ p[f"{name}_w1"].data + p[f"{name}_b1"].data
+    hid = np.maximum(pre, 0.0)
+    return pre, hid, hid @ p[f"{name}_w2"].data + p[f"{name}_b2"].data
+
+
 def _mlp(model: GenModel, name: str, x: ns.Tensor) -> ns.Tensor:
-    """Two-layer ReLU perceptron over a (d,) vector or over each row of an
-    (m, d) matrix, recorded as one tape op."""
+    """_mlp_forward recorded as one tape op."""
     p = model.params
     w1, b1, w2, b2 = (p[f"{name}_{k}"] for k in ("w1", "b1", "w2", "b2"))
     xd, w1d, w2d = x.data, w1.data, w2.data
-    pre = xd @ w1d + b1.data
-    hid = np.maximum(pre, 0.0)
+    pre, hid, out = _mlp_forward(model, name, xd)
 
     def backward_fn(g):
         d_pre = (g @ w2d.T) * (pre > 0)
@@ -185,7 +194,7 @@ def _mlp(model: GenModel, name: str, x: ns.Tensor) -> ns.Tensor:
             return d_pre @ w1d.T, np.outer(xd, d_pre), d_pre, np.outer(hid, g), g
         return d_pre @ w1d.T, xd.T @ d_pre, d_pre.sum(axis=0), hid.T @ g, g.sum(axis=0)
 
-    return ns.track(hid @ w2d + b2.data, (x, w1, b1, w2, b2), backward_fn)
+    return ns.track(out, (x, w1, b1, w2, b2), backward_fn)
 
 
 def _row_scatter(idx: np.ndarray, n: int):
@@ -208,6 +217,11 @@ def _row_scatter(idx: np.ndarray, n: int):
     return scatter
 
 
+def _mpn_names(prefix: str) -> list[str]:
+    """The parameters an MPN reads, in _mpn's parent order."""
+    return ["emb_atom", "emb_bond"] + [f"{prefix}_{w}" for w in ("w1", "w2", "w3", "u1", "u2")]
+
+
 def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
     """Directed-edge message passing; returns per-atom vectors (V, hidden).
 
@@ -219,7 +233,7 @@ def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
     is relu(x_v U1 + (sum of the messages into v) U2).
     """
     p = model.params
-    names = ["emb_atom", "emb_bond"] + [f"{prefix}_{w}" for w in ("w1", "w2", "w3", "u1", "u2")]
+    names = _mpn_names(prefix)
     emb_a, emb_b, w1, w2, w3, u1, u2 = (p[k].data for k in names)
     types = np.asarray(type_ids, dtype=np.int64)
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
@@ -398,24 +412,78 @@ class DecoderState:
         )
 
 
+def _latent_array(z) -> np.ndarray:
+    return z.data if isinstance(z, ns.Tensor) else np.asarray(z, dtype=np.float64)
+
+
+def _decoder_vectors(model: GenModel, state: DecoderState) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder MPN's atom vectors h for the state's graph, and their sum
+    hg, the graph vector (forward only)."""
+    with ns.no_grad():
+        h = _mpn(model, "dec", state.type_ids, state.edges).data
+    return h, h.sum(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class DecodeStart:
+    """A rationale prepared for decoding: its initial state, with the decoder
+    MPN's h and hg for that graph, computed once for every completion drawn
+    under the same parameters. `arrays` are the parameter arrays h was
+    computed from; an Adam step rebinds them, which makes the start stale."""
+
+    rationale: Rationale
+    state: DecoderState
+    h: np.ndarray
+    hg: np.ndarray
+    arrays: tuple[np.ndarray, ...]
+
+
+def prepare_start(model: GenModel, rationale: Rationale) -> DecodeStart:
+    """The rationale's start under the model's current parameters."""
+    state = DecoderState.from_rationale(model, rationale)
+    h, hg = _decoder_vectors(model, state)
+    arrays = tuple(model.params[k].data for k in _mpn_names("dec"))
+    return DecodeStart(rationale, state, h, hg, arrays)
+
+
+def _check_start(model: GenModel, rationale: Rationale, start: DecodeStart,
+                 fresh: bool) -> None:
+    """Raise unless the start was prepared for this rationale and, if fresh,
+    from the model's current parameter arrays."""
+    if start.rationale is not rationale:
+        raise GenModelError("decode start was prepared for another rationale")
+    if fresh and any(
+        a is not model.params[k].data for a, k in zip(start.arrays, _mpn_names("dec"))
+    ):
+        raise GenModelError("decode start is stale: a parameter changed after it was prepared")
+
+
 class StepLogits:
     """One decoding step's distributions for the queue head, evaluated on a
-    snapshot of the graph; bond distributions are produced one queue position
-    at a time because each depends on the bonds already placed."""
+    snapshot of the graph from its decoder vectors h and hg, in numpy only;
+    bond distributions are produced one queue position at a time because each
+    depends on the bonds already placed. The atom head is evaluated on the
+    first read of atom_probs, so a declined step never evaluates it."""
 
-    def __init__(self, model: GenModel, state: DecoderState, z: ns.Tensor, h: ns.Tensor):
+    def __init__(self, model: GenModel, state: DecoderState, z: np.ndarray,
+                 h: np.ndarray, hg: np.ndarray):
         self.model = model
         self.state = state.copy()
         self.queue = list(state.queue)
         self.z = z
-        self.h = h  # the decoder MPN's atom vectors for the state's graph
-        self.hg = ns.row_sum(h)
-        x = ns.concat([ns.row(h, self.queue[0]), self.hg, z])
-        self.expand_logit = ns.sum_all(_mlp(model, "expand", x))
-        self.expand_prob = float(ns.sigmoid(ns.const(self.expand_logit.data)).data)
-        self.atom_logits = _mlp(model, "atom", x)
-        self.atom_probs = ns.softmax(self.atom_logits).data
-        self._gin: dict[tuple[int, int], ns.Tensor] = {}  # by (queue position, bond type)
+        self.h = h
+        self.hg = hg
+        self._x = np.concatenate([h[self.queue[0]], hg, z])
+        self.expand_logit = float(_mlp_forward(model, "expand", self._x)[2][0])
+        self.expand_prob = float(ns.sigmoid_array(self.expand_logit))
+        self._atom_probs: np.ndarray | None = None
+        self._gin: dict[tuple[int, int], np.ndarray] = {}  # by (queue position, bond type)
+
+    @property
+    def atom_probs(self) -> np.ndarray:
+        if self._atom_probs is None:
+            self._atom_probs = ns.softmax_array(_mlp_forward(self.model, "atom", self._x)[2])
+        return self._atom_probs
 
     def bond_probs(
         self, new_type_idx: int, prior: list[int]
@@ -428,28 +496,30 @@ class StepLogits:
         p = self.model.params
         shadow = self.state.copy()
         u = shadow._append_atom(self.model.atom_types[new_type_idx].to_atom())
-        gsum = ns.const(np.zeros(self.model.hidden))
+        gsum = np.zeros(self.model.hidden)
         for j, b_idx in enumerate(prior):
             if b_idx != NO_BOND_IDX:
                 shadow._append_bond(u, self.queue[j], b_idx)
             if (j, b_idx) not in self._gin:
-                pair = ns.concat([ns.row(self.h, self.queue[j]), ns.row(p["emb_bond"], b_idx)])
-                self._gin[j, b_idx] = _mlp(self.model, "gin", pair)
-            gsum = ns.add(gsum, self._gin[j, b_idx])
+                pair = np.concatenate([self.h[self.queue[j]], p["emb_bond"].data[b_idx]])
+                self._gin[j, b_idx] = _mlp_forward(self.model, "gin", pair)[2]
+            gsum = gsum + self._gin[j, b_idx]
         mask = shadow.bond_mask(u, self.queue[k], first=(k == 0))
         if np.all(mask != 0.0):
             raise GenModelError("no feasible bond decision for a saturated frontier atom")
-        g_vec = _mlp(self.model, "gout", ns.concat([ns.row(p["emb_atom"], new_type_idx), gsum]))
-        logits = _mlp(self.model, "bond", ns.concat([g_vec, ns.row(self.h, self.queue[k]), self.hg, self.z]))
-        return ns.softmax(ns.add(logits, ns.const(mask))).data, mask
+        g_in = np.concatenate([p["emb_atom"].data[new_type_idx], gsum])
+        g_vec = _mlp_forward(self.model, "gout", g_in)[2]
+        x = np.concatenate([g_vec, self.h[self.queue[k]], self.hg, self.z])
+        logits = _mlp_forward(self.model, "bond", x)[2]
+        return ns.softmax_array(logits + mask), mask
 
 
 def step_logits(model: GenModel, state: DecoderState, z) -> StepLogits:
-    """Expand/atom-type/bond-type heads for the current queue head."""
+    """Expand/atom-type/bond-type heads for the current queue head, with
+    the decoder MPN run on the state's graph."""
     if not state.queue:
         raise GenModelError("step_logits on an empty queue")
-    z_t = z if isinstance(z, ns.Tensor) else ns.const(z)
-    return StepLogits(model, state, z_t, _mpn(model, "dec", state.type_ids, state.edges))
+    return StepLogits(model, state, _latent_array(z), *_decoder_vectors(model, state))
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +528,18 @@ def step_logits(model: GenModel, state: DecoderState, z) -> StepLogits:
 class _SamplePolicy:
     """Draws each decision from the step's distributions as the walk goes."""
 
-    def __init__(self, model: GenModel, z, rng: np.random.Generator, greedy: bool = False):
+    def __init__(self, model: GenModel, start: DecodeStart, z, rng: np.random.Generator,
+                 greedy: bool = False):
         self.model = model
-        self.z = z
+        self.z = _latent_array(z)
         self.rng = rng
         self.greedy = greedy
         self.trace: list[int] = []
         self.step: StepLogits | None = None
         self.atom = -1
         self.bonds: list[int] = []
+        # the decoder vectors of the graph with h_atoms atoms
+        self.h, self.hg, self.h_atoms = start.h, start.hg, start.state.n_atoms
 
     def _draw(self, probs: np.ndarray) -> int:
         if self.greedy:
@@ -477,11 +550,11 @@ class _SamplePolicy:
 
     def expand(self, state, v_t) -> bool:
         # the graph only grows by an atom with its bonds, so an unchanged
-        # atom count means the last step's MPN output still holds
-        if self.step is not None and self.step.state.n_atoms == state.n_atoms:
-            self.step = StepLogits(self.model, state, self.step.z, self.step.h)
-        else:
-            self.step = step_logits(self.model, state, self.z)
+        # atom count means the last MPN output still holds
+        if state.n_atoms != self.h_atoms:
+            self.h, self.hg = _decoder_vectors(self.model, state)
+            self.h_atoms = state.n_atoms
+        self.step = StepLogits(self.model, state, self.z, self.h, self.hg)
         prob = self.step.expand_prob
         yes = prob >= 0.5 if self.greedy else self.rng.random() < prob
         self.trace.append(1 if yes else 0)
@@ -681,9 +754,11 @@ def complete(
     rng: np.random.Generator,
     max_steps: int = DEFAULT_MAX_STEPS,
     greedy: bool = False,
+    *,
+    start: DecodeStart | None = None,
 ) -> MolGraph:
     """Sample a molecule containing the rationale's fragments."""
-    g, _trace = complete_with_trace(model, rationale, z, rng, max_steps, greedy)
+    g, _trace = complete_with_trace(model, rationale, z, rng, max_steps, greedy, start=start)
     return g
 
 
@@ -694,21 +769,34 @@ def complete_with_trace(
     rng: np.random.Generator,
     max_steps: int = DEFAULT_MAX_STEPS,
     greedy: bool = False,
+    *,
+    start: DecodeStart | None = None,
 ) -> tuple[MolGraph, list[int]]:
     """Sample stepwise, each decision drawn from the heads evaluated on the
-    graph so far; returns the molecule and its decision trace."""
-    state = DecoderState.from_rationale(model, rationale)
-    policy = _SamplePolicy(model, z, rng, greedy=greedy)
-    with ns.no_grad():
-        _walk(model, state, policy, max_steps)
+    graph so far; returns the molecule and its decision trace. A start from
+    prepare_start(model, rationale) saves the first step's MPN; it must be
+    prepared under the current parameters."""
+    if start is None:
+        start = prepare_start(model, rationale)
+    else:
+        _check_start(model, rationale, start, fresh=True)
+    state = start.state.copy()
+    policy = _SamplePolicy(model, start, z, rng, greedy=greedy)
+    _walk(model, state, policy, max_steps)
     return state.to_molgraph(), policy.trace
 
 
 def trace_log_likelihood(
-    model: GenModel, rationale: Rationale, trace: list[int], z
+    model: GenModel, rationale: Rationale, trace: list[int], z,
+    *, start: DecodeStart | None = None,
 ) -> ns.Tensor:
-    """Log-probability of a recorded decision sequence (differentiable)."""
-    state = DecoderState.from_rationale(model, rationale)
+    """Log-probability of a recorded decision sequence (differentiable). A
+    start supplies only its initial state, so it may be stale."""
+    if start is None:
+        state = DecoderState.from_rationale(model, rationale)
+    else:
+        _check_start(model, rationale, start, fresh=False)
+        state = start.state.copy()
     walk = _walk(model, state, _TracePolicy(trace), max_steps=10**9)
     return _score(model, state, walk, z)
 

@@ -23,7 +23,6 @@ __all__ = [
     "mul",
     "scale",
     "concat",
-    "row",
     "gather_rows",
     "tile_rows",
     "segment_sum",
@@ -32,10 +31,11 @@ __all__ = [
     "relu",
     "sigmoid",
     "exp",
-    "softmax",
     "logsigmoid",
     "cross_entropy",
     "gaussian_kl",
+    "sigmoid_array",
+    "softmax_array",
     "backward",
     "zero_grads",
     "adam_step",
@@ -179,18 +179,6 @@ def concat(parts: list[Tensor]) -> Tensor:
     return track(out, tuple(parts), backward_fn)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("row expects a rank-2 tensor")
-
-    def backward_fn(g):
-        ga = np.zeros_like(a.data)
-        ga[i] = g
-        return (ga,)
-
-    return track(a.data[i].copy(), (a,), backward_fn)
-
-
 def gather_rows(a: Tensor, idx) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("gather_rows expects a rank-2 tensor")
@@ -252,10 +240,21 @@ def relu(a: Tensor) -> Tensor:
     return track(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def sigmoid_array(x) -> np.ndarray:
+    """The logistic function of an array, forward only."""
     # exp(-|x|) never overflows; the same expression serves both signs
-    e = np.exp(-np.abs(a.data))
-    out = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def softmax_array(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of an array, forward only; rows sum to 1."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = sigmoid_array(a.data)
     return track(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -268,22 +267,8 @@ def logsigmoid(a: Tensor) -> Tensor:
     # log(sigmoid(x)) = min(x, 0) - log(1 + exp(-|x|)), stable in both directions
     e = np.exp(-np.abs(a.data))
     out = np.minimum(a.data, 0) - np.log1p(e)
-    sig = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
+    sig = sigmoid_array(a.data)
     return track(out, (a,), lambda g: (g * (1.0 - sig),))
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis; rows sum to 1."""
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return track(out, (a,), backward_fn)
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:

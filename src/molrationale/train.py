@@ -16,12 +16,14 @@ from .fingerprint import fingerprint_matrix, tanimoto_matrix
 from .forest import PropertySpec, positive_mask
 from .genmodel import (
     DEFAULT_MAX_STEPS,
+    DecodeStart,
     GenModel,
     TruncationError,
     complete,
     complete_with_trace,
     encode,
     log_likelihood_tensor,
+    prepare_start,
     prior_latent,
     sample_latent,
     trace_log_likelihood,
@@ -195,9 +197,10 @@ class FinetuneStats:
     diversity: float | None
     novelty: float | None
     kept: int
-    sampled: int = 0
+    sampled: int = 0  # completions drawn, truncated ones excluded
     atoms_added_mean: float | None = None  # over every completion drawn
     unchanged_share: float | None = None  # completions that add no atom
+    truncated: int = 0  # completions that reached max_decode_steps
 
 
 def _decode_and_score(
@@ -207,26 +210,31 @@ def _decode_and_score(
     cfg: TrainConfig,
     it: int,
     ref: np.ndarray | None,
-) -> tuple[FinetuneStats, list[tuple[Rationale, list[int], np.ndarray]]]:
+) -> tuple[FinetuneStats, list[tuple[DecodeStart, list[int], np.ndarray]]]:
     """One fine-tuning iteration's completions, decoded first and then
     scored as one batch per property; returns the iteration's statistics and
-    the kept (rationale, trace, latent) trajectories. The completions and
-    their fingerprints are dropped on return, before the update's tape."""
+    the kept (start, trace, latent) trajectories. The completions and their
+    fingerprints are dropped on return, before the update's tape. Success is
+    the kept share of the completions attempted, so a truncated completion
+    counts as a miss."""
     from .metrics import diversity as diversity_fn
     from .metrics import novelty as novelty_fn
 
-    drawn: list[tuple[Rationale, list[int], np.ndarray, MolGraph]] = []
+    drawn: list[tuple[DecodeStart, list[int], np.ndarray, MolGraph]] = []
+    truncated = 0
     for r_idx, rationale in enumerate(vocab.entries):
+        start = prepare_start(model, rationale)
         for s_idx in range(cfg.samples_per_rationale):
             rng = np.random.default_rng([cfg.seed, 7919, it, r_idx, s_idx])
             z = prior_latent(model, rng)
             try:
                 g, trace_ids = complete_with_trace(
-                    model, rationale, z, rng, max_steps=cfg.max_decode_steps
+                    model, rationale, z, rng, max_steps=cfg.max_decode_steps, start=start
                 )
             except TruncationError:
+                truncated += 1
                 continue
-            drawn.append((rationale, trace_ids, z, g))
+            drawn.append((start, trace_ids, z, g))
     keep = positive_mask([d[3] for d in drawn], props)
     kept = [d[:3] for d, k in zip(drawn, keep) if k]
     positives = [d[3] for d, k in zip(drawn, keep) if k]
@@ -237,11 +245,12 @@ def _decode_and_score(
             div = diversity_fn(tanimoto_matrix(fps, fps))
         if ref is not None:
             nov = novelty_fn(tanimoto_matrix(fps, ref))
-    success = len(kept) / len(drawn) if drawn else 0.0
-    added = np.array([d[3].n - d[0].n_atoms for d in drawn])
+    success = len(kept) / (len(drawn) + truncated)
+    added = np.array([d[3].n - d[0].state.n_atoms for d in drawn])
     added_mean = float(added.mean()) if drawn else None
     unchanged = float((added == 0).mean()) if drawn else None
-    stats = FinetuneStats(it, success, div, nov, len(kept), len(drawn), added_mean, unchanged)
+    stats = FinetuneStats(it, success, div, nov, len(kept), len(drawn), added_mean, unchanged,
+                          truncated)
     return stats, kept
 
 
@@ -280,7 +289,7 @@ def finetune(
 
 def _policy_step(
     model: GenModel,
-    kept: list[tuple[Rationale, list[int], np.ndarray]],
+    kept: list[tuple[DecodeStart, list[int], np.ndarray]],
     cfg: TrainConfig,
     adam_state: dict,
     it: int,
@@ -292,8 +301,8 @@ def _policy_step(
     Adam step, leaving the parameters unchanged."""
     ns.zero_grads(model.params)
     weight = -1.0 / len(kept)
-    for rationale, trace_ids, z in kept:
-        ll = trace_log_likelihood(model, rationale, trace_ids, z)
+    for start, trace_ids, z in kept:
+        ll = trace_log_likelihood(model, start.rationale, trace_ids, z, start=start)
         if not np.isfinite(ll.data):
             raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
         ns.backward(ns.scale(ll, weight))
@@ -327,11 +336,13 @@ def rationale_distribution(
         raise TrainingError("entropy_weight must be positive")
     drawn: list[tuple[int, MolGraph]] = []
     for r_idx, rationale in enumerate(vocab.entries):
+        start = prepare_start(model, rationale)
         for s_idx in range(samples_per_rationale):
             rng = np.random.default_rng([seed, 104729, r_idx, s_idx])
             z = prior_latent(model, rng)
             try:
-                drawn.append((r_idx, complete(model, rationale, z, rng, max_steps=max_steps)))
+                g = complete(model, rationale, z, rng, max_steps=max_steps, start=start)
+                drawn.append((r_idx, g))
             except TruncationError:
                 continue  # a truncated completion counts as a miss
     hits = [0] * len(vocab.entries)
@@ -356,6 +367,7 @@ def sample_molecules(
 ) -> list[tuple[MolGraph, str]]:
     """Draw rationale ~ P(S) then complete it; truncated completions are
     redrawn, with total attempts capped at 10n."""
+    starts = [prepare_start(model, r) for r in dist.rationales]
     out: list[tuple[MolGraph, str]] = []
     attempts = 0
     while len(out) < n and attempts < 10 * n:
@@ -363,7 +375,7 @@ def sample_molecules(
         k = int(rng.choice(len(dist.probabilities), p=dist.probabilities))
         z = prior_latent(model, rng)
         try:
-            g = complete(model, dist.rationales[k], z, rng, max_steps=max_steps)
+            g = complete(model, dist.rationales[k], z, rng, max_steps=max_steps, start=starts[k])
         except TruncationError:
             continue
         out.append((g, dist.keys[k]))
@@ -383,13 +395,15 @@ def success_of_model(
     """Positive fraction of n completions with rationales drawn uniformly."""
     if not vocab.entries:
         raise TrainingError("empty vocabulary")
+    starts = [prepare_start(model, r) for r in vocab.entries]
     drawn: list[MolGraph] = []
     for i in range(n):
         rng = np.random.default_rng([seed, 15485863, i])
-        rationale = vocab.entries[int(rng.integers(len(vocab.entries)))]
+        k = int(rng.integers(len(vocab.entries)))
         z = prior_latent(model, rng)
         try:
-            drawn.append(complete(model, rationale, z, rng, max_steps=max_steps))
+            drawn.append(complete(model, vocab.entries[k], z, rng, max_steps=max_steps,
+                                  start=starts[k]))
         except TruncationError:
             continue  # a truncated completion counts as a miss
     return int(positive_mask(drawn, props).sum()) / n if n else 0.0

@@ -23,7 +23,13 @@ from molrationale.chemgraph import (
 )
 from molrationale import numsub as ns
 from molrationale.forest import _gini
-from molrationale.genmodel import trace_log_likelihood
+from molrationale.genmodel import (
+    NO_BOND_IDX,
+    DecoderState,
+    TruncationError,
+    step_logits,
+    trace_log_likelihood,
+)
 from molrationale.merge import MCS_ATOM_LIMIT, AtomMapping
 from molrationale.synthetic import random_molecule
 
@@ -435,12 +441,12 @@ def row_copy_forest_trees(
 
 
 def single_tape_policy_loss(model, kept) -> ns.Tensor:
-    """Mean negative log-likelihood of the kept (rationale, trace, latent)
-    trajectories, all on one tape."""
+    """Mean negative log-likelihood of the kept (start, trace, latent)
+    trajectories, all on one tape, each replayed from its rationale."""
     loss = ns.const(0.0)
-    for rationale, trace_ids, z in kept:
+    for start, trace_ids, z in kept:
         loss = ns.add(
-            loss, ns.scale(trace_log_likelihood(model, rationale, trace_ids, z), -1.0)
+            loss, ns.scale(trace_log_likelihood(model, start.rationale, trace_ids, z), -1.0)
         )
     return ns.scale(loss, 1.0 / len(kept))
 
@@ -455,3 +461,51 @@ def tape_size(loss: ns.Tensor) -> int:
                 seen.add(id(p))
                 stack.append(p)
     return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# Sampler oracle: the decoder MPN run afresh on the graph at every step.
+
+
+def fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy=False):
+    """Sample a completion with one public step_logits call per expand
+    decision, each running the decoder MPN on the graph so far, and the
+    sampler's draw protocol: expand if a uniform draw is below the expand
+    probability (greedy: if it is at least 0.5), and a categorical draw of
+    every atom and bond type (greedy: the most probable one). Returns the
+    molecule and its trace; raises TruncationError like the sampler."""
+    state = DecoderState.from_rationale(model, rationale)
+    trace = []
+    added = 0
+
+    def draw(probs):
+        if greedy:
+            return int(np.argmax(probs))
+        p = np.clip(probs, 0.0, None)
+        return int(rng.choice(len(p), p=p / p.sum()))
+
+    while state.queue:
+        if not state.can_accept_any_bond(state.queue[0]):
+            state.queue.popleft()
+            continue
+        sl = step_logits(model, state, z)
+        yes = sl.expand_prob >= 0.5 if greedy else rng.random() < sl.expand_prob
+        trace.append(int(yes))
+        if not yes:
+            state.queue.popleft()
+            continue
+        if added == max_steps:
+            raise TruncationError(state.to_molgraph())
+        t = draw(sl.atom_probs)
+        trace.append(t)
+        members, prior = list(state.queue), []
+        for _q in members:
+            prior.append(draw(sl.bond_probs(t, prior)[0]))
+        trace.extend(prior)
+        u = state._append_atom(model.atom_types[t].to_atom())
+        for q, b in zip(members, prior):
+            if b != NO_BOND_IDX:
+                state._append_bond(u, q, b)
+        state.queue.append(u)
+        added += 1
+    return state.to_molgraph(), trace

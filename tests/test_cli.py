@@ -3,6 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from molrationale import cli
@@ -14,9 +15,12 @@ from molrationale.cli import (
     load_config,
     main,
 )
-from molrationale.extract import SearchError
+from molrationale.extract import RationaleVocab, SearchError
 from molrationale.forest import ForestError, read_property_csv
+from molrationale.genmodel import GenModel, prepare_start, prior_latent
 from molrationale.metrics import MetricsError
+
+from test_genmodel import same_outcome
 
 
 def write_config(path: Path, run_dir: Path, **overrides) -> Path:
@@ -111,6 +115,21 @@ class TestStageSequencing:
         cfg2 = write_config(tmp_path, tmp_path / "run", seed=99)
         assert main(["train-predictor", "--config", str(cfg2)]) == EXIT_CONFIG
         assert main(["train-predictor", "--config", str(cfg2), "--force"]) == EXIT_OK
+
+    def test_changed_or_missing_artifact_refused_without_force(self, tmp_path, capsys):
+        cfg = str(write_config(tmp_path, tmp_path / "run"))
+        assert main(["gen-synthetic", "--config", cfg]) == EXIT_OK
+        corpus = tmp_path / "run" / "corpus.smi"
+        lines = corpus.read_text().splitlines(keepends=True)
+        corpus.write_text("".join(["CCO\n", *lines[1:]]))
+        capsys.readouterr()
+        assert main(["train-predictor", "--config", cfg]) == EXIT_MISSING
+        assert "corpus.smi" in capsys.readouterr().err
+        assert main(["train-predictor", "--config", cfg, "--force"]) == EXIT_OK
+        (tmp_path / "run" / "forest_amide.json").unlink()
+        capsys.readouterr()
+        assert main(["extract", "--config", cfg]) == EXIT_MISSING
+        assert "forest_amide.json" in capsys.readouterr().err
 
 
 README_PROPERTIES = [
@@ -290,7 +309,8 @@ class TestArtifacts:
         _cfg, run_dir = pipeline
         header = (run_dir / "finetune_stats.csv").read_text().splitlines()[0]
         assert header == (
-            "iteration,success,diversity,novelty,kept,sampled,atoms_added_mean,unchanged_share"
+            "iteration,success,diversity,novelty,kept,sampled,atoms_added_mean,unchanged_share,"
+            "truncated"
         )
 
     def test_finetune_stats_record_completion_sizes(self, pipeline):
@@ -300,8 +320,9 @@ class TestArtifacts:
         assert len(rows) == 2
         for row in rows:
             sampled = int(row["sampled"])
+            attempted = sampled + int(row["truncated"])
             assert 0 <= int(row["kept"]) <= sampled
-            assert float(row["success"]) == pytest.approx(int(row["kept"]) / sampled, abs=1e-6)
+            assert float(row["success"]) == pytest.approx(int(row["kept"]) / attempted, abs=1e-6)
             assert float(row["atoms_added_mean"]) >= 0.0
             assert 0.0 <= float(row["unchanged_share"]) <= 1.0
 
@@ -311,3 +332,16 @@ class TestArtifacts:
         total = sum(e["probability"] for e in doc["entries"])
         assert total == pytest.approx(1.0, abs=1e-9)
         assert all(e["probability"] > 0 for e in doc["entries"])
+
+    def test_prepared_start_matches_fresh_decode_on_merged_vocabulary(self, pipeline):
+        _cfg, run_dir = pipeline
+        vocab = RationaleVocab.load(run_dir / "vocab_multi.json")
+        model = GenModel.load(str(run_dir / "pretrain.ckpt"))
+        grown = 0
+        for r in vocab.entries:
+            start = prepare_start(model, r)
+            for seed in range(300 // len(vocab.entries) + 1):
+                z = prior_latent(model, np.random.default_rng([9, seed]))
+                out = same_outcome(model, r, z, seed, 8, False, start)
+                grown += out[0] != "truncated" and out[0].n > r.n_atoms
+        assert grown >= 100

@@ -24,6 +24,7 @@ from molrationale.genmodel import (
     _mlp,
     _mpn,
     TruncationError,
+    DecodeStart,
     atom_types_from_corpus,
     complete,
     complete_with_trace,
@@ -31,13 +32,15 @@ from molrationale.genmodel import (
     log_likelihood,
     log_likelihood_tensor,
     mpn_embed,
+    prepare_start,
     prior_latent,
     sample_latent,
     step_logits,
     trace_log_likelihood,
 )
+from molrationale import genmodel
 
-from helpers import oracle_embeddings, random_corpus
+from helpers import fresh_complete_with_trace, oracle_embeddings, random_corpus
 from test_numsub import check_gradients
 
 
@@ -163,7 +166,7 @@ def stepwise_log_prob(model, rationale, z, decide):
             state.queue.popleft()
             continue
         sl = step_logits(model, state, z)
-        logit = float(sl.expand_logit.data)
+        logit = sl.expand_logit
         if not decide("expand", v):
             total -= np.logaddexp(0.0, logit)
             state.queue.popleft()
@@ -617,6 +620,133 @@ class TestOnePassScorer:
         ]
         assert [g.n for g in corpus] == [6, 14]
         assert sizes[1] <= sizes[0] < 100
+
+
+def same_outcome(model, rationale, z, seed, max_steps, greedy, start):
+    """Decode from the prepared start and with the fresh-MPN oracle on the
+    same seeded stream; both return (graph, trace) or the truncated partial."""
+    outcomes = []
+    for decode in (
+        lambda rng: complete_with_trace(model, rationale, z, rng, max_steps, greedy, start=start),
+        lambda rng: fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy),
+    ):
+        try:
+            outcomes.append(decode(np.random.default_rng(seed)))
+        except TruncationError as err:
+            outcomes.append(("truncated", err.partial))
+    assert outcomes[0] == outcomes[1], (rationale, seed)
+    return outcomes[0]
+
+
+class TestPreparedStart:
+    CASES = [
+        ("ring", rat("c1ccccc1", (0, 3)), 0.5),
+        ("chain", rat("CCO", (0, 2)), 0.5),
+        ("saturated head", rat("FC", (0, 1)), 0.5),
+        ("empty queue", rat("CC(=O)N", ()), 0.5),
+        ("two fragments", Rationale(fragments=(parse_smiles("CCO"), parse_smiles("CN")),
+                                    scores={}, peripheral=(0, 3)), 0.5),
+    ]
+
+    def test_start_matches_fresh_decode(self):
+        model = small_model(seed=37, expand_bias=0.5)
+        draws = truncated = grown = 0
+        for _name, r, _ in self.CASES:
+            start = prepare_start(model, r)
+            for seed in range(220):
+                z = prior_latent(model, np.random.default_rng([5, seed]))
+                out = same_outcome(model, r, z, seed, 6, False, start)
+                draws += 1
+                truncated += out[0] == "truncated"
+                grown += out[0] != "truncated" and out[0].n > r.n_atoms
+        assert draws >= 1000 and truncated > 0 and grown > 100
+
+    def test_greedy_start_matches_fresh_decode(self):
+        model = small_model(seed=41)
+        for _name, r, _ in self.CASES:
+            start = prepare_start(model, r)
+            for seed in range(20):
+                z = prior_latent(model, np.random.default_rng([6, seed]))
+                same_outcome(model, r, z, seed, 8, True, start)
+
+    def test_saturated_head_and_empty_queue(self):
+        model = small_model(seed=43)
+        rng = np.random.default_rng(0)
+        r = rat("CC(=O)N", ())
+        g, trace = complete_with_trace(model, r, prior_latent(model, rng), rng,
+                                       start=prepare_start(model, r))
+        assert g == r.combined and trace == []
+        # fluorine is saturated, so only the carbon is asked to expand
+        model.params["expand_b2"].data = np.array([-50.0])
+        r = rat("FC", (0, 1))
+        g, trace = complete_with_trace(model, r, prior_latent(model, rng), rng,
+                                       start=prepare_start(model, r))
+        assert g == r.combined and trace == [0]
+
+    def test_stale_start_raises(self):
+        model = small_model(seed=47)
+        r = rat("CCO", (0, 2))
+        start = prepare_start(model, r)
+        z = prior_latent(model, np.random.default_rng(1))
+        complete_with_trace(model, r, z, np.random.default_rng(2), start=start)
+        grads = {k: np.full_like(t.data, 0.1) for k, t in model.params.items()}
+        ns.adam_step(model.params, grads, {})
+        with pytest.raises(GenModelError, match="stale"):
+            complete_with_trace(model, r, z, np.random.default_rng(2), start=start)
+        fresh = prepare_start(model, r)
+        complete_with_trace(model, r, z, np.random.default_rng(2), start=fresh)
+        with pytest.raises(GenModelError, match="another rationale"):
+            complete_with_trace(model, rat("CCN", (0,)), z, np.random.default_rng(2), start=fresh)
+
+    def test_declined_step_never_evaluates_atom_head(self, monkeypatch):
+        model = small_model(seed=53)
+        heads = []
+        real = genmodel._mlp_forward
+
+        def counted(model, name, xd):
+            heads.append(name)
+            return real(model, name, xd)
+
+        monkeypatch.setattr(genmodel, "_mlp_forward", counted)
+        model.params["expand_b2"].data = np.array([-50.0])
+        r = rat("CC(=O)N", (0, 2, 3))
+        _g, trace = complete_with_trace(model, r, np.zeros(model.latent), np.random.default_rng(0))
+        # the carbonyl oxygen is saturated: two expand decisions, both declined
+        assert trace == [0, 0] and heads == ["expand"] * 2
+        state = DecoderState.from_rationale(model, r)
+        z = prior_latent(model, np.random.default_rng(3))
+        sl = step_logits(model, state, z)
+        assert "atom" not in heads
+        x = ns.const(np.concatenate([sl.h[state.queue[0]], sl.hg, z]))
+        eager = ns.softmax_array(_mlp(model, "atom", x).data)
+        assert np.array_equal(sl.atom_probs, eager)
+        assert heads.count("atom") == 2  # the lazy read and the eager one
+
+    def test_trace_log_likelihood_from_start_equals_rationale_path(self):
+        model = small_model(seed=59, expand_bias=0.5)
+        r = rat("c1ccccc1", (0, 3))
+        start = prepare_start(model, r)
+        rng = np.random.default_rng(4)
+        replayed = 0
+        for _ in range(30):
+            z = prior_latent(model, rng)
+            try:
+                _g, trace = complete_with_trace(model, r, z, rng, max_steps=6, start=start)
+            except TruncationError:
+                continue
+            results = []
+            for kw in ({}, {"start": start}):
+                ns.zero_grads(model.params)
+                ll = trace_log_likelihood(model, r, trace, z, **kw)
+                ns.backward(ll)
+                grads = {k: t.grad.copy() for k, t in model.params.items() if t.grad is not None}
+                results.append((float(ll.data), grads))
+            (va, ga), (vb, gb) = results
+            assert va == vb
+            assert sorted(ga) == sorted(gb)
+            assert all(np.array_equal(ga[k], gb[k]) for k in ga)
+            replayed += len(trace) > 3
+        assert replayed >= 5
 
 
 class TestEnumerationConsistency:

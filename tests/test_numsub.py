@@ -49,9 +49,9 @@ class TestForwardOps:
         assert ns.sigmoid(ns.const(0.0)).data == pytest.approx(0.5)
 
     def test_softmax_symmetry(self):
-        out = ns.softmax(ns.const([0.0, 0.0]))
-        assert np.allclose(out.data, [0.5, 0.5])
-        assert out.data.sum() == pytest.approx(1.0, abs=1e-12)
+        out = ns.softmax_array(np.array([0.0, 0.0]))
+        assert np.allclose(out, [0.5, 0.5])
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_kl_standard_normal_is_zero(self):
         mu = ns.const(np.zeros(4))
@@ -86,7 +86,7 @@ class TestForwardOps:
         out = ns.concat([ns.const([1.0, 2.0]), ns.const([3.0])])
         assert np.allclose(out.data, [1, 2, 3])
         m = ns.const([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(ns.row(m, 1).data, [3, 4])
+        assert np.allclose(ns.gather_rows(m, [1]).data, [[3, 4]])
         assert np.allclose(ns.row_sum(m).data, [4, 6])
 
     def test_cross_entropy_translation_invariance(self):
@@ -97,8 +97,8 @@ class TestForwardOps:
 
     def test_softmax_translation_invariance(self):
         x = np.array([0.1, 1.5, -2.0])
-        a = ns.softmax(ns.const(x)).data
-        b = ns.softmax(ns.const(x + 500.0)).data
+        a = ns.softmax_array(x)
+        b = ns.softmax_array(x + 500.0)
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_rank3_rejected(self):
@@ -110,7 +110,7 @@ class TestForwardOps:
         snapshot = x.data.copy()
         ns.relu(x)
         ns.sigmoid(x)
-        ns.softmax(x)
+        ns.softmax_array(x.data)
         assert np.array_equal(x.data, snapshot)
 
 

@@ -12,6 +12,7 @@ from molrationale.genmodel import (
     atom_types_from_corpus,
     complete_with_trace,
     encode,
+    prepare_start,
     prior_latent,
 )
 from molrationale import train
@@ -201,6 +202,20 @@ class TestFinetune:
         assert len(stats) == 1
         assert stats[0].sampled == len(vocab.entries)
 
+    def test_truncated_completions_count_as_misses(self):
+        model = toy_model(toy_corpus(), seed=5)
+        model.params["expand_b2"].data = np.array([50.0])  # every open queue head expands
+        vocab = RationaleVocab(("const",))
+        grows = Rationale(fragments=(parse_smiles("CCO"),), scores={"const": 1.0}, peripheral=(0,))
+        closed = Rationale(fragments=(parse_smiles("CC(=O)N"),), scores={"const": 1.0}, peripheral=())
+        vocab.add(grows)
+        vocab.add(closed)
+        # no atom may be added, so every completion of `grows` truncates
+        cfg = quick_cfg(iterations=1, samples_per_rationale=5, max_decode_steps=0)
+        (stats,) = finetune(model, vocab, [ConstSpec(1.0)], cfg)
+        assert (stats.truncated, stats.sampled, stats.kept) == (5, 5, 5)
+        assert stats.success == 0.5
+
     def test_all_negative_aborts_after_l_empty_iterations(self):
         corpus = toy_corpus()
         model = toy_model(corpus, seed=7)
@@ -217,12 +232,7 @@ class TestFinetune:
         rewards = [1, 0, 1, 0]
 
         def traj_logp(traj):
-            terms = []
-            for k, choice in enumerate(traj):
-                logit = ns.row(ns.Tensor(theta.data.reshape(2, 1), requires_grad=False), k)
-                # reuse the parameter tensor so gradients flow: rebuild via concat
-                pass
-            # direct construction: logp = sum over decisions of logsigmoid(+-logit_k)
+            # logp = sum over decisions of logsigmoid(+-logit_k)
             comps = []
             for k, choice in enumerate(traj):
                 unit = np.zeros(2)
@@ -284,22 +294,24 @@ class TestFinetune:
 
 
 def kept_trajectories(model, count):
-    """Sampled (rationale, trace, latent) trajectories from a toy vocabulary,
-    one per distinct trace length."""
-    rationales = [
-        Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,))
+    """Sampled (start, trace, latent) trajectories from a toy vocabulary, one
+    per distinct trace length."""
+    starts = [
+        prepare_start(model, Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,)))
         for s in ("CCO", "CCN", "CN")
     ]
     by_length = {}
     for i in range(200):
         rng = np.random.default_rng([3, i])
-        rationale = rationales[i % len(rationales)]
+        start = starts[i % len(starts)]
         z = prior_latent(model, rng)
         try:
-            _g, trace_ids = complete_with_trace(model, rationale, z, rng, max_steps=12)
+            _g, trace_ids = complete_with_trace(
+                model, start.rationale, z, rng, max_steps=12, start=start
+            )
         except TruncationError:
             continue
-        by_length.setdefault(len(trace_ids), (rationale, trace_ids, z))
+        by_length.setdefault(len(trace_ids), (start, trace_ids, z))
         if len(by_length) == count:
             break
     assert len(by_length) == count, "the toy decoder no longer gives enough trace lengths"
@@ -356,9 +368,9 @@ class TestPolicyStep:
         real = train.trace_log_likelihood
         calls = []
 
-        def poisoned(*args):
+        def poisoned(*args, **kwargs):
             calls.append(1)
-            ll = real(*args)
+            ll = real(*args, **kwargs)
             return ns.scale(ll, np.nan) if len(calls) == 4 else ll
 
         monkeypatch.setattr(train, "trace_log_likelihood", poisoned)
