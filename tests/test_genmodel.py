@@ -24,7 +24,6 @@ from molrationale.genmodel import (
     _mlp,
     _mpn,
     TruncationError,
-    DecodeStart,
     atom_types_from_corpus,
     complete,
     complete_with_trace,
@@ -639,19 +638,19 @@ def same_outcome(model, rationale, z, seed, max_steps, greedy, start):
 
 
 class TestPreparedStart:
-    CASES = [
-        ("ring", rat("c1ccccc1", (0, 3)), 0.5),
-        ("chain", rat("CCO", (0, 2)), 0.5),
-        ("saturated head", rat("FC", (0, 1)), 0.5),
-        ("empty queue", rat("CC(=O)N", ()), 0.5),
-        ("two fragments", Rationale(fragments=(parse_smiles("CCO"), parse_smiles("CN")),
-                                    scores={}, peripheral=(0, 3)), 0.5),
-    ]
+    CASES = {
+        "ring": rat("c1ccccc1", (0, 3)),
+        "chain": rat("CCO", (0, 2)),
+        "saturated head": rat("FC", (0, 1)),
+        "empty queue": rat("CC(=O)N", ()),
+        "two fragments": Rationale(fragments=(parse_smiles("CCO"), parse_smiles("CN")),
+                                   scores={}, peripheral=(0, 3)),
+    }
 
     def test_start_matches_fresh_decode(self):
         model = small_model(seed=37, expand_bias=0.5)
         draws = truncated = grown = 0
-        for _name, r, _ in self.CASES:
+        for r in self.CASES.values():
             start = prepare_start(model, r)
             for seed in range(220):
                 z = prior_latent(model, np.random.default_rng([5, seed]))
@@ -663,7 +662,7 @@ class TestPreparedStart:
 
     def test_greedy_start_matches_fresh_decode(self):
         model = small_model(seed=41)
-        for _name, r, _ in self.CASES:
+        for r in self.CASES.values():
             start = prepare_start(model, r)
             for seed in range(20):
                 z = prior_latent(model, np.random.default_rng([6, seed]))
