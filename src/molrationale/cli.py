@@ -4,8 +4,8 @@ evaluation, and the planted-motif faithfulness experiment.
 
 Every stage writes its artifacts plus a manifest recording the config hash
 and the SHA-256 of its inputs and outputs. A stage refuses an upstream stage
-run under another config, or whose recorded outputs are missing or changed on
-disk, unless --force.
+run under another config, or an upstream output it reads that is missing or
+changed on disk, unless --force.
 Exit codes: 0 success, 1 invalid input (a chemistry, predictor, search or
 metric error), 2 config error, 3 missing artifact, 4 numeric failure.
 """
@@ -241,7 +241,11 @@ def _write_manifest(cfg: RunConfig, stage: str, inputs: list[Path], outputs: lis
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _require_stage(cfg: RunConfig, stage: str, needed_by: str, force: bool) -> None:
+def _require_stage(
+    cfg: RunConfig, stage: str, needed_by: str, force: bool, reads: list[Path]
+) -> None:
+    """Refuse unless `stage` ran under this config and each of its recorded
+    outputs among `reads`, the files `needed_by` opens, is unchanged on disk."""
     path = cfg.run_dir / f"{stage}.manifest.json"
     if not path.exists():
         raise MissingArtifactError(
@@ -256,7 +260,10 @@ def _require_stage(cfg: RunConfig, stage: str, needed_by: str, force: bool) -> N
         raise ConfigError(
             f"{path}: artifacts were produced with a different config; rerun or use --force"
         )
+    read_names = {p.name for p in reads}
     for name, digest in sorted(doc.get("outputs", {}).items()):
+        if name not in read_names:
+            continue
         out = cfg.run_dir / name
         if not out.exists():
             raise MissingArtifactError(f"{out}: recorded by '{stage}' but missing; rerun {stage}")
@@ -280,6 +287,10 @@ def _load_corpus(cfg: RunConfig) -> tuple[list[MolGraph], dict[str, list[int]]]:
 
 def _forest_paths(cfg: RunConfig) -> list[Path]:
     return [cfg.run_dir / f"forest_{p['name']}.json" for p in cfg.properties]
+
+
+def _vocab_paths(cfg: RunConfig) -> list[Path]:
+    return [cfg.run_dir / f"vocab_{p['name']}.json" for p in cfg.properties]
 
 
 def _ckpt_paths(cfg: RunConfig, stage: str) -> list[Path]:
@@ -337,7 +348,8 @@ def cmd_gen_synthetic(cfg: RunConfig, force: bool) -> None:
 
 
 def cmd_train_predictor(cfg: RunConfig, force: bool) -> None:
-    _require_stage(cfg, "gen-synthetic", "train-predictor", force)
+    inputs = list(_corpus_paths(cfg))
+    _require_stage(cfg, "gen-synthetic", "train-predictor", force, inputs)
     mols, labels = _load_corpus(cfg)
     f = cfg.section("forest")
     train_idx, test_idx = _split_indices(len(mols), cfg.seed)
@@ -365,11 +377,12 @@ def cmd_train_predictor(cfg: RunConfig, force: bool) -> None:
         )
     )
     outputs.append(cfg.run_dir / "predictor_scores.json")
-    _write_manifest(cfg, "train-predictor", list(_corpus_paths(cfg)), outputs)
+    _write_manifest(cfg, "train-predictor", inputs, outputs)
 
 
 def cmd_extract(cfg: RunConfig, force: bool) -> None:
-    _require_stage(cfg, "train-predictor", "extract", force)
+    inputs = [*_corpus_paths(cfg), *_forest_paths(cfg)]
+    _require_stage(cfg, "train-predictor", "extract", force, inputs)
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     e = cfg.section("extract")
@@ -390,26 +403,27 @@ def cmd_extract(cfg: RunConfig, force: bool) -> None:
         vocab.save(out)
         outputs.append(out)
         print(f"property {spec.name}: {len(vocab)} rationales from {len(positives)} positives")
-    _write_manifest(cfg, "extract", [*_corpus_paths(cfg), *_forest_paths(cfg)], outputs)
+    _write_manifest(cfg, "extract", inputs, outputs)
 
 
 def cmd_merge(cfg: RunConfig, force: bool) -> None:
-    _require_stage(cfg, "extract", "merge", force)
+    inputs = [*_vocab_paths(cfg), *_forest_paths(cfg)]
+    _require_stage(cfg, "extract", "merge", force, inputs)
     specs = _load_predictors(cfg)
-    vocab_paths = [cfg.run_dir / f"vocab_{s.name}.json" for s in specs]
-    vocabs = [RationaleVocab.load(p) for p in vocab_paths]
+    vocabs = [RationaleVocab.load(p) for p in _vocab_paths(cfg)]
     if len(specs) == 1:
         multi = vocabs[0]
     else:
         multi = build_multi_vocab(vocabs, specs, cfg.section("merge")["shortlist"])
     out = cfg.run_dir / "vocab_multi.json"
     multi.save(out)
-    _write_manifest(cfg, "merge", [*vocab_paths, *_forest_paths(cfg)], [out])
+    _write_manifest(cfg, "merge", inputs, [out])
     print(f"multi-property vocabulary: {len(multi)} rationales")
 
 
 def cmd_pretrain(cfg: RunConfig, force: bool) -> None:
-    _require_stage(cfg, "gen-synthetic", "pretrain", force)
+    inputs = list(_corpus_paths(cfg))
+    _require_stage(cfg, "gen-synthetic", "pretrain", force, inputs)
     mols, _ = _load_corpus(cfg)
     tcfg = cfg.train_config()
     m = cfg.section("model")
@@ -433,15 +447,15 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> None:
         writer.writerow(["epoch", "loss"])
         for i, loss in enumerate(trace):
             writer.writerow([i, f"{loss:.6f}"])
-    _write_manifest(
-        cfg, "pretrain", list(_corpus_paths(cfg)), [*_ckpt_paths(cfg, "pretrain"), loss_path]
-    )
+    _write_manifest(cfg, "pretrain", inputs, [*_ckpt_paths(cfg, "pretrain"), loss_path])
     print(f"pretrain: {len(pairs)} pairs, loss {trace[0]:.3f} -> {trace[-1]:.3f}")
 
 
 def cmd_finetune(cfg: RunConfig, force: bool) -> None:
-    _require_stage(cfg, "pretrain", "finetune", force)
-    _require_stage(cfg, "merge", "finetune", force)
+    inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "vocab_multi.json",
+              *_ckpt_paths(cfg, "pretrain")]
+    _require_stage(cfg, "pretrain", "finetune", force, inputs)
+    _require_stage(cfg, "merge", "finetune", force, inputs)
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     vocab = RationaleVocab.load(cfg.run_dir / "vocab_multi.json")
@@ -480,10 +494,7 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
     dist_path = cfg.run_dir / "distribution.json"
     dist_path.write_text(dist.to_json())
     _write_manifest(
-        cfg, "finetune",
-        [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "vocab_multi.json",
-         *_ckpt_paths(cfg, "pretrain")],
-        [*_ckpt_paths(cfg, "finetune"), stats_path, dist_path],
+        cfg, "finetune", inputs, [*_ckpt_paths(cfg, "finetune"), stats_path, dist_path]
     )
     print(
         f"finetune: success {stats[0].success:.3f} -> {stats[-1].success:.3f} "
@@ -543,7 +554,9 @@ def _parse_sample_line(line: str) -> MolGraph:
 
 
 def cmd_sample(cfg: RunConfig, force: bool, n_override: int | None = None) -> None:
-    _require_stage(cfg, "finetune", "sample", force)
+    inputs = [cfg.run_dir / "vocab_multi.json", *_ckpt_paths(cfg, "finetune"),
+              cfg.run_dir / "distribution.json"]
+    _require_stage(cfg, "finetune", "sample", force, inputs)
     vocab = RationaleVocab.load(cfg.run_dir / "vocab_multi.json")
     model = GenModel.load(str(cfg.run_dir / "finetune.ckpt"))
     dist = _load_distribution(cfg, vocab)
@@ -558,17 +571,13 @@ def cmd_sample(cfg: RunConfig, force: bool, n_override: int | None = None) -> No
             text = _sample_smiles(g)
             smi_fh.write(text + "\n")
             js_fh.write(json.dumps({"smiles": text, "rationale": key}) + "\n")
-    _write_manifest(
-        cfg, "sample",
-        [cfg.run_dir / "vocab_multi.json", *_ckpt_paths(cfg, "finetune"),
-         cfg.run_dir / "distribution.json"],
-        [smi_path, jsonl_path],
-    )
+    _write_manifest(cfg, "sample", inputs, [smi_path, jsonl_path])
     print(f"sampled {len(samples)} molecules -> {smi_path}")
 
 
 def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
-    _require_stage(cfg, "sample", "evaluate", force)
+    inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "samples.smi"]
+    _require_stage(cfg, "sample", "evaluate", force, inputs)
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     samples = []
@@ -580,10 +589,7 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
     train_pos = _train_positives(mols, labels, specs)
     out = cfg.run_dir / "evaluation.csv"
     report = metrics_mod.evaluate(samples, specs, train_pos, csv_path=out)
-    _write_manifest(
-        cfg, "evaluate",
-        [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "samples.smi"], [out],
-    )
+    _write_manifest(cfg, "evaluate", inputs, [out])
 
     def show(x):
         return "-" if x is None else f"{x:.4f}"
@@ -597,7 +603,8 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
 
 
 def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
-    _require_stage(cfg, "extract", "faithfulness", force)
+    inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), *_vocab_paths(cfg)]
+    _require_stage(cfg, "extract", "faithfulness", force, inputs)
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     motifs = {p["name"]: parse_smiles(p["motif"]) for p in cfg.properties}
@@ -652,10 +659,7 @@ def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
         )
     out = cfg.run_dir / "faithfulness.json"
     out.write_text(json.dumps(report, sort_keys=True, indent=2))
-    vocab_paths = [cfg.run_dir / f"vocab_{spec.name}.json" for spec in specs]
-    _write_manifest(
-        cfg, "faithfulness", [*_corpus_paths(cfg), *_forest_paths(cfg), *vocab_paths], [out]
-    )
+    _write_manifest(cfg, "faithfulness", inputs, [out])
 
 
 _STAGES = [

@@ -446,13 +446,12 @@ def prepare_start(model: GenModel, rationale: Rationale) -> DecodeStart:
     return DecodeStart(rationale, state, h, hg, arrays)
 
 
-def _check_start(model: GenModel, rationale: Rationale, start: DecodeStart,
-                 fresh: bool) -> None:
-    """Raise unless the start was prepared for this rationale and, if fresh,
-    from the model's current parameter arrays."""
+def _check_start(model: GenModel, rationale: Rationale, start: DecodeStart) -> None:
+    """Raise unless the start was prepared for this rationale from the
+    model's current parameter arrays."""
     if start.rationale is not rationale:
         raise GenModelError("decode start was prepared for another rationale")
-    if fresh and any(
+    if any(
         a is not model.params[k].data for a, k in zip(start.arrays, _mpn_names("dec"))
     ):
         raise GenModelError("decode start is stale: a parameter changed after it was prepared")
@@ -779,7 +778,7 @@ def complete_with_trace(
     if start is None:
         start = prepare_start(model, rationale)
     else:
-        _check_start(model, rationale, start, fresh=True)
+        _check_start(model, rationale, start)
     state = start.state.copy()
     policy = _SamplePolicy(model, start, z, rng, greedy=greedy)
     _walk(model, state, policy, max_steps)
@@ -787,16 +786,10 @@ def complete_with_trace(
 
 
 def trace_log_likelihood(
-    model: GenModel, rationale: Rationale, trace: list[int], z,
-    *, start: DecodeStart | None = None,
+    model: GenModel, rationale: Rationale, trace: list[int], z
 ) -> ns.Tensor:
-    """Log-probability of a recorded decision sequence (differentiable). A
-    start supplies only its initial state, so it may be stale."""
-    if start is None:
-        state = DecoderState.from_rationale(model, rationale)
-    else:
-        _check_start(model, rationale, start, fresh=False)
-        state = start.state.copy()
+    """Log-probability of a recorded decision sequence (differentiable)."""
+    state = DecoderState.from_rationale(model, rationale)
     walk = _walk(model, state, _TracePolicy(trace), max_steps=10**9)
     return _score(model, state, walk, z)
 

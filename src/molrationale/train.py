@@ -16,7 +16,6 @@ from .fingerprint import fingerprint_matrix, tanimoto_matrix
 from .forest import PropertySpec, positive_mask
 from .genmodel import (
     DEFAULT_MAX_STEPS,
-    DecodeStart,
     GenModel,
     TruncationError,
     complete,
@@ -210,17 +209,17 @@ def _decode_and_score(
     cfg: TrainConfig,
     it: int,
     ref: np.ndarray | None,
-) -> tuple[FinetuneStats, list[tuple[DecodeStart, list[int], np.ndarray]]]:
+) -> tuple[FinetuneStats, list[tuple[Rationale, list[int], np.ndarray]]]:
     """One fine-tuning iteration's completions, decoded first and then
     scored as one batch per property; returns the iteration's statistics and
-    the kept (start, trace, latent) trajectories. The completions and their
-    fingerprints are dropped on return, before the update's tape. Success is
-    the kept share of the completions attempted, so a truncated completion
-    counts as a miss."""
+    the kept (rationale, trace, latent) trajectories. The completions and
+    their fingerprints are dropped on return, before the update's tape.
+    Success is the kept share of the completions attempted, so a truncated
+    completion counts as a miss."""
     from .metrics import diversity as diversity_fn
     from .metrics import novelty as novelty_fn
 
-    drawn: list[tuple[DecodeStart, list[int], np.ndarray, MolGraph]] = []
+    drawn: list[tuple[Rationale, list[int], np.ndarray, MolGraph]] = []
     truncated = 0
     for r_idx, rationale in enumerate(vocab.entries):
         start = prepare_start(model, rationale)
@@ -234,7 +233,7 @@ def _decode_and_score(
             except TruncationError:
                 truncated += 1
                 continue
-            drawn.append((start, trace_ids, z, g))
+            drawn.append((rationale, trace_ids, z, g))
     keep = positive_mask([d[3] for d in drawn], props)
     kept = [d[:3] for d, k in zip(drawn, keep) if k]
     positives = [d[3] for d, k in zip(drawn, keep) if k]
@@ -246,7 +245,7 @@ def _decode_and_score(
         if ref is not None:
             nov = novelty_fn(tanimoto_matrix(fps, ref))
     success = len(kept) / (len(drawn) + truncated)
-    added = np.array([d[3].n - d[0].state.n_atoms for d in drawn])
+    added = np.array([d[3].n - d[0].n_atoms for d in drawn])
     added_mean = float(added.mean()) if drawn else None
     unchanged = float((added == 0).mean()) if drawn else None
     stats = FinetuneStats(it, success, div, nov, len(kept), len(drawn), added_mean, unchanged,
@@ -289,7 +288,7 @@ def finetune(
 
 def _policy_step(
     model: GenModel,
-    kept: list[tuple[DecodeStart, list[int], np.ndarray]],
+    kept: list[tuple[Rationale, list[int], np.ndarray]],
     cfg: TrainConfig,
     adam_state: dict,
     it: int,
@@ -301,8 +300,8 @@ def _policy_step(
     Adam step, leaving the parameters unchanged."""
     ns.zero_grads(model.params)
     weight = -1.0 / len(kept)
-    for start, trace_ids, z in kept:
-        ll = trace_log_likelihood(model, start.rationale, trace_ids, z, start=start)
+    for rationale, trace_ids, z in kept:
+        ll = trace_log_likelihood(model, rationale, trace_ids, z)
         if not np.isfinite(ll.data):
             raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
         ns.backward(ns.scale(ll, weight))

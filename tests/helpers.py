@@ -27,6 +27,7 @@ from molrationale.genmodel import (
     NO_BOND_IDX,
     DecoderState,
     TruncationError,
+    complete_with_trace,
     step_logits,
     trace_log_likelihood,
 )
@@ -441,12 +442,12 @@ def row_copy_forest_trees(
 
 
 def single_tape_policy_loss(model, kept) -> ns.Tensor:
-    """Mean negative log-likelihood of the kept (start, trace, latent)
-    trajectories, all on one tape, each replayed from its rationale."""
+    """Mean negative log-likelihood of the kept (rationale, trace, latent)
+    trajectories, all on one tape."""
     loss = ns.const(0.0)
-    for start, trace_ids, z in kept:
+    for rationale, trace_ids, z in kept:
         loss = ns.add(
-            loss, ns.scale(trace_log_likelihood(model, start.rationale, trace_ids, z), -1.0)
+            loss, ns.scale(trace_log_likelihood(model, rationale, trace_ids, z), -1.0)
         )
     return ns.scale(loss, 1.0 / len(kept))
 
@@ -509,3 +510,19 @@ def fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy=False)
         state.queue.append(u)
         added += 1
     return state.to_molgraph(), trace
+
+
+def same_outcome(model, rationale, z, seed, max_steps, greedy, start):
+    """Decode from the prepared start and with the fresh-MPN oracle on the
+    same seeded stream; both return (graph, trace) or the truncated partial."""
+    outcomes = []
+    for decode in (
+        lambda rng: complete_with_trace(model, rationale, z, rng, max_steps, greedy, start=start),
+        lambda rng: fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy),
+    ):
+        try:
+            outcomes.append(decode(np.random.default_rng(seed)))
+        except TruncationError as err:
+            outcomes.append(("truncated", err.partial))
+    assert outcomes[0] == outcomes[1], (rationale, seed)
+    return outcomes[0]

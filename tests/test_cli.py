@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from molrationale.forest import ForestError, read_property_csv
 from molrationale.genmodel import GenModel, prepare_start, prior_latent
 from molrationale.metrics import MetricsError
 
-from test_genmodel import same_outcome
+from helpers import same_outcome
 
 
 def write_config(path: Path, run_dir: Path, **overrides) -> Path:
@@ -130,6 +131,29 @@ class TestStageSequencing:
         capsys.readouterr()
         assert main(["extract", "--config", cfg]) == EXIT_MISSING
         assert "forest_amide.json" in capsys.readouterr().err
+
+    def test_only_the_upstream_outputs_a_stage_reads_are_checked(
+        self, pipeline, tmp_path, capsys
+    ):
+        _cfg, run_dir = pipeline
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        cfg = str(write_config(tmp_path, run))
+        # the copy's config differs from the pipeline's in its run_dir only
+        config_hash = load_config(cfg).config_hash
+        for manifest in run.glob("*.manifest.json"):
+            doc = json.loads(manifest.read_text())
+            manifest.write_text(json.dumps({**doc, "config_hash": config_hash}))
+        # finetune reads neither the pretraining loss log nor the predictor scores
+        (run / "pretrain_loss.csv").unlink()
+        (run / "predictor_scores.json").unlink()
+        assert main(["finetune", "--config", cfg]) == EXIT_OK
+        (run / "finetune_stats.csv").write_text("edited\n")
+        assert main(["sample", "--config", cfg]) == EXIT_OK
+        (run / "distribution.json").write_text("{}")
+        capsys.readouterr()
+        assert main(["sample", "--config", cfg]) == EXIT_MISSING
+        assert "distribution.json" in capsys.readouterr().err
 
 
 README_PROPERTIES = [

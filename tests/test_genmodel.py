@@ -39,7 +39,7 @@ from molrationale.genmodel import (
 )
 from molrationale import genmodel
 
-from helpers import fresh_complete_with_trace, oracle_embeddings, random_corpus
+from helpers import oracle_embeddings, random_corpus, same_outcome
 from test_numsub import check_gradients
 
 
@@ -621,22 +621,6 @@ class TestOnePassScorer:
         assert sizes[1] <= sizes[0] < 100
 
 
-def same_outcome(model, rationale, z, seed, max_steps, greedy, start):
-    """Decode from the prepared start and with the fresh-MPN oracle on the
-    same seeded stream; both return (graph, trace) or the truncated partial."""
-    outcomes = []
-    for decode in (
-        lambda rng: complete_with_trace(model, rationale, z, rng, max_steps, greedy, start=start),
-        lambda rng: fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy),
-    ):
-        try:
-            outcomes.append(decode(np.random.default_rng(seed)))
-        except TruncationError as err:
-            outcomes.append(("truncated", err.partial))
-    assert outcomes[0] == outcomes[1], (rationale, seed)
-    return outcomes[0]
-
-
 class TestPreparedStart:
     CASES = {
         "ring": rat("c1ccccc1", (0, 3)),
@@ -720,32 +704,6 @@ class TestPreparedStart:
         eager = ns.softmax_array(_mlp(model, "atom", x).data)
         assert np.array_equal(sl.atom_probs, eager)
         assert heads.count("atom") == 2  # the lazy read and the eager one
-
-    def test_trace_log_likelihood_from_start_equals_rationale_path(self):
-        model = small_model(seed=59, expand_bias=0.5)
-        r = rat("c1ccccc1", (0, 3))
-        start = prepare_start(model, r)
-        rng = np.random.default_rng(4)
-        replayed = 0
-        for _ in range(30):
-            z = prior_latent(model, rng)
-            try:
-                _g, trace = complete_with_trace(model, r, z, rng, max_steps=6, start=start)
-            except TruncationError:
-                continue
-            results = []
-            for kw in ({}, {"start": start}):
-                ns.zero_grads(model.params)
-                ll = trace_log_likelihood(model, r, trace, z, **kw)
-                ns.backward(ll)
-                grads = {k: t.grad.copy() for k, t in model.params.items() if t.grad is not None}
-                results.append((float(ll.data), grads))
-            (va, ga), (vb, gb) = results
-            assert va == vb
-            assert sorted(ga) == sorted(gb)
-            assert all(np.array_equal(ga[k], gb[k]) for k in ga)
-            replayed += len(trace) > 3
-        assert replayed >= 5
 
 
 class TestEnumerationConsistency:

@@ -12,7 +12,6 @@ from molrationale.genmodel import (
     atom_types_from_corpus,
     complete_with_trace,
     encode,
-    prepare_start,
     prior_latent,
 )
 from molrationale import train
@@ -294,24 +293,22 @@ class TestFinetune:
 
 
 def kept_trajectories(model, count):
-    """Sampled (start, trace, latent) trajectories from a toy vocabulary, one
-    per distinct trace length."""
-    starts = [
-        prepare_start(model, Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,)))
+    """Sampled (rationale, trace, latent) trajectories from a toy vocabulary,
+    one per distinct trace length."""
+    rationales = [
+        Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,))
         for s in ("CCO", "CCN", "CN")
     ]
     by_length = {}
     for i in range(200):
         rng = np.random.default_rng([3, i])
-        start = starts[i % len(starts)]
+        rationale = rationales[i % len(rationales)]
         z = prior_latent(model, rng)
         try:
-            _g, trace_ids = complete_with_trace(
-                model, start.rationale, z, rng, max_steps=12, start=start
-            )
+            _g, trace_ids = complete_with_trace(model, rationale, z, rng, max_steps=12)
         except TruncationError:
             continue
-        by_length.setdefault(len(trace_ids), (start, trace_ids, z))
+        by_length.setdefault(len(trace_ids), (rationale, trace_ids, z))
         if len(by_length) == count:
             break
     assert len(by_length) == count, "the toy decoder no longer gives enough trace lengths"
@@ -368,9 +365,9 @@ class TestPolicyStep:
         real = train.trace_log_likelihood
         calls = []
 
-        def poisoned(*args, **kwargs):
+        def poisoned(*args):
             calls.append(1)
-            ll = real(*args, **kwargs)
+            ll = real(*args)
             return ns.scale(ll, np.nan) if len(calls) == 4 else ll
 
         monkeypatch.setattr(train, "trace_log_likelihood", poisoned)
