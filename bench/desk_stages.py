@@ -5,8 +5,9 @@ process from the `src/` of this checkout.
 A stage's peak RSS is the `ru_maxrss` that `os.wait4` reports for its
 process, so stages do not inherit one another's peak. BLAS is pinned to one
 thread. The record names the config, the commit (`git rev-parse HEAD`) and
-the machine, and the SHA-256 of every artifact a change is expected to keep
-byte-identical (`ARTIFACTS`), so that two records show which of them moved.
+the machine, the SHA-256 of every artifact a change is expected to keep
+byte-identical (`ARTIFACTS`), so that two records show which of them moved,
+and `src_lines`, the `wc -l` total of `src/molrationale/*.py`.
 
 Not part of the test suite; run from anywhere with
 
@@ -76,6 +77,11 @@ def commit() -> str:
     return out.stdout.strip()
 
 
+def src_lines() -> int:
+    """Line count of the package's modules, as `wc -l` totals it."""
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "molrationale").glob("*.py"))
+
+
 def run_all(run_dir: Path) -> tuple[list[dict], dict[str, str]]:
     """Run every stage; return the per-stage rows and the artifact hashes."""
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -119,6 +125,7 @@ def main() -> None:
         "stages": stages,
         "total_wall_s": round(sum(s["wall_s"] for s in stages), 3),
         "artifacts_sha256": artifacts,
+        "src_lines": src_lines(),
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
 

@@ -25,7 +25,9 @@ BOND_ORDERS = (SINGLE, DOUBLE, TRIPLE, AROMATIC)
 _BOND_FROM_SYMBOL = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
 _SYMBOL_FROM_BOND = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 _ORDER_CODE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 4}
-_INT_ORDER = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}
+# The valence rule: a bond adds its order to each end in half units, 3 for
+# an aromatic bond's 1.5, and an atom's valence is its half-unit sum floored.
+HALF_UNITS = {SINGLE: 2, DOUBLE: 4, TRIPLE: 6, AROMATIC: 3}
 
 MAX_RING_SIZE = 8
 SUBGRAPH_ATOM_LIMIT = 60
@@ -89,9 +91,10 @@ class Deletion:
     bonds: tuple[int, ...]
 
 
-def _valence_total(int_sum: int, aromatic_count: int) -> int:
-    # aromatic bonds contribute 1.5 each; the aromatic sum is floored
-    return int_sum + (3 * aromatic_count) // 2
+def free_valence(element: str, half_units: int) -> int:
+    """Valence an atom of the element has left when its bonds sum to
+    half_units; negative when they exceed its maximum."""
+    return MAX_VALENCE[element] - half_units // 2
 
 
 class MolGraph:
@@ -110,8 +113,7 @@ class MolGraph:
             if a.element not in MAX_VALENCE:
                 raise GraphError(f"unknown element {a.element!r}")
         seen_pairs = set()
-        int_sum = [0] * n
-        arom_count = [0] * n
+        half_units = [0] * n
         for b in self.bonds:
             if not (0 <= b.u < n and 0 <= b.v < n):
                 raise GraphError(f"bond ({b.u},{b.v}) references missing atom")
@@ -123,17 +125,12 @@ class MolGraph:
             seen_pairs.add(pair)
             if b.order not in _ORDER_CODE:
                 raise GraphError(f"unknown bond order {b.order!r}")
-            for end in (b.u, b.v):
-                if b.order == AROMATIC:
-                    arom_count[end] += 1
-                else:
-                    int_sum[end] += _INT_ORDER[b.order]
+            half_units[b.u] += HALF_UNITS[b.order]
+            half_units[b.v] += HALF_UNITS[b.order]
         for i, a in enumerate(self.atoms):
-            total = _valence_total(int_sum[i], arom_count[i])
-            if total > MAX_VALENCE[a.element]:
-                raise ValenceError(
-                    f"atom {i} ({a.element}) exceeds valence: {total} > {MAX_VALENCE[a.element]}"
-                )
+            if free_valence(a.element, half_units[i]) < 0:
+                raise ValenceError(f"atom {i} ({a.element}) exceeds valence: "
+                                   f"{half_units[i] // 2} > {MAX_VALENCE[a.element]}")
 
     @property
     def n(self) -> int:
@@ -540,20 +537,6 @@ def write_smiles_with_order(
 
     render(start)
     return "".join(pieces), order
-
-
-def to_debug_json(g: MolGraph) -> dict:
-    """Atom-index-annotated plain dict for debugging dumps."""
-    return {
-        "atoms": [
-            {"index": i, "element": a.element, "charge": a.charge, "aromatic": a.aromatic}
-            for i, a in enumerate(g.atoms)
-        ],
-        "bonds": [
-            {"index": i, "u": b.u, "v": b.v, "order": b.order}
-            for i, b in enumerate(g.bonds)
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -272,19 +272,21 @@ class _Search:
             node.edges.append(EdgeStats(r=child.score))
 
 
+def peripheral_atoms(sub: MolGraph, source: MolGraph, origin) -> tuple[int, ...]:
+    """Atoms of a subgraph that the decoder may grow from: those with fewer
+    neighbours than their source atom origin[i], and those with exactly one."""
+    return tuple(
+        i for i in range(sub.n) if sub.degree(i) < source.degree(origin[i]) or sub.degree(i) == 1
+    )
+
+
 def _make_rationale(
     node: SearchNode, source: MolGraph, source_key: str, prop_name: str
 ) -> Rationale:
-    g = node.graph
-    peripheral = tuple(
-        i
-        for i in range(g.n)
-        if g.degree(i) < source.degree(node.origin[i]) or g.degree(i) == 1
-    )
     return Rationale(
-        fragments=(g,),
+        fragments=(node.graph,),
         scores={prop_name: node.score},
-        peripheral=peripheral,
+        peripheral=peripheral_atoms(node.graph, source, node.origin),
         sources=((source_key, node.origin),),
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chemgraph import MolGraph, _ORDER_CODE
+from .chemgraph import ELEMENTS, MolGraph, _ORDER_CODE
 
 DEFAULT_RADIUS = 2
 DEFAULT_WIDTH = 2048
@@ -24,7 +24,7 @@ _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
-_ELEMENT_CODE = {el: i + 1 for i, el in enumerate(("C", "N", "O", "S", "P", "F", "Cl", "Br", "I"))}
+_ELEMENT_CODE = {el: i + 1 for i, el in enumerate(ELEMENTS)}
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -51,28 +51,11 @@ class BitFingerprint:
     def __post_init__(self):
         _check_width(self.width)
 
-    def popcount(self) -> int:
-        return len(self.bits)
-
     def row(self) -> np.ndarray:
         """The fingerprint as one 0/1 row of a fingerprint matrix."""
         out = np.zeros(self.width, dtype=bool)
         out[list(self.bits)] = True
         return out
-
-    def to_hex(self) -> str:
-        buf = bytearray(self.width // 8)
-        for b in self.bits:
-            buf[b // 8] |= 1 << (b % 8)
-        return bytes(buf).hex()
-
-    @classmethod
-    def from_hex(cls, text: str, radius: int = DEFAULT_RADIUS) -> "BitFingerprint":
-        buf = bytes.fromhex(text)
-        bits = {
-            i * 8 + k for i, byte in enumerate(buf) for k in range(8) if byte >> k & 1
-        }
-        return cls(width=len(buf) * 8, radius=radius, bits=frozenset(bits))
 
 
 def _check_width(width: int) -> None:
@@ -141,12 +124,6 @@ def _environment_rounds(mols: list[MolGraph], radius: int) -> tuple[list[np.ndar
         h = nxt
         rounds.append(h)
     return rounds, np.array(mol_of, dtype=np.intp)
-
-
-def atom_environment_hashes(g: MolGraph, radius: int) -> list[list[int]]:
-    """Per-round environment hash of every atom, rounds 0..radius."""
-    rounds, _ = _environment_rounds([g], radius)
-    return [r.tolist() for r in rounds]
 
 
 def fingerprint_matrix(

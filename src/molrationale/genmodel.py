@@ -25,7 +25,7 @@ from . import numsub as ns
 from .chemgraph import (
     AROMATIC,
     DOUBLE,
-    MAX_VALENCE,
+    HALF_UNITS,
     SINGLE,
     TRIPLE,
     Atom,
@@ -33,13 +33,13 @@ from .chemgraph import (
     MolGraph,
     canonical_ranks,
     embeddings,
+    free_valence,
 )
 from .extract import Rationale
 
 NO_BOND = "no-bond"
 BOND_TYPES = (SINGLE, DOUBLE, TRIPLE, AROMATIC, NO_BOND)
 NO_BOND_IDX = BOND_TYPES.index(NO_BOND)
-_INT_OF_BOND = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}
 
 _NEG_INF = -1e30
 
@@ -320,6 +320,21 @@ def prior_latent(model: GenModel, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Decoder state
 
+def _bond_mask(u: tuple[str, int], q: tuple[str, int], first: bool) -> np.ndarray:
+    """Additive logits mask over BOND_TYPES for a bond between two atoms given
+    as (element, half units): a bond type is banned when either end would
+    exceed its valence, and no-bond is banned for the first queue member."""
+    (u_el, u_half), (q_el, q_half) = u, q
+    mask = np.zeros(len(BOND_TYPES))
+    for idx, order in enumerate(BOND_TYPES[:NO_BOND_IDX]):
+        unit = HALF_UNITS[order]
+        if free_valence(u_el, u_half + unit) < 0 or free_valence(q_el, q_half + unit) < 0:
+            mask[idx] = _NEG_INF
+    if first:
+        mask[NO_BOND_IDX] = _NEG_INF
+    return mask
+
+
 class DecoderState:
     """Partial graph plus the FIFO frontier queue of atoms that may still
     receive neighbors."""
@@ -329,8 +344,7 @@ class DecoderState:
         self.atoms: list[Atom] = []
         self.type_ids: list[int] = []
         self.edges: list[tuple[int, int, int]] = []
-        self.int_sum: list[int] = []
-        self.arom_count: list[int] = []
+        self.half_units: list[int] = []
         self.queue: deque[int] = deque()
 
     @classmethod
@@ -350,8 +364,7 @@ class DecoderState:
         dup.atoms = list(self.atoms)
         dup.type_ids = list(self.type_ids)
         dup.edges = list(self.edges)
-        dup.int_sum = list(self.int_sum)
-        dup.arom_count = list(self.arom_count)
+        dup.half_units = list(self.half_units)
         dup.queue = deque(self.queue)
         return dup
 
@@ -362,48 +375,25 @@ class DecoderState:
     def _append_atom(self, a: Atom) -> int:
         self.atoms.append(a)
         self.type_ids.append(self.model.type_of_atom(a))
-        self.int_sum.append(0)
-        self.arom_count.append(0)
+        self.half_units.append(0)
         return len(self.atoms) - 1
 
     def _append_bond(self, u: int, v: int, bond_idx: int) -> None:
         self.edges.append((u, v, bond_idx))
-        order = BOND_TYPES[bond_idx]
-        for end in (u, v):
-            if order == AROMATIC:
-                self.arom_count[end] += 1
-            else:
-                self.int_sum[end] += _INT_OF_BOND[order]
+        self.half_units[u] += HALF_UNITS[BOND_TYPES[bond_idx]]
+        self.half_units[v] += HALF_UNITS[BOND_TYPES[bond_idx]]
 
-    def _total_valence(self, i: int, extra_int: int = 0, extra_arom: int = 0) -> int:
-        return (
-            self.int_sum[i]
-            + extra_int
-            + (3 * (self.arom_count[i] + extra_arom)) // 2
-        )
-
-    def _fits(self, i: int, bond_idx: int) -> bool:
-        order = BOND_TYPES[bond_idx]
-        cap = MAX_VALENCE[self.atoms[i].element]
-        if order == AROMATIC:
-            return self._total_valence(i, extra_arom=1) <= cap
-        return self._total_valence(i, extra_int=_INT_OF_BOND[order]) <= cap
+    def valence_of(self, i: int) -> tuple[str, int]:
+        """(element, half units) of atom i, what the bond mask reads."""
+        return self.atoms[i].element, self.half_units[i]
 
     def can_accept_any_bond(self, i: int) -> bool:
         # a single bond is the cheapest addition under the floor rule
-        return self._fits(i, BOND_TYPES.index(SINGLE))
+        return free_valence(self.atoms[i].element, self.half_units[i] + HALF_UNITS[SINGLE]) >= 0
 
     def bond_mask(self, u: int, q: int, first: bool) -> np.ndarray:
         """Additive logits mask over BOND_TYPES: 0 allowed, -inf banned."""
-        mask = np.zeros(len(BOND_TYPES))
-        for idx in range(len(BOND_TYPES)):
-            if idx == NO_BOND_IDX:
-                if first:
-                    mask[idx] = _NEG_INF
-                continue
-            if not (self._fits(u, idx) and self._fits(q, idx)):
-                mask[idx] = _NEG_INF
-        return mask
+        return _bond_mask(self.valence_of(u), self.valence_of(q), first)
 
     def to_molgraph(self) -> MolGraph:
         return MolGraph(
@@ -458,17 +448,20 @@ def _check_start(model: GenModel, rationale: Rationale, start: DecodeStart) -> N
 
 
 class StepLogits:
-    """One decoding step's distributions for the queue head, evaluated on a
-    snapshot of the graph from its decoder vectors h and hg, in numpy only;
+    """One decoding step's distributions for the queue head, evaluated from
+    the decoder vectors h and hg of the graph at the step, in numpy only;
     bond distributions are produced one queue position at a time because each
-    depends on the bonds already placed. The atom head is evaluated on the
-    first read of atom_probs, so a declined step never evaluates it."""
+    depends on the bonds already placed. The step keeps the queue and its
+    members' valence, not the state. The atom head is evaluated on the first
+    read of atom_probs, so a declined step never evaluates it."""
 
     def __init__(self, model: GenModel, state: DecoderState, z: np.ndarray,
                  h: np.ndarray, hg: np.ndarray):
         self.model = model
-        self.state = state.copy()
         self.queue = list(state.queue)
+        # the step's bonds reach queue member k only at decision k, so the
+        # members' valence as of now holds for every decision
+        self.members = [state.valence_of(q) for q in self.queue]
         self.z = z
         self.h = h
         self.hg = hg
@@ -493,17 +486,15 @@ class StepLogits:
         if k >= len(self.queue):
             raise GenModelError("no queue member left for a bond decision")
         p = self.model.params
-        shadow = self.state.copy()
-        u = shadow._append_atom(self.model.atom_types[new_type_idx].to_atom())
+        half = sum(HALF_UNITS[BOND_TYPES[b_idx]] for b_idx in prior if b_idx != NO_BOND_IDX)
         gsum = np.zeros(self.model.hidden)
         for j, b_idx in enumerate(prior):
-            if b_idx != NO_BOND_IDX:
-                shadow._append_bond(u, self.queue[j], b_idx)
             if (j, b_idx) not in self._gin:
                 pair = np.concatenate([self.h[self.queue[j]], p["emb_bond"].data[b_idx]])
                 self._gin[j, b_idx] = _mlp_forward(self.model, "gin", pair)[2]
             gsum = gsum + self._gin[j, b_idx]
-        mask = shadow.bond_mask(u, self.queue[k], first=(k == 0))
+        new_atom = (self.model.atom_types[new_type_idx].element, half)
+        mask = _bond_mask(new_atom, self.members[k], first=(k == 0))
         if np.all(mask != 0.0):
             raise GenModelError("no feasible bond decision for a saturated frontier atom")
         g_in = np.concatenate([p["emb_atom"].data[new_type_idx], gsum])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .chemgraph import (
     AROMATIC,
     DOUBLE,
+    HALF_UNITS,
     MAX_VALENCE,
     SINGLE,
     Atom,
@@ -20,38 +21,32 @@ from .chemgraph import (
     MolGraph,
     canonical_key,
     contains_subgraph,
+    free_valence,
 )
 
 log = logging.getLogger(__name__)
 
 _ELEMENT_WEIGHTS = (("C", 0.60), ("N", 0.14), ("O", 0.14), ("S", 0.05), ("F", 0.07))
-_INT_OF = {SINGLE: 1, DOUBLE: 2}
 
 
 class _Builder:
     def __init__(self):
         self.atoms: list[Atom] = []
         self.bonds: list[Bond] = []
-        self.int_sum: list[int] = []
-        self.arom: list[int] = []
+        self.half_units: list[int] = []
 
     def add_atom(self, a: Atom) -> int:
         self.atoms.append(a)
-        self.int_sum.append(0)
-        self.arom.append(0)
+        self.half_units.append(0)
         return len(self.atoms) - 1
 
     def add_bond(self, u: int, v: int, order: str) -> None:
         self.bonds.append(Bond(u, v, order))
-        for e in (u, v):
-            if order == AROMATIC:
-                self.arom[e] += 1
-            else:
-                self.int_sum[e] += _INT_OF[order]
+        self.half_units[u] += HALF_UNITS[order]
+        self.half_units[v] += HALF_UNITS[order]
 
     def capacity(self, i: int) -> int:
-        used = self.int_sum[i] + (3 * self.arom[i]) // 2
-        return MAX_VALENCE[self.atoms[i].element] - used
+        return free_valence(self.atoms[i].element, self.half_units[i])
 
     def copy_in(self, g: MolGraph) -> list[int]:
         ids = [self.add_atom(a) for a in g.atoms]

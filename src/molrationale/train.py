@@ -11,14 +11,14 @@ import numpy as np
 
 from . import numsub as ns
 from .chemgraph import MolGraph, canonical_key, induced_subgraph
-from .extract import Rationale, RationaleVocab
+from .extract import Rationale, RationaleVocab, peripheral_atoms
 from .fingerprint import fingerprint_matrix, tanimoto_matrix
 from .forest import PropertySpec, positive_mask
 from .genmodel import (
     DEFAULT_MAX_STEPS,
+    DecodeStart,
     GenModel,
     TruncationError,
-    complete,
     complete_with_trace,
     encode,
     log_likelihood_tensor,
@@ -122,17 +122,12 @@ def make_pretrain_pairs(
                 chosen_set.add(pick)
             order = sorted(chosen)
             sub = induced_subgraph(g, order)
-            peripheral = tuple(
-                i
-                for i in range(sub.n)
-                if sub.degree(i) < g.degree(order[i]) or sub.degree(i) == 1
-            )
             pairs.append(
                 (
                     Rationale(
                         fragments=(sub,),
                         scores={},
-                        peripheral=peripheral,
+                        peripheral=peripheral_atoms(sub, g, order),
                         sources=((key, tuple(order)),),
                     ),
                     g,
@@ -202,6 +197,20 @@ class FinetuneStats:
     truncated: int = 0  # completions that reached max_decode_steps
 
 
+def _draw_completion(model: GenModel, rationale: Rationale, start: DecodeStart,
+                     rng: np.random.Generator, max_steps: int) -> tuple[MolGraph, list[int], np.ndarray] | None:
+    """A latent from the prior, then a completion from the rationale's
+    prepared start, both drawn from rng: (graph, trace, latent), or None when
+    the completion reached max_steps."""
+    z = prior_latent(model, rng)
+    try:
+        g, trace_ids = complete_with_trace(model, rationale, z, rng, max_steps=max_steps,
+                                           start=start)
+    except TruncationError:
+        return None
+    return g, trace_ids, z
+
+
 def _decode_and_score(
     model: GenModel,
     vocab: RationaleVocab,
@@ -219,24 +228,20 @@ def _decode_and_score(
     from .metrics import diversity as diversity_fn
     from .metrics import novelty as novelty_fn
 
-    drawn: list[tuple[Rationale, list[int], np.ndarray, MolGraph]] = []
+    drawn: list[tuple[Rationale, MolGraph, list[int], np.ndarray]] = []
     truncated = 0
     for r_idx, rationale in enumerate(vocab.entries):
         start = prepare_start(model, rationale)
         for s_idx in range(cfg.samples_per_rationale):
             rng = np.random.default_rng([cfg.seed, 7919, it, r_idx, s_idx])
-            z = prior_latent(model, rng)
-            try:
-                g, trace_ids = complete_with_trace(
-                    model, rationale, z, rng, max_steps=cfg.max_decode_steps, start=start
-                )
-            except TruncationError:
+            out = _draw_completion(model, rationale, start, rng, cfg.max_decode_steps)
+            if out is None:
                 truncated += 1
-                continue
-            drawn.append((rationale, trace_ids, z, g))
-    keep = positive_mask([d[3] for d in drawn], props)
-    kept = [d[:3] for d, k in zip(drawn, keep) if k]
-    positives = [d[3] for d, k in zip(drawn, keep) if k]
+            else:
+                drawn.append((rationale, *out))
+    keep = positive_mask([d[1] for d in drawn], props)
+    kept = [(r, trace_ids, z) for (r, _g, trace_ids, z), k in zip(drawn, keep) if k]
+    positives = [d[1] for d, k in zip(drawn, keep) if k]
     div = nov = None
     if positives:
         fps = fingerprint_matrix(positives)
@@ -245,7 +250,7 @@ def _decode_and_score(
         if ref is not None:
             nov = novelty_fn(tanimoto_matrix(fps, ref))
     success = len(kept) / (len(drawn) + truncated)
-    added = np.array([d[3].n - d[0].n_atoms for d in drawn])
+    added = np.array([d[1].n - d[0].n_atoms for d in drawn])
     added_mean = float(added.mean()) if drawn else None
     unchanged = float((added == 0).mean()) if drawn else None
     stats = FinetuneStats(it, success, div, nov, len(kept), len(drawn), added_mean, unchanged,
@@ -338,12 +343,9 @@ def rationale_distribution(
         start = prepare_start(model, rationale)
         for s_idx in range(samples_per_rationale):
             rng = np.random.default_rng([seed, 104729, r_idx, s_idx])
-            z = prior_latent(model, rng)
-            try:
-                g = complete(model, rationale, z, rng, max_steps=max_steps, start=start)
-                drawn.append((r_idx, g))
-            except TruncationError:
-                continue  # a truncated completion counts as a miss
+            out = _draw_completion(model, rationale, start, rng, max_steps)
+            if out is not None:  # a truncated completion counts as a miss
+                drawn.append((r_idx, out[0]))
     hits = [0] * len(vocab.entries)
     for (r_idx, _), positive in zip(drawn, positive_mask([g for _, g in drawn], props)):
         hits[r_idx] += int(positive)
@@ -372,12 +374,9 @@ def sample_molecules(
     while len(out) < n and attempts < 10 * n:
         attempts += 1
         k = int(rng.choice(len(dist.probabilities), p=dist.probabilities))
-        z = prior_latent(model, rng)
-        try:
-            g = complete(model, dist.rationales[k], z, rng, max_steps=max_steps, start=starts[k])
-        except TruncationError:
-            continue
-        out.append((g, dist.keys[k]))
+        drew = _draw_completion(model, dist.rationales[k], starts[k], rng, max_steps)
+        if drew is not None:
+            out.append((drew[0], dist.keys[k]))
     if len(out) < n:
         log.warning("sample_molecules: produced %d of %d after %d attempts", len(out), n, attempts)
     return out
@@ -399,10 +398,7 @@ def success_of_model(
     for i in range(n):
         rng = np.random.default_rng([seed, 15485863, i])
         k = int(rng.integers(len(vocab.entries)))
-        z = prior_latent(model, rng)
-        try:
-            drawn.append(complete(model, vocab.entries[k], z, rng, max_steps=max_steps,
-                                  start=starts[k]))
-        except TruncationError:
-            continue  # a truncated completion counts as a miss
+        out = _draw_completion(model, vocab.entries[k], starts[k], rng, max_steps)
+        if out is not None:  # a truncated completion counts as a miss
+            drawn.append(out[0])
     return int(positive_mask(drawn, props).sum()) / n if n else 0.0

@@ -8,7 +8,9 @@ through exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -27,6 +29,8 @@ from molrationale.genmodel import (
     NO_BOND_IDX,
     DecoderState,
     TruncationError,
+    _SamplePolicy,
+    _walk,
     complete_with_trace,
     step_logits,
     trace_log_likelihood,
@@ -526,3 +530,51 @@ def same_outcome(model, rationale, z, seed, max_steps, greedy, start):
             outcomes.append(("truncated", err.partial))
     assert outcomes[0] == outcomes[1], (rationale, seed)
     return outcomes[0]
+
+
+# ---------------------------------------------------------------------------
+# Valence oracle: the floor rule in exact rational arithmetic.
+
+_BOND_VALUE = {"single": Fraction(1), "double": Fraction(2), "triple": Fraction(3),
+               "aromatic": Fraction(3, 2)}
+
+
+def floor_rule_valence(orders) -> int:
+    """An atom's valence from the orders of its bonds: the integer orders plus
+    3/2 per aromatic bond, summed exactly and floored."""
+    return math.floor(sum((_BOND_VALUE[o] for o in orders), Fraction(0)))
+
+
+def bond_histories(cap: int) -> list[tuple[str, ...]]:
+    """Every sequence of bond orders whose floor-rule valence stays within
+    cap, the empty one first: each history an atom can reach, in every order,
+    up to saturation."""
+    out = []
+
+    def grow(history):
+        out.append(history)
+        for o in _BOND_VALUE:
+            if floor_rule_valence(history + (o,)) <= cap:
+                grow(history + (o,))
+
+    grow(())
+    return out
+
+
+def step_and_walk_masks(model, rationale, start, z, rng, max_steps):
+    """Sample one completion from a prepared start and return, for every bond
+    decision, the step's mask (StepLogits.bond_probs) with the walk state's
+    mask for the same decision (DecoderState.bond_mask), in order."""
+    pairs = []
+
+    class Recording(_SamplePolicy):
+        def bond_type(self, state, u, q):
+            step_mask = self.step.bond_probs(self.atom, self.bonds)[1]
+            pairs.append((step_mask, state.bond_mask(u, q, first=not self.bonds)))
+            return super().bond_type(state, u, q)
+
+    try:
+        _walk(model, start.state.copy(), Recording(model, start, z, rng), max_steps)
+    except TruncationError:
+        pass
+    return pairs

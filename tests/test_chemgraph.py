@@ -24,7 +24,6 @@ from molrationale.chemgraph import (
     parse_smiles,
     peripheral_deletions,
     sssr,
-    to_debug_json,
     write_smiles,
 )
 
@@ -409,8 +408,3 @@ class TestInvariants:
         # a fused-ring junction carbon carries three aromatic bonds: floor(4.5) = 4
         g = parse_smiles("c1ccc2ccccc2c1")
         assert g.n == 10
-
-    def test_debug_json_shape(self):
-        doc = to_debug_json(parse_smiles("CCO"))
-        assert [a["element"] for a in doc["atoms"]] == ["C", "C", "O"]
-        assert doc["bonds"][0]["order"] == SINGLE

@@ -21,7 +21,7 @@ from molrationale.forest import ForestError, read_property_csv
 from molrationale.genmodel import GenModel, prepare_start, prior_latent
 from molrationale.metrics import MetricsError
 
-from helpers import same_outcome
+from helpers import same_outcome, step_and_walk_masks
 
 
 def write_config(path: Path, run_dir: Path, **overrides) -> Path:
@@ -369,3 +369,20 @@ class TestArtifacts:
                 out = same_outcome(model, r, z, seed, 8, False, start)
                 grown += out[0] != "truncated" and out[0].n > r.n_atoms
         assert grown >= 100
+
+    def test_step_mask_equals_walk_mask_on_merged_vocabulary(self, pipeline):
+        _cfg, run_dir = pipeline
+        vocab = RationaleVocab.load(run_dir / "vocab_multi.json")
+        model = GenModel.load(str(run_dir / "pretrain.ckpt"))
+        completions = decisions = valence_bans = 0
+        for r in vocab.entries:
+            start = prepare_start(model, r)
+            for seed in range(1000 // len(vocab.entries) + 1):
+                rng = np.random.default_rng([13, seed])
+                z = prior_latent(model, rng)
+                for step_mask, walk_mask in step_and_walk_masks(model, r, start, z, rng, 8):
+                    assert np.array_equal(step_mask, walk_mask), (r.key, seed)
+                    decisions += 1
+                    valence_bans += bool(np.any(step_mask[:-1] != 0.0))
+                completions += 1
+        assert completions >= 1000 and decisions >= 1000 and valence_bans > 0

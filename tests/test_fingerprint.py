@@ -6,7 +6,7 @@ import pytest
 from molrationale.chemgraph import parse_smiles
 from molrationale.fingerprint import (
     BitFingerprint,
-    atom_environment_hashes,
+    _environment_rounds,
     morgan_fingerprint,
     tanimoto,
 )
@@ -44,7 +44,7 @@ class TestMorgan:
 
     def test_popcount_at_least_one(self):
         for s in ["C", "CCO", "c1ccccc1", "N#CC1CC1"]:
-            assert morgan_fingerprint(parse_smiles(s)).popcount() >= 1
+            assert len(morgan_fingerprint(parse_smiles(s)).bits) >= 1
 
     def test_ethanol_vs_methanol_radius1(self):
         # oracle: shared environments exist (terminal-carbon and oxygen-side
@@ -64,7 +64,7 @@ class TestMorgan:
         for s in ["CCO", "CC(=O)N", "c1ccncc1"]:
             envs = oracle_environments(s, 2)
             fp = morgan_fingerprint(parse_smiles(s), radius=2)
-            assert fp.popcount() <= len(envs)
+            assert len(fp.bits) <= len(envs)
 
     def test_deterministic_across_runs(self):
         g = parse_smiles("CC(=O)Nc1ccccc1")
@@ -84,9 +84,10 @@ class TestMorgan:
 
     def test_rounds_shape(self):
         g = parse_smiles("CCO")
-        rounds = atom_environment_hashes(g, 2)
+        rounds, mol_of = _environment_rounds([g], 2)
         assert len(rounds) == 3
         assert all(len(r) == g.n for r in rounds)
+        assert mol_of.tolist() == [0] * g.n
 
 
 class TestTanimoto:
@@ -120,14 +121,3 @@ class TestTanimoto:
             s = tanimoto(a, b)
             assert s == tanimoto(b, a)
             assert 0.0 <= s <= 1.0
-
-
-class TestHexSerialization:
-    def test_roundtrip(self):
-        fp = morgan_fingerprint(parse_smiles("CC(=O)Nc1ccccc1"))
-        back = BitFingerprint.from_hex(fp.to_hex(), radius=fp.radius)
-        assert back == fp
-
-    def test_hex_length(self):
-        fp = morgan_fingerprint(parse_smiles("C"), width=256)
-        assert len(fp.to_hex()) == 2 * (256 // 8)

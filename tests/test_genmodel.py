@@ -5,7 +5,11 @@ import pytest
 
 from molrationale import numsub as ns
 from molrationale.chemgraph import (
+    MAX_VALENCE,
+    Atom,
+    Bond,
     MolGraph,
+    ValenceError,
     canonical_key,
     canonical_ranks,
     contains_subgraph,
@@ -38,8 +42,15 @@ from molrationale.genmodel import (
     trace_log_likelihood,
 )
 from molrationale import genmodel
+from molrationale.synthetic import _Builder
 
-from helpers import oracle_embeddings, random_corpus, same_outcome
+from helpers import (
+    bond_histories,
+    floor_rule_valence,
+    oracle_embeddings,
+    random_corpus,
+    same_outcome,
+)
 from test_numsub import check_gradients
 
 
@@ -387,6 +398,51 @@ class TestSampleLatent:
         assert np.array_equal(z1.data, z2.data)
 
 
+class TestValenceRule:
+    """The valence rule of the decoder's bond mask, the corpus builder's
+    capacity and MolGraph's validation, each against the exact floor-rule
+    oracle, for every element and every bond history up to saturation: an
+    atom of the element bonded to one fresh carbon per history entry."""
+
+    ORDERS = BOND_TYPES[:NO_BOND_IDX]
+
+    def test_decoder_bond_mask(self):
+        model = small_model()
+        for element, cap in MAX_VALENCE.items():
+            for history in bond_histories(cap):
+                state = DecoderState(model)
+                center = state._append_atom(Atom(element))
+                for order in history:
+                    state._append_bond(center, state._append_atom(Atom("C")), BOND_TYPES.index(order))
+                q = state._append_atom(Atom("C"))
+                fits = [floor_rule_valence(history + (o,)) <= cap for o in self.ORDERS]
+                assert state.can_accept_any_bond(center) == fits[0], (element, history)
+                for first in (False, True):
+                    for mask in (state.bond_mask(center, q, first), state.bond_mask(q, center, first)):
+                        assert [m == 0.0 for m in mask] == fits + [not first], (element, history)
+
+    def test_builder_capacity(self):
+        for element, cap in MAX_VALENCE.items():
+            for history in bond_histories(cap):
+                b = _Builder()
+                center = b.add_atom(Atom(element))
+                for order in history:
+                    b.add_bond(center, b.add_atom(Atom("C")), order)
+                assert b.capacity(center) == cap - floor_rule_valence(history), (element, history)
+
+    def test_molgraph_validation(self):
+        for element, cap in MAX_VALENCE.items():
+            for history in bond_histories(cap):
+                for extended in [history] + [history + (o,) for o in self.ORDERS]:
+                    atoms = [Atom(element)] + [Atom("C")] * len(extended)
+                    bonds = [Bond(0, i + 1, o) for i, o in enumerate(extended)]
+                    if floor_rule_valence(extended) <= cap:
+                        MolGraph(atoms, bonds)
+                    else:
+                        with pytest.raises(ValenceError):
+                            MolGraph(atoms, bonds)
+
+
 class TestStepLogits:
     def test_zero_weights_give_uniform(self):
         model = small_model()
@@ -680,6 +736,31 @@ class TestPreparedStart:
         complete_with_trace(model, r, z, np.random.default_rng(2), start=fresh)
         with pytest.raises(GenModelError, match="another rationale"):
             complete_with_trace(model, rat("CCN", (0,)), z, np.random.default_rng(2), start=fresh)
+
+    def test_completion_copies_the_state_once(self, monkeypatch):
+        model = small_model(seed=59, expand_bias=0.5)
+        copies = []
+        real = DecoderState.copy
+
+        def counted(state):
+            copies.append(state)
+            return real(state)
+
+        r = rat("c1ccccc1", (0, 3))
+        start = prepare_start(model, r)
+        monkeypatch.setattr(DecoderState, "copy", counted)
+        grown = 0
+        for seed in range(30):
+            copies.clear()
+            rng = np.random.default_rng([7, seed])
+            try:
+                g, trace = complete_with_trace(model, r, prior_latent(model, rng), rng,
+                                               max_steps=6, start=start)
+                grown += g.n > r.n_atoms
+            except TruncationError:
+                pass
+            assert copies == [start.state]
+        assert grown > 5
 
     def test_declined_step_never_evaluates_atom_head(self, monkeypatch):
         model = small_model(seed=53)
