@@ -1,7 +1,8 @@
 """Microbenchmarks of the decoder: one sampled completion, fresh and from a
 prepared start; one StepLogits step; the decoder MPN forward and backward on
-a desk molecule; and one pretraining pair's teacher-forced likelihood with
-its backward pass. The model has the desk widths (hidden 64, latent 16, three
+a desk molecule; one pretraining pair's teacher-forced likelihood with its
+backward pass; and one fine-tuning policy step over 40 kept completions of
+the rationale. The model has the desk widths (hidden 64, latent 16, three
 rounds) over the atom types of a README desk corpus (9-14 atoms, ring
 probability 0.25, amide and phenol motifs planted at 0.2), with its initial
 parameters and an expand bias of 1, so that the timed completion adds three
@@ -33,7 +34,7 @@ from molrationale.genmodel import (
     prior_latent,
 )
 from molrationale.synthetic import CorpusSpec, generate_corpus
-from molrationale.train import make_pretrain_pairs
+from molrationale.train import TrainConfig, _policy_step, make_pretrain_pairs
 
 # the two desk motifs superposed, grown from the amide N and the phenol O
 RATIONALE = Rationale(
@@ -114,3 +115,24 @@ def test_pair_likelihood_backward(benchmark, desk):
 
     benchmark(step)
     assert model.params["bond_w2"].grad is not None
+
+
+def test_policy_step(benchmark, desk):
+    """Replay and back-propagate 40 sampled completions of the rationale,
+    then take the Adam step, on a copy of the desk model."""
+    _, model = desk
+    kept = []
+    for seed in range(200):
+        rng = np.random.default_rng([12, seed])
+        z = prior_latent(model, rng)
+        try:
+            kept.append((RATIONALE, complete_with_trace(model, RATIONALE, z, rng)[1], z))
+        except TruncationError:
+            continue
+        if len(kept) == 40:
+            break
+    params = {k: ns.param(t.data.copy(), k) for k, t in model.params.items()}
+    copy = GenModel(model.atom_types, model.hidden, model.latent, model.rounds, params=params)
+    cfg = TrainConfig()
+    benchmark(lambda: _policy_step(copy, kept, cfg, {}, 0))
+    assert len(kept) == 40 and copy.params["dec_u2"].grad is not None

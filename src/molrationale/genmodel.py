@@ -8,7 +8,8 @@ bonds to every queued atom in order.
 Sampling decides as it goes: each step evaluates the heads, in numpy only,
 on the graph so far. A prepared start holds a rationale's initial state and
 its decoder MPN output, so the completions of one rationale share the first
-step's MPN. Scoring a known decision sequence (teacher forcing, trace replay) first
+step's MPN, and their replays share the MPN rows of the rationale's graph.
+Scoring a known decision sequence (teacher forcing, trace replay) first
 walks the decisions without tensors, then evaluates each head once over all
 of its decisions, with one MPN over the disjoint union of the graphs the
 steps saw.
@@ -417,13 +418,15 @@ def _decoder_vectors(model: GenModel, state: DecoderState) -> tuple[np.ndarray, 
 @dataclass(frozen=True, eq=False)
 class DecodeStart:
     """A rationale prepared for decoding: its initial state, with the decoder
-    MPN's h and hg for that graph, computed once for every completion drawn
-    under the same parameters. `arrays` are the parameter arrays h was
-    computed from; an Adam step rebinds them, which makes the start stale."""
+    MPN's atom vectors h and their sum hg for that graph, computed once for
+    every completion drawn, and every trajectory replayed, under the same
+    parameters. h is the MPN's tape output, so a replay from the start
+    back-propagates into it. `arrays` are the parameter arrays h was computed
+    from; an Adam step rebinds them, which makes the start stale."""
 
     rationale: Rationale
     state: DecoderState
-    h: np.ndarray
+    h: ns.Tensor
     hg: np.ndarray
     arrays: tuple[np.ndarray, ...]
 
@@ -431,20 +434,23 @@ class DecodeStart:
 def prepare_start(model: GenModel, rationale: Rationale) -> DecodeStart:
     """The rationale's start under the model's current parameters."""
     state = DecoderState.from_rationale(model, rationale)
-    h, hg = _decoder_vectors(model, state)
+    h = _mpn(model, "dec", state.type_ids, state.edges)
     arrays = tuple(model.params[k].data for k in _mpn_names("dec"))
-    return DecodeStart(rationale, state, h, hg, arrays)
+    return DecodeStart(rationale, state, h, h.data.sum(axis=0), arrays)
 
 
-def _check_start(model: GenModel, rationale: Rationale, start: DecodeStart) -> None:
-    """Raise unless the start was prepared for this rationale from the
-    model's current parameter arrays."""
+def _start_for(model: GenModel, rationale: Rationale, start: DecodeStart | None) -> DecodeStart:
+    """The given start, checked to be prepared for this rationale from the
+    model's current parameter arrays, or a new one."""
+    if start is None:
+        return prepare_start(model, rationale)
     if start.rationale is not rationale:
         raise GenModelError("decode start was prepared for another rationale")
     if any(
         a is not model.params[k].data for a, k in zip(start.arrays, _mpn_names("dec"))
     ):
         raise GenModelError("decode start is stale: a parameter changed after it was prepared")
+    return start
 
 
 class StepLogits:
@@ -529,7 +535,7 @@ class _SamplePolicy:
         self.atom = -1
         self.bonds: list[int] = []
         # the decoder vectors of the graph with h_atoms atoms
-        self.h, self.hg, self.h_atoms = start.h, start.hg, start.state.n_atoms
+        self.h, self.hg, self.h_atoms = start.h.data, start.hg, start.state.n_atoms
 
     def _draw(self, probs: np.ndarray) -> int:
         if self.greedy:
@@ -673,13 +679,15 @@ def _walk(model: GenModel, state: DecoderState, policy, max_steps: int) -> _Walk
     return walk
 
 
-def _score(model: GenModel, state: DecoderState, walk: _Walk, z) -> ns.Tensor:
+def _score(model: GenModel, state: DecoderState, walk: _Walk, z,
+           h_start: ns.Tensor | None = None) -> ns.Tensor:
     """Summed log-probability of a walk's decisions, each head evaluated once
     over all of its decisions.
 
     Atoms and edges are only appended, so the graph each decision saw is a
     prefix of the final state: one MPN runs over the disjoint union of the
-    distinct prefixes, one copy per atom count.
+    distinct prefixes, one copy per atom count. The first copy is the graph
+    the walk started from; h_start, its MPN rows when given, takes its place.
     """
     if not walk.steps:
         return ns.const(0.0)
@@ -693,12 +701,17 @@ def _score(model: GenModel, state: DecoderState, walk: _Walk, z) -> ns.Tensor:
     offsets = np.concatenate([[0], np.cumsum(n_atoms)[:-1]])
     type_ids = np.asarray(state.type_ids, dtype=np.int64)
     edges = np.asarray(state.edges, dtype=np.int64).reshape(-1, 3)
-    h = _mpn(
-        model,
-        "dec",
-        np.concatenate([type_ids[:n] for n in n_atoms]),
-        np.concatenate([edges[:e] + [off, off, 0] for e, off in zip(n_edges, offsets)]),
-    )
+    parts = [] if h_start is None else [h_start]
+    run = range(len(parts), len(n_atoms))  # the copies the MPN runs over
+    if run:
+        local = offsets - offsets[run[0]]  # row offsets within the MPN's union
+        parts.append(_mpn(
+            model,
+            "dec",
+            np.concatenate([type_ids[:n_atoms[c]] for c in run]),
+            np.concatenate([edges[:n_edges[c]] + [local[c], local[c], 0] for c in run]),
+        ))
+    h = parts[0] if len(parts) == 1 else ns.concat(parts, axis=0)
     hg = ns.segment_sum(h, offsets)
 
     def head_input(lead, copies, atoms):
@@ -766,23 +779,24 @@ def complete_with_trace(
     graph so far; returns the molecule and its decision trace. A start from
     prepare_start(model, rationale) saves the first step's MPN; it must be
     prepared under the current parameters."""
-    if start is None:
-        start = prepare_start(model, rationale)
-    else:
-        _check_start(model, rationale, start)
+    start = _start_for(model, rationale, start)
     state = start.state.copy()
     policy = _SamplePolicy(model, start, z, rng, greedy=greedy)
     _walk(model, state, policy, max_steps)
     return state.to_molgraph(), policy.trace
 
 
-def trace_log_likelihood(
-    model: GenModel, rationale: Rationale, trace: list[int], z
-) -> ns.Tensor:
-    """Log-probability of a recorded decision sequence (differentiable)."""
-    state = DecoderState.from_rationale(model, rationale)
+def trace_log_likelihood(model: GenModel, rationale: Rationale, trace: list[int], z, *,
+                         start: DecodeStart | None = None) -> ns.Tensor:
+    """Log-probability of a recorded decision sequence (differentiable). The
+    replay starts from a copy of the start's state and takes the rationale
+    graph's MPN rows from start.h, so the gradient for those rows goes into
+    start.h; without a start it prepares one. A start must be prepared under
+    the current parameters."""
+    start = _start_for(model, rationale, start)
+    state = start.state.copy()
     walk = _walk(model, state, _TracePolicy(trace), max_steps=10**9)
-    return _score(model, state, walk, z)
+    return _score(model, state, walk, z, start.h)
 
 
 def log_likelihood(

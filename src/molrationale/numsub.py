@@ -157,22 +157,25 @@ def scale(a: Tensor, c: float) -> Tensor:
     return track(a.data * c, (a,), lambda g: (g * c,))
 
 
-def concat(parts: list[Tensor]) -> Tensor:
+def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     """Concatenate along the last axis: rank-1 tensors end to end, or rank-2
-    tensors with equal row counts column block by column block."""
+    tensors with equal row counts column block by column block. With axis=0,
+    stack the rows of rank-2 tensors with equal column counts."""
     ndim = parts[0].data.ndim
     if ndim == 0 or any(p.data.ndim != ndim for p in parts):
         raise ShapeError("concat expects tensors of one rank, 1 or 2")
-    if ndim == 2 and len({p.shape[0] for p in parts}) != 1:
-        raise ShapeError("concat: row counts differ")
-    sizes = [p.shape[-1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=-1)
+    if axis not in (-1, 0) or (axis == 0 and ndim != 2):
+        raise ShapeError("concat joins along the last axis, or the rows of rank-2 tensors")
+    if ndim == 2 and len({p.shape[axis + 1] for p in parts}) != 1:
+        raise ShapeError("concat: " + ("column" if axis == 0 else "row") + " counts differ")
+    sizes = [p.shape[axis] for p in parts]
+    out = np.concatenate([p.data for p in parts], axis=axis)
 
     def backward_fn(g):
         grads = []
         off = 0
         for s in sizes:
-            grads.append(g[..., off : off + s])
+            grads.append(g[off : off + s] if axis == 0 else g[..., off : off + s])
             off += s
         return tuple(grads)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -301,15 +301,29 @@ def _policy_step(
     """One Adam step on the mean negative log-likelihood of the kept
     trajectories. Each trajectory is back-propagated as soon as it is
     replayed, its gradient adding to those of the earlier ones, so the tape
-    holds one trajectory at a time. A non-finite trajectory raises before the
-    Adam step, leaving the parameters unchanged."""
+    holds one trajectory at a time. The trajectories of one rationale are
+    replayed from one start whose MPN rows are a detached leaf: the leaf's
+    gradient sums over them, and one more backward takes that sum through the
+    rationale's decoder MPN, which is exact since the gradient is linear. A
+    non-finite trajectory raises before the Adam step, leaving the parameters
+    unchanged."""
     ns.zero_grads(model.params)
     weight = -1.0 / len(kept)
-    for rationale, trace_ids, z in kept:
-        ll = trace_log_likelihood(model, rationale, trace_ids, z)
-        if not np.isfinite(ll.data):
-            raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
-        ns.backward(ns.scale(ll, weight))
+    by_rationale: dict[int, list] = {}
+    for trajectory in kept:
+        by_rationale.setdefault(id(trajectory[0]), []).append(trajectory)
+    for group in by_rationale.values():
+        rationale = group[0][0]
+        start = prepare_start(model, rationale)
+        leaf = ns.Tensor(start.h.data, requires_grad=True)
+        shared = replace(start, h=leaf)
+        for _r, trace_ids, z in group:
+            ll = trace_log_likelihood(model, rationale, trace_ids, z, start=shared)
+            if not np.isfinite(ll.data):
+                raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
+            ns.backward(ns.scale(ll, weight))
+        if leaf.grad is not None:  # None when no walk made a decision
+            ns.backward(ns.sum_all(ns.mul(start.h, ns.const(leaf.grad))))
     grads = {k: t.grad for k, t in model.params.items() if t.grad is not None}
     ns.adam_step(model.params, grads, adam_state, lr=cfg.learning_rate)
 

@@ -737,6 +737,59 @@ class TestPreparedStart:
         with pytest.raises(GenModelError, match="another rationale"):
             complete_with_trace(model, rat("CCN", (0,)), z, np.random.default_rng(2), start=fresh)
 
+    def test_trace_log_likelihood_from_start_equals_no_start(self):
+        model = small_model(seed=61, expand_bias=0.5)
+
+        def value_and_grads(replay):
+            ns.zero_grads(model.params)
+            ll = replay()
+            ns.backward(ll)
+            return float(ll.data), {k: t.grad for k, t in model.params.items() if t.grad is not None}
+
+        def union_replay(r, trace, z):
+            # teacher forcing's scorer: one MPN over every prefix, the first included
+            state = DecoderState.from_rationale(model, r)
+            walk = genmodel._walk(model, state, genmodel._TracePolicy(trace), 10**9)
+            return genmodel._score(model, state, walk, z)
+
+        replays = grown = 0
+        for r in self.CASES.values():
+            for seed in range(8):
+                rng = np.random.default_rng([8, seed])
+                z = prior_latent(model, rng)
+                try:
+                    g, trace = complete_with_trace(model, r, z, rng, max_steps=6)
+                except TruncationError:
+                    continue
+                want, want_grads = value_and_grads(lambda: trace_log_likelihood(model, r, trace, z))
+                for replay in (
+                    lambda: trace_log_likelihood(model, r, trace, z, start=prepare_start(model, r)),
+                    lambda: union_replay(r, trace, z),
+                ):
+                    got, grads = value_and_grads(replay)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    assert sorted(grads) == sorted(want_grads)
+                    for name, w in want_grads.items():
+                        assert np.linalg.norm(grads[name] - w) <= 1e-12 * np.linalg.norm(w), name
+                replays += 1
+                grown += g.n >= r.n_atoms + 2
+        assert replays >= 30 and grown >= 5
+
+    def test_replay_from_stale_or_foreign_start_raises(self):
+        model = small_model(seed=67)
+        r = rat("CCO", (0, 2))
+        rng = np.random.default_rng(4)
+        z = prior_latent(model, rng)
+        _g, trace = complete_with_trace(model, r, z, rng)
+        start = prepare_start(model, r)
+        trace_log_likelihood(model, r, trace, z, start=start)
+        with pytest.raises(GenModelError, match="another rationale"):
+            trace_log_likelihood(model, rat("CCN", (0, 2)), trace, z, start=start)
+        grads = {k: np.full_like(t.data, 0.1) for k, t in model.params.items()}
+        ns.adam_step(model.params, grads, {})
+        with pytest.raises(GenModelError, match="stale"):
+            trace_log_likelihood(model, r, trace, z, start=start)
+
     def test_completion_copies_the_state_once(self, monkeypatch):
         model = small_model(seed=59, expand_bias=0.5)
         copies = []

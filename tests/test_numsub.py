@@ -209,6 +209,17 @@ class TestBackward:
 
         check_gradients(loss_fn, params)
 
+    def test_gradcheck_row_concat(self):
+        rng = np.random.default_rng(10)
+        params = {"a": ns.param(rng.normal(size=(2, 3))), "b": ns.param(rng.normal(size=(4, 3)))}
+        weights = ns.const(rng.normal(size=(6, 3)))
+
+        def loss_fn():
+            x = ns.concat([params["a"], params["b"]], axis=0)
+            return ns.sum_all(ns.mul(ns.mul(x, x), weights))
+
+        check_gradients(loss_fn, params)
+
     def test_gradcheck_segment_sum(self):
         rng = np.random.default_rng(8)
         params = {"a": ns.param(rng.normal(size=(6, 3)))}
@@ -245,6 +256,8 @@ class TestBatchOps:
         a = ns.const(np.arange(12.0).reshape(4, 3))
         assert ns.segment_sum(a, [0, 3]).data.tolist() == [[9, 12, 15], [9, 10, 11]]
         assert ns.tile_rows(ns.const([1.0, 2.0]), 3).data.tolist() == [[1, 2]] * 3
+        rows = ns.concat([a, ns.const([[7.0, 8.0, 9.0]])], axis=0)
+        assert rows.data.tolist() == a.data.tolist() + [[7, 8, 9]]
 
     def test_shape_errors(self):
         m = ns.const(np.ones((3, 2)))
@@ -256,6 +269,10 @@ class TestBatchOps:
             ns.concat([m, ns.const(np.ones(2))])
         with pytest.raises(ns.ShapeError):
             ns.concat([m, ns.const(np.ones((2, 2)))])
+        with pytest.raises(ns.ShapeError):
+            ns.concat([m, ns.const(np.ones((2, 3)))], axis=0)  # column counts differ
+        with pytest.raises(ns.ShapeError):
+            ns.concat([ns.const(np.ones(2)), ns.const(np.ones(2))], axis=0)
         with pytest.raises(ns.ShapeError):
             ns.cross_entropy(m, [0, 1])
         with pytest.raises(ns.ShapeError):

@@ -315,6 +315,52 @@ def kept_trajectories(model, count):
     return list(by_length.values())
 
 
+def trajectories_adding(model, rationale, count, added):
+    """count sampled (rationale, trace, latent) trajectories of the rationale
+    whose completions add a number of atoms in `added`."""
+    out = []
+    for i in range(2000):
+        rng = np.random.default_rng([4, i])
+        z = prior_latent(model, rng)
+        try:
+            g, trace_ids = complete_with_trace(model, rationale, z, rng, max_steps=12)
+        except TruncationError:
+            continue
+        if g.n - rationale.n_atoms in added:
+            out.append((rationale, trace_ids, z))
+            if len(out) == count:
+                return out
+    raise AssertionError("the toy decoder no longer gives these completions")
+
+
+def interleave(*groups):
+    return [t for row in zip(*groups) for t in row]
+
+
+def policy_step_cases(model):
+    """Kept sets named by what they exercise in the shared-MPN replay."""
+    chain = [
+        Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,))
+        for s in ("CCO", "CCN", "CN")
+    ]
+    closed = Rationale(fragments=(parse_smiles("CC(=O)N"),), scores={}, peripheral=())
+    grow = range(0, 13)
+    return {
+        # three rationales, none of whose trajectories are next to each other
+        "interleaved": interleave(*(trajectories_adding(model, r, 3, grow) for r in chain)),
+        # MPN over the shared rows only
+        "no atom added": interleave(*(trajectories_adding(model, r, 3, [0]) for r in chain[:2])),
+        # shared rows joined to a fresh union of two or more prefixes
+        "two or more atoms": interleave(
+            *(trajectories_adding(model, r, 2, range(2, 13)) for r in chain[:2])
+        ),
+        # an empty queue: no expand decision, so no gradient reaches its rows
+        "no expand decision": interleave(
+            trajectories_adding(model, closed, 2, [0]), trajectories_adding(model, chain[0], 2, grow)
+        ),
+    }
+
+
 class TestPolicyStep:
     def adam_grads(self, model, kept, monkeypatch):
         """Run one policy step; return the gradients it handed to Adam."""
@@ -327,9 +373,7 @@ class TestPolicyStep:
         train._policy_step(model, kept, quick_cfg(), {}, 0)
         return seen
 
-    def test_gradient_equals_single_tape_oracle(self, monkeypatch):
-        model = toy_model(toy_corpus(), seed=0)
-        kept = kept_trajectories(model, 10)
+    def assert_oracle_gradients(self, model, kept, monkeypatch):
         grads = self.adam_grads(model, kept, monkeypatch)
         ns.zero_grads(model.params)
         ns.backward(single_tape_policy_loss(model, kept))
@@ -339,9 +383,24 @@ class TestPolicyStep:
             err = np.linalg.norm(grads[name] - want)
             assert err <= 1e-12 * np.linalg.norm(want), name
 
+    def test_gradient_equals_single_tape_oracle(self, monkeypatch):
+        model = toy_model(toy_corpus(), seed=0)
+        self.assert_oracle_gradients(model, kept_trajectories(model, 10), monkeypatch)
+
+    @pytest.mark.parametrize(
+        "case", ["interleaved", "no atom added", "two or more atoms", "no expand decision"]
+    )
+    def test_shared_rationale_rows_equal_single_tape_oracle(self, monkeypatch, case):
+        model = toy_model(toy_corpus(), seed=0)
+        kept = policy_step_cases(model)[case]
+        assert len({id(r) for r, _, _ in kept}) >= 2
+        assert all(kept[i][0] is not kept[i + 1][0] for i in range(len(kept) - 1))
+        self.assert_oracle_gradients(model, kept, monkeypatch)
+
     def test_tape_holds_one_trajectory(self, monkeypatch):
         model = toy_model(toy_corpus(), seed=0)
         distinct = kept_trajectories(model, 5)
+        rationales = len({id(r) for r, _, _ in distinct})
         real_backward = ns.backward
         sizes = []
 
@@ -354,7 +413,8 @@ class TestPolicyStep:
         for kept in (distinct, distinct * 10):
             sizes.clear()
             train._policy_step(model, kept, quick_cfg(), {}, 0)
-            assert len(sizes) == len(kept)
+            # one backward per trajectory, and one per rationale's shared MPN
+            assert len(sizes) == len(kept) + rationales
             peaks.append(max(sizes))
         assert peaks[0] == peaks[1]
 
@@ -365,9 +425,9 @@ class TestPolicyStep:
         real = train.trace_log_likelihood
         calls = []
 
-        def poisoned(*args):
+        def poisoned(*args, **kwargs):
             calls.append(1)
-            ll = real(*args)
+            ll = real(*args, **kwargs)
             return ns.scale(ll, np.nan) if len(calls) == 4 else ll
 
         monkeypatch.setattr(train, "trace_log_likelihood", poisoned)
