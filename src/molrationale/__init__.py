@@ -38,7 +38,7 @@ from .forest import (
     predict_scores,
     train_forest,
 )
-from .genmodel import GenModel, complete, encode, log_likelihood, sample_latent
+from .genmodel import GenModel, complete_with_trace, encode, log_likelihood_tensor, sample_latent
 from .merge import build_multi_vocab, max_common_substructure, merge_pair
 from .metrics import EvalReport, diversity, evaluate, novelty, success_rate
 from .train import (

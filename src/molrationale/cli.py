@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ from .forest import (
 from .genmodel import GenModel, GenModelError, atom_types_from_corpus
 from .merge import build_multi_vocab
 from .train import (
+    FinetuneStats,
     GenerationError,
     RationaleDistribution,
     TrainConfig,
@@ -77,19 +78,7 @@ class MissingArtifactError(RuntimeError):
     pass
 
 
-_PAPER_PRESET = {
-    "model": {"hidden": 400, "latent": 20, "rounds": 3},
-    "extract": {"iterations": 20, "c_puct": 10.0, "max_atoms": 20},
-    "train": {
-        "entropy_weight": 0.02,
-        "samples_per_rationale": 200,
-        "iterations": 50,
-        "dist_samples": 20,
-    },
-}
-
 _DEFAULTS = {
-    "preset": "desk",
     "seed": 7,
     "corpus": {"size": 800, "atoms_min": 9, "atoms_max": 14, "ring_prob": 0.25, "decoy_prob": 0.25, "unique": False},
     "forest": {"trees": 60, "max_depth": 12},
@@ -141,20 +130,7 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         t = self.section("train")
         try:
-            return TrainConfig(
-                entropy_weight=t["entropy_weight"],
-                samples_per_rationale=t["samples_per_rationale"],
-                iterations=t["iterations"],
-                kl_weight=t["kl_weight"],
-                learning_rate=t["learning_rate"],
-                batch_size=t["batch_size"],
-                pretrain_epochs=t["pretrain_epochs"],
-                max_subgraph_atoms=t["max_subgraph_atoms"],
-                pairs_per_molecule=t["pairs_per_molecule"],
-                max_decode_steps=t["max_decode_steps"],
-                dist_samples=t["dist_samples"],
-                seed=self.seed,
-            )
+            return TrainConfig(**{k: t[k] for k in _DEFAULTS["train"]}, seed=self.seed)
         except ValueError as exc:
             raise ConfigError(f"train section: {exc}") from exc
 
@@ -198,11 +174,8 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     merged = _deep_merge(_DEFAULTS, user)
-    preset = merged.get("preset", "desk")
-    if preset == "paper":
-        merged = _deep_merge(merged, _PAPER_PRESET)
-    elif preset != "desk":
-        raise ConfigError(f"unknown preset {preset!r} (expected 'desk' or 'paper')")
+    if merged.get("preset", "desk") != "desk":
+        raise ConfigError(f"unknown preset {merged['preset']!r} (only 'desk' is defined)")
     if "run_dir" not in merged:
         raise ConfigError("config must set run_dir")
     _check_numbers(merged)
@@ -241,30 +214,35 @@ def _write_manifest(cfg: RunConfig, stage: str, inputs: list[Path], outputs: lis
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _require_stage(
-    cfg: RunConfig, stage: str, needed_by: str, force: bool, reads: list[Path]
+def _require_stages(
+    cfg: RunConfig, stages: tuple[str, ...], needed_by: str, force: bool, reads: list[Path]
 ) -> None:
-    """Refuse unless `stage` ran under this config and each of its recorded
-    outputs among `reads`, the files `needed_by` opens, is unchanged on disk."""
-    path = cfg.run_dir / f"{stage}.manifest.json"
-    if not path.exists():
-        raise MissingArtifactError(
-            f"{needed_by} needs artifacts from '{stage}'; run `molrationale {stage}` first"
-        )
-    doc = json.loads(path.read_text())
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported schema version")
+    """Refuse unless each upstream stage in `stages` ran under this config,
+    and each file in `reads`, the files `needed_by` opens, is an output one of
+    them recorded and is unchanged on disk."""
+    recorded: dict[str, tuple[str, str]] = {}  # output name -> (stage, digest)
+    for stage in stages:
+        path = cfg.run_dir / f"{stage}.manifest.json"
+        if not path.exists():
+            raise MissingArtifactError(
+                f"{needed_by} needs artifacts from '{stage}'; run `molrationale {stage}` first"
+            )
+        doc = json.loads(path.read_text())
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ConfigError(f"{path}: unsupported schema version")
+        if not force and doc.get("config_hash") != cfg.config_hash:
+            raise ConfigError(
+                f"{path}: artifacts were produced with a different config; rerun or use --force"
+            )
+        recorded.update({name: (stage, digest) for name, digest in doc.get("outputs", {}).items()})
     if force:
         return
-    if doc.get("config_hash") != cfg.config_hash:
-        raise ConfigError(
-            f"{path}: artifacts were produced with a different config; rerun or use --force"
-        )
-    read_names = {p.name for p in reads}
-    for name, digest in sorted(doc.get("outputs", {}).items()):
-        if name not in read_names:
-            continue
-        out = cfg.run_dir / name
+    for out in sorted(reads, key=lambda p: p.name):
+        if out.name not in recorded:
+            raise MissingArtifactError(
+                f"{out}: {needed_by} reads it, but none of {', '.join(stages)} recorded it"
+            )
+        stage, digest = recorded[out.name]
         if not out.exists():
             raise MissingArtifactError(f"{out}: recorded by '{stage}' but missing; rerun {stage}")
         if _sha256(out) != digest:
@@ -349,7 +327,7 @@ def cmd_gen_synthetic(cfg: RunConfig, force: bool) -> None:
 
 def cmd_train_predictor(cfg: RunConfig, force: bool) -> None:
     inputs = list(_corpus_paths(cfg))
-    _require_stage(cfg, "gen-synthetic", "train-predictor", force, inputs)
+    _require_stages(cfg, ("gen-synthetic",), "train-predictor", force, inputs)
     mols, labels = _load_corpus(cfg)
     f = cfg.section("forest")
     train_idx, test_idx = _split_indices(len(mols), cfg.seed)
@@ -382,7 +360,7 @@ def cmd_train_predictor(cfg: RunConfig, force: bool) -> None:
 
 def cmd_extract(cfg: RunConfig, force: bool) -> None:
     inputs = [*_corpus_paths(cfg), *_forest_paths(cfg)]
-    _require_stage(cfg, "train-predictor", "extract", force, inputs)
+    _require_stages(cfg, ("gen-synthetic", "train-predictor"), "extract", force, inputs)
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     e = cfg.section("extract")
@@ -408,7 +386,7 @@ def cmd_extract(cfg: RunConfig, force: bool) -> None:
 
 def cmd_merge(cfg: RunConfig, force: bool) -> None:
     inputs = [*_vocab_paths(cfg), *_forest_paths(cfg)]
-    _require_stage(cfg, "extract", "merge", force, inputs)
+    _require_stages(cfg, ("train-predictor", "extract"), "merge", force, inputs)
     specs = _load_predictors(cfg)
     vocabs = [RationaleVocab.load(p) for p in _vocab_paths(cfg)]
     if len(specs) == 1:
@@ -423,7 +401,7 @@ def cmd_merge(cfg: RunConfig, force: bool) -> None:
 
 def cmd_pretrain(cfg: RunConfig, force: bool) -> None:
     inputs = list(_corpus_paths(cfg))
-    _require_stage(cfg, "gen-synthetic", "pretrain", force, inputs)
+    _require_stages(cfg, ("gen-synthetic",), "pretrain", force, inputs)
     mols, _ = _load_corpus(cfg)
     tcfg = cfg.train_config()
     m = cfg.section("model")
@@ -454,8 +432,8 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> None:
 def cmd_finetune(cfg: RunConfig, force: bool) -> None:
     inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "vocab_multi.json",
               *_ckpt_paths(cfg, "pretrain")]
-    _require_stage(cfg, "pretrain", "finetune", force, inputs)
-    _require_stage(cfg, "merge", "finetune", force, inputs)
+    _require_stages(cfg, ("gen-synthetic", "train-predictor", "merge", "pretrain"), "finetune",
+                    force, inputs)
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     vocab = RationaleVocab.load(cfg.run_dir / "vocab_multi.json")
@@ -468,24 +446,9 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
     stats_path = cfg.run_dir / "finetune_stats.csv"
     with open(stats_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration", "success", "diversity", "novelty", "kept", "sampled",
-             "atoms_added_mean", "unchanged_share", "truncated"]
-        )
+        writer.writerow([f.name for f in fields(FinetuneStats)])
         for s in stats:
-            writer.writerow(
-                [
-                    s.iteration,
-                    f"{s.success:.6f}",
-                    _optional(s.diversity),
-                    _optional(s.novelty),
-                    s.kept,
-                    s.sampled,
-                    _optional(s.atoms_added_mean),
-                    _optional(s.unchanged_share),
-                    s.truncated,
-                ]
-            )
+            writer.writerow([_cell(v) for v in astuple(s)])
     dist = rationale_distribution(
         model, vocab, specs, tcfg.entropy_weight,
         samples_per_rationale=tcfg.dist_samples, seed=cfg.seed,
@@ -502,8 +465,11 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
     )
 
 
-def _optional(x: float | None) -> str:
-    return "" if x is None else f"{x:.6f}"
+def _cell(x):
+    """A CSV cell: a float to six decimals, None empty, an integer as it is."""
+    if x is None:
+        return ""
+    return f"{x:.6f}" if isinstance(x, float) else x
 
 
 def _train_positives(
@@ -556,7 +522,7 @@ def _parse_sample_line(line: str) -> MolGraph:
 def cmd_sample(cfg: RunConfig, force: bool, n_override: int | None = None) -> None:
     inputs = [cfg.run_dir / "vocab_multi.json", *_ckpt_paths(cfg, "finetune"),
               cfg.run_dir / "distribution.json"]
-    _require_stage(cfg, "finetune", "sample", force, inputs)
+    _require_stages(cfg, ("merge", "finetune"), "sample", force, inputs)
     vocab = RationaleVocab.load(cfg.run_dir / "vocab_multi.json")
     model = GenModel.load(str(cfg.run_dir / "finetune.ckpt"))
     dist = _load_distribution(cfg, vocab)
@@ -577,7 +543,7 @@ def cmd_sample(cfg: RunConfig, force: bool, n_override: int | None = None) -> No
 
 def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
     inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "samples.smi"]
-    _require_stage(cfg, "sample", "evaluate", force, inputs)
+    _require_stages(cfg, ("gen-synthetic", "train-predictor", "sample"), "evaluate", force, inputs)
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     samples = []
@@ -604,7 +570,8 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
 
 def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
     inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), *_vocab_paths(cfg)]
-    _require_stage(cfg, "extract", "faithfulness", force, inputs)
+    _require_stages(cfg, ("gen-synthetic", "train-predictor", "extract"), "faithfulness", force,
+                    inputs)
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     motifs = {p["name"]: parse_smiles(p["motif"]) for p in cfg.properties}

@@ -298,13 +298,10 @@ def extract_rationales(
     c_puct: float = DEFAULT_C_PUCT,
     max_atoms: int = DEFAULT_MAX_ATOMS,
     score_cache: dict | None = None,
-    _search_out: list | None = None,
 ) -> list[Rationale]:
     """Run the deletion search on one molecule and return all distinct visited
     states within the size bound whose score clears the property threshold."""
     search = _Search(g, prop, score_cache)
-    if _search_out is not None:
-        _search_out.append(search)
     root = search.root
     root.visited = True
     search.expand(root)

@@ -524,12 +524,10 @@ def step_logits(model: GenModel, state: DecoderState, z) -> StepLogits:
 class _SamplePolicy:
     """Draws each decision from the step's distributions as the walk goes."""
 
-    def __init__(self, model: GenModel, start: DecodeStart, z, rng: np.random.Generator,
-                 greedy: bool = False):
+    def __init__(self, model: GenModel, start: DecodeStart, z, rng: np.random.Generator):
         self.model = model
         self.z = _latent_array(z)
         self.rng = rng
-        self.greedy = greedy
         self.trace: list[int] = []
         self.step: StepLogits | None = None
         self.atom = -1
@@ -538,8 +536,6 @@ class _SamplePolicy:
         self.h, self.hg, self.h_atoms = start.h.data, start.hg, start.state.n_atoms
 
     def _draw(self, probs: np.ndarray) -> int:
-        if self.greedy:
-            return int(np.argmax(probs))
         p = np.clip(probs, 0.0, None)
         p = p / p.sum()
         return int(self.rng.choice(len(p), p=p))
@@ -551,8 +547,7 @@ class _SamplePolicy:
             self.h, self.hg = _decoder_vectors(self.model, state)
             self.h_atoms = state.n_atoms
         self.step = StepLogits(self.model, state, self.z, self.h, self.hg)
-        prob = self.step.expand_prob
-        yes = prob >= 0.5 if self.greedy else self.rng.random() < prob
+        yes = self.rng.random() < self.step.expand_prob
         self.trace.append(1 if yes else 0)
         return yes
 
@@ -750,28 +745,12 @@ def _score(model: GenModel, state: DecoderState, walk: _Walk, z,
     return ns.add(logp, ns.scale(nll, -1.0))
 
 
-def complete(
-    model: GenModel,
-    rationale: Rationale,
-    z,
-    rng: np.random.Generator,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    greedy: bool = False,
-    *,
-    start: DecodeStart | None = None,
-) -> MolGraph:
-    """Sample a molecule containing the rationale's fragments."""
-    g, _trace = complete_with_trace(model, rationale, z, rng, max_steps, greedy, start=start)
-    return g
-
-
 def complete_with_trace(
     model: GenModel,
     rationale: Rationale,
     z,
     rng: np.random.Generator,
     max_steps: int = DEFAULT_MAX_STEPS,
-    greedy: bool = False,
     *,
     start: DecodeStart | None = None,
 ) -> tuple[MolGraph, list[int]]:
@@ -781,7 +760,7 @@ def complete_with_trace(
     prepared under the current parameters."""
     start = _start_for(model, rationale, start)
     state = start.state.copy()
-    policy = _SamplePolicy(model, start, z, rng, greedy=greedy)
+    policy = _SamplePolicy(model, start, z, rng)
     _walk(model, state, policy, max_steps)
     return state.to_molgraph(), policy.trace
 
@@ -799,19 +778,6 @@ def trace_log_likelihood(model: GenModel, rationale: Rationale, trace: list[int]
     return _score(model, state, walk, z, start.h)
 
 
-def log_likelihood(
-    model: GenModel,
-    g: MolGraph,
-    rationale: Rationale,
-    z,
-    mapping: dict[int, int] | None = None,
-) -> float:
-    """Teacher-forced log P(g | rationale, z); rationale atoms come first in
-    stored order, the rest in breadth-first order from the peripheral queue."""
-    with ns.no_grad():
-        return float(log_likelihood_tensor(model, g, rationale, z, mapping).data)
-
-
 def log_likelihood_tensor(
     model: GenModel,
     g: MolGraph,
@@ -819,6 +785,9 @@ def log_likelihood_tensor(
     z,
     mapping: dict[int, int] | None = None,
 ) -> ns.Tensor:
+    """Teacher-forced log P(g | rationale, z) (differentiable); rationale atoms
+    come first in stored order, the rest in breadth-first order from the
+    peripheral queue."""
     combined = rationale.combined
     if mapping is None:
         # the queue decomposition can only reproduce g when the rationale is an

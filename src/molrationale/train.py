@@ -197,14 +197,14 @@ class FinetuneStats:
     truncated: int = 0  # completions that reached max_decode_steps
 
 
-def _draw_completion(model: GenModel, rationale: Rationale, start: DecodeStart,
-                     rng: np.random.Generator, max_steps: int) -> tuple[MolGraph, list[int], np.ndarray] | None:
-    """A latent from the prior, then a completion from the rationale's
-    prepared start, both drawn from rng: (graph, trace, latent), or None when
-    the completion reached max_steps."""
+def _draw_completion(model: GenModel, start: DecodeStart, rng: np.random.Generator,
+                     max_steps: int) -> tuple[MolGraph, list[int], np.ndarray] | None:
+    """A latent from the prior, then a completion from a rationale's prepared
+    start, both drawn from rng: (graph, trace, latent), or None when the
+    completion reached max_steps."""
     z = prior_latent(model, rng)
     try:
-        g, trace_ids = complete_with_trace(model, rationale, z, rng, max_steps=max_steps,
+        g, trace_ids = complete_with_trace(model, start.rationale, z, rng, max_steps=max_steps,
                                            start=start)
     except TruncationError:
         return None
@@ -213,34 +213,33 @@ def _draw_completion(model: GenModel, rationale: Rationale, start: DecodeStart,
 
 def _decode_and_score(
     model: GenModel,
-    vocab: RationaleVocab,
+    starts: list[DecodeStart],
     props: list[PropertySpec],
     cfg: TrainConfig,
     it: int,
     ref: np.ndarray | None,
-) -> tuple[FinetuneStats, list[tuple[Rationale, list[int], np.ndarray]]]:
-    """One fine-tuning iteration's completions, decoded first and then
-    scored as one batch per property; returns the iteration's statistics and
-    the kept (rationale, trace, latent) trajectories. The completions and
-    their fingerprints are dropped on return, before the update's tape.
-    Success is the kept share of the completions attempted, so a truncated
-    completion counts as a miss."""
+) -> tuple[FinetuneStats, list[tuple[DecodeStart, list[int], np.ndarray]]]:
+    """One fine-tuning iteration's completions, decoded from the rationales'
+    starts first and then scored as one batch per property; returns the
+    iteration's statistics and the kept (start, trace, latent) trajectories.
+    The completions and their fingerprints are dropped on return, before the
+    update's tape. Success is the kept share of the completions attempted, so
+    a truncated completion counts as a miss."""
     from .metrics import diversity as diversity_fn
     from .metrics import novelty as novelty_fn
 
-    drawn: list[tuple[Rationale, MolGraph, list[int], np.ndarray]] = []
+    drawn: list[tuple[DecodeStart, MolGraph, list[int], np.ndarray]] = []
     truncated = 0
-    for r_idx, rationale in enumerate(vocab.entries):
-        start = prepare_start(model, rationale)
+    for r_idx, start in enumerate(starts):
         for s_idx in range(cfg.samples_per_rationale):
             rng = np.random.default_rng([cfg.seed, 7919, it, r_idx, s_idx])
-            out = _draw_completion(model, rationale, start, rng, cfg.max_decode_steps)
+            out = _draw_completion(model, start, rng, cfg.max_decode_steps)
             if out is None:
                 truncated += 1
             else:
-                drawn.append((rationale, *out))
+                drawn.append((start, *out))
     keep = positive_mask([d[1] for d in drawn], props)
-    kept = [(r, trace_ids, z) for (r, _g, trace_ids, z), k in zip(drawn, keep) if k]
+    kept = [(start, trace_ids, z) for (start, _g, trace_ids, z), k in zip(drawn, keep) if k]
     positives = [d[1] for d, k in zip(drawn, keep) if k]
     div = nov = None
     if positives:
@@ -250,7 +249,7 @@ def _decode_and_score(
         if ref is not None:
             nov = novelty_fn(tanimoto_matrix(fps, ref))
     success = len(kept) / (len(drawn) + truncated)
-    added = np.array([d[1].n - d[0].n_atoms for d in drawn])
+    added = np.array([d[1].n - d[0].rationale.n_atoms for d in drawn])
     added_mean = float(added.mean()) if drawn else None
     unchanged = float((added == 0).mean()) if drawn else None
     stats = FinetuneStats(it, success, div, nov, len(kept), len(drawn), added_mean, unchanged,
@@ -276,24 +275,24 @@ def finetune(
     ref = fingerprint_matrix(train_positives) if train_positives else None
     adam_state: dict = {}
     stats: list[FinetuneStats] = []
-    empty_streak = 0
     for it in range(cfg.iterations):
-        it_stats, kept = _decode_and_score(model, vocab, props, cfg, it, ref)
+        # sampling and the policy step share the starts: the Adam step that
+        # makes them stale comes after the replay
+        starts = [prepare_start(model, r) for r in vocab.entries]
+        it_stats, kept = _decode_and_score(model, starts, props, cfg, it, ref)
         stats.append(it_stats)
         if not kept:
-            empty_streak += 1
             log.warning("finetune iteration %d: no positive samples, skipping update", it)
-            if empty_streak >= cfg.iterations:
-                raise TrainingError("every fine-tuning iteration produced no positives")
             continue
-        empty_streak = 0
         _policy_step(model, kept, cfg, adam_state, it)
+    if not any(s.kept for s in stats):
+        raise TrainingError("every fine-tuning iteration produced no positives")
     return stats
 
 
 def _policy_step(
     model: GenModel,
-    kept: list[tuple[Rationale, list[int], np.ndarray]],
+    kept: list[tuple[DecodeStart, list[int], np.ndarray]],
     cfg: TrainConfig,
     adam_state: dict,
     it: int,
@@ -301,24 +300,23 @@ def _policy_step(
     """One Adam step on the mean negative log-likelihood of the kept
     trajectories. Each trajectory is back-propagated as soon as it is
     replayed, its gradient adding to those of the earlier ones, so the tape
-    holds one trajectory at a time. The trajectories of one rationale are
-    replayed from one start whose MPN rows are a detached leaf: the leaf's
-    gradient sums over them, and one more backward takes that sum through the
-    rationale's decoder MPN, which is exact since the gradient is linear. A
-    non-finite trajectory raises before the Adam step, leaving the parameters
+    holds one trajectory at a time. The trajectories drawn from one start are
+    replayed from it with its MPN rows as a detached leaf: the leaf's gradient
+    sums over them, and one more backward takes that sum through the start's
+    decoder MPN, which is exact since the gradient is linear. A non-finite
+    trajectory raises before the Adam step, leaving the parameters
     unchanged."""
     ns.zero_grads(model.params)
     weight = -1.0 / len(kept)
-    by_rationale: dict[int, list] = {}
+    by_start: dict[int, list] = {}
     for trajectory in kept:
-        by_rationale.setdefault(id(trajectory[0]), []).append(trajectory)
-    for group in by_rationale.values():
-        rationale = group[0][0]
-        start = prepare_start(model, rationale)
+        by_start.setdefault(id(trajectory[0]), []).append(trajectory)
+    for group in by_start.values():
+        start = group[0][0]
         leaf = ns.Tensor(start.h.data, requires_grad=True)
         shared = replace(start, h=leaf)
-        for _r, trace_ids, z in group:
-            ll = trace_log_likelihood(model, rationale, trace_ids, z, start=shared)
+        for _start, trace_ids, z in group:
+            ll = trace_log_likelihood(model, start.rationale, trace_ids, z, start=shared)
             if not np.isfinite(ll.data):
                 raise TrainingError(f"non-finite fine-tuning loss at iteration {it}")
             ns.backward(ns.scale(ll, weight))
@@ -357,7 +355,7 @@ def rationale_distribution(
         start = prepare_start(model, rationale)
         for s_idx in range(samples_per_rationale):
             rng = np.random.default_rng([seed, 104729, r_idx, s_idx])
-            out = _draw_completion(model, rationale, start, rng, max_steps)
+            out = _draw_completion(model, start, rng, max_steps)
             if out is not None:  # a truncated completion counts as a miss
                 drawn.append((r_idx, out[0]))
     hits = [0] * len(vocab.entries)
@@ -388,7 +386,7 @@ def sample_molecules(
     while len(out) < n and attempts < 10 * n:
         attempts += 1
         k = int(rng.choice(len(dist.probabilities), p=dist.probabilities))
-        drew = _draw_completion(model, dist.rationales[k], starts[k], rng, max_steps)
+        drew = _draw_completion(model, starts[k], rng, max_steps)
         if drew is not None:
             out.append((drew[0], dist.keys[k]))
     if len(out) < n:
@@ -412,7 +410,7 @@ def success_of_model(
     for i in range(n):
         rng = np.random.default_rng([seed, 15485863, i])
         k = int(rng.integers(len(vocab.entries)))
-        out = _draw_completion(model, vocab.entries[k], starts[k], rng, max_steps)
+        out = _draw_completion(model, starts[k], rng, max_steps)
         if out is not None:  # a truncated completion counts as a miss
             drawn.append(out[0])
     return int(positive_mask(drawn, props).sum()) / n if n else 0.0

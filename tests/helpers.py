@@ -446,12 +446,13 @@ def row_copy_forest_trees(
 
 
 def single_tape_policy_loss(model, kept) -> ns.Tensor:
-    """Mean negative log-likelihood of the kept (rationale, trace, latent)
-    trajectories, all on one tape."""
+    """Mean negative log-likelihood of the kept (start, trace, latent)
+    trajectories, each replayed from a fresh start of its rationale, all on
+    one tape."""
     loss = ns.const(0.0)
-    for rationale, trace_ids, z in kept:
+    for start, trace_ids, z in kept:
         loss = ns.add(
-            loss, ns.scale(trace_log_likelihood(model, rationale, trace_ids, z), -1.0)
+            loss, ns.scale(trace_log_likelihood(model, start.rationale, trace_ids, z), -1.0)
         )
     return ns.scale(loss, 1.0 / len(kept))
 
@@ -472,20 +473,17 @@ def tape_size(loss: ns.Tensor) -> int:
 # Sampler oracle: the decoder MPN run afresh on the graph at every step.
 
 
-def fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy=False):
+def fresh_complete_with_trace(model, rationale, z, rng, max_steps):
     """Sample a completion with one public step_logits call per expand
     decision, each running the decoder MPN on the graph so far, and the
     sampler's draw protocol: expand if a uniform draw is below the expand
-    probability (greedy: if it is at least 0.5), and a categorical draw of
-    every atom and bond type (greedy: the most probable one). Returns the
-    molecule and its trace; raises TruncationError like the sampler."""
+    probability, and a categorical draw of every atom and bond type. Returns
+    the molecule and its trace; raises TruncationError like the sampler."""
     state = DecoderState.from_rationale(model, rationale)
     trace = []
     added = 0
 
     def draw(probs):
-        if greedy:
-            return int(np.argmax(probs))
         p = np.clip(probs, 0.0, None)
         return int(rng.choice(len(p), p=p / p.sum()))
 
@@ -494,7 +492,7 @@ def fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy=False)
             state.queue.popleft()
             continue
         sl = step_logits(model, state, z)
-        yes = sl.expand_prob >= 0.5 if greedy else rng.random() < sl.expand_prob
+        yes = rng.random() < sl.expand_prob
         trace.append(int(yes))
         if not yes:
             state.queue.popleft()
@@ -516,13 +514,13 @@ def fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy=False)
     return state.to_molgraph(), trace
 
 
-def same_outcome(model, rationale, z, seed, max_steps, greedy, start):
+def same_outcome(model, rationale, z, seed, max_steps, start):
     """Decode from the prepared start and with the fresh-MPN oracle on the
     same seeded stream; both return (graph, trace) or the truncated partial."""
     outcomes = []
     for decode in (
-        lambda rng: complete_with_trace(model, rationale, z, rng, max_steps, greedy, start=start),
-        lambda rng: fresh_complete_with_trace(model, rationale, z, rng, max_steps, greedy),
+        lambda rng: complete_with_trace(model, rationale, z, rng, max_steps, start=start),
+        lambda rng: fresh_complete_with_trace(model, rationale, z, rng, max_steps),
     ):
         try:
             outcomes.append(decode(np.random.default_rng(seed)))

@@ -25,8 +25,8 @@ from molrationale.forest import PropertySpec, auroc, train_forest
 from molrationale.genmodel import (
     GenModel,
     atom_types_from_corpus,
-    complete,
-    log_likelihood,
+    complete_with_trace,
+    log_likelihood_tensor,
     prior_latent,
 )
 from molrationale.merge import build_multi_vocab, max_common_substructure
@@ -135,7 +135,7 @@ def test_criterion_2_containment_invariant():
     for rationale in (single, double):
         for _ in range(500):
             z = prior_latent(model, rng)
-            out = complete(model, rationale, z, rng, max_steps=60)
+            out = complete_with_trace(model, rationale, z, rng, max_steps=60)[0]
             checked += 1
             for frag in rationale.fragments:
                 if contains_subgraph(out, frag) is None:
@@ -365,7 +365,7 @@ def test_criterion_7_sampler_likelihood_consistency():
     # teacher-forced likelihood reproduces its trajectory's enumerated mass
     ll_ok = True
     for key, g in rep.items():
-        ll = math.exp(log_likelihood(model, g, r, z, mapping={0: 0}))
+        ll = math.exp(float(log_likelihood_tensor(model, g, r, z, mapping={0: 0}).data))
         if not any(abs(ll - p) < 1e-9 for p in trajs[key]):
             ll_ok = False
         if ll > by_graph[key] + 1e-9:
@@ -375,7 +375,7 @@ def test_criterion_7_sampler_likelihood_consistency():
     rng = np.random.default_rng(777)
     counts: dict[str, int] = {}
     for _ in range(n):
-        out = complete(model, r, z, rng, max_steps=10)
+        out = complete_with_trace(model, r, z, rng, max_steps=10)[0]
         key = canonical_key(out)
         counts[key] = counts.get(key, 0) + 1
     freq_ok = set(counts) <= set(by_graph)

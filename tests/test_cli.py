@@ -127,6 +127,12 @@ class TestStageSequencing:
         assert main(["train-predictor", "--config", cfg]) == EXIT_MISSING
         assert "corpus.smi" in capsys.readouterr().err
         assert main(["train-predictor", "--config", cfg, "--force"]) == EXIT_OK
+        # the forced stage leaves the edited corpus in place, and extract reads it
+        capsys.readouterr()
+        assert main(["extract", "--config", cfg]) == EXIT_MISSING
+        assert "corpus.smi" in capsys.readouterr().err
+        assert main(["gen-synthetic", "--config", cfg]) == EXIT_OK
+        assert main(["train-predictor", "--config", cfg]) == EXIT_OK
         (tmp_path / "run" / "forest_amide.json").unlink()
         capsys.readouterr()
         assert main(["extract", "--config", cfg]) == EXIT_MISSING
@@ -135,15 +141,7 @@ class TestStageSequencing:
     def test_only_the_upstream_outputs_a_stage_reads_are_checked(
         self, pipeline, tmp_path, capsys
     ):
-        _cfg, run_dir = pipeline
-        run = tmp_path / "run"
-        shutil.copytree(run_dir, run)
-        cfg = str(write_config(tmp_path, run))
-        # the copy's config differs from the pipeline's in its run_dir only
-        config_hash = load_config(cfg).config_hash
-        for manifest in run.glob("*.manifest.json"):
-            doc = json.loads(manifest.read_text())
-            manifest.write_text(json.dumps({**doc, "config_hash": config_hash}))
+        cfg, run = copy_pipeline(pipeline, tmp_path)
         # finetune reads neither the pretraining loss log nor the predictor scores
         (run / "pretrain_loss.csv").unlink()
         (run / "predictor_scores.json").unlink()
@@ -154,6 +152,39 @@ class TestStageSequencing:
         capsys.readouterr()
         assert main(["sample", "--config", cfg]) == EXIT_MISSING
         assert "distribution.json" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "stage, name, edit",
+        [
+            ("extract", "corpus.smi", lambda text: text + "CCO\n"),
+            ("sample", "vocab_multi.json", lambda text: text + " "),
+            ("evaluate", "forest_phenol.json", lambda text: text + " "),
+        ],
+    )
+    def test_every_upstream_stage_read_is_checked(self, pipeline, tmp_path, capsys, stage, name, edit):
+        # each file is an output of a stage other than the one just upstream
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert main([stage, "--config", cfg]) == EXIT_MISSING
+        assert name in capsys.readouterr().err
+        assert main([stage, "--config", cfg, "--force"]) == EXIT_OK
+
+
+def copy_pipeline(pipeline, tmp_path: Path) -> tuple[str, Path]:
+    """A copy of the shared pipeline's run directory whose manifests carry
+    the copy's config hash (the configs differ in run_dir only)."""
+    _cfg, run_dir = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    cfg = str(write_config(tmp_path, run))
+    config_hash = load_config(cfg).config_hash
+    for manifest in run.glob("*.manifest.json"):
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "config_hash": config_hash}))
+    return cfg, run
 
 
 README_PROPERTIES = [
@@ -209,9 +240,13 @@ class TestConfigValidation:
     def test_missing_file(self):
         assert main(["gen-synthetic", "--config", "/nonexistent/cfg.json"]) == EXIT_CONFIG
 
-    def test_bad_preset(self, tmp_path):
-        cfg = write_config(tmp_path, tmp_path / "run", preset="huge")
-        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+    def test_bad_preset(self, tmp_path, capsys):
+        # "desk" is the only preset; "paper" is spelled out as explicit keys
+        for preset in ("huge", "paper"):
+            cfg = write_config(tmp_path, tmp_path / "run", preset=preset)
+            assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+            assert repr(preset) in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
     def test_bad_motif(self, tmp_path):
         cfg = write_config(
@@ -257,17 +292,6 @@ class TestConfigValidation:
         assert main(["pretrain", "--config", str(cfg)]) == EXIT_CONFIG
         assert main(["run-all", "--config", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "run" / "pretrain.manifest.json").exists()
-
-    def test_paper_preset_loads_reference_values(self, tmp_path):
-        cfg_file = write_config(tmp_path, tmp_path / "run", preset="paper")
-        cfg = load_config(cfg_file)
-        assert cfg.section("model")["hidden"] == 400
-        assert cfg.section("model")["latent"] == 20
-        assert cfg.section("extract")["c_puct"] == 10.0
-        assert cfg.section("extract")["max_atoms"] == 20
-        assert cfg.section("train")["entropy_weight"] == 0.02
-        assert cfg.section("train")["samples_per_rationale"] == 200
-        assert cfg.section("train")["iterations"] == 50
 
 
 class TestArtifacts:
@@ -366,7 +390,7 @@ class TestArtifacts:
             start = prepare_start(model, r)
             for seed in range(300 // len(vocab.entries) + 1):
                 z = prior_latent(model, np.random.default_rng([9, seed]))
-                out = same_outcome(model, r, z, seed, 8, False, start)
+                out = same_outcome(model, r, z, seed, 8, start)
                 grown += out[0] != "truncated" and out[0].n > r.n_atoms
         assert grown >= 100
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from molrationale import extract
 from molrationale.chemgraph import (
     apply_deletion,
     canonical_key,
@@ -172,13 +173,20 @@ class TestExtractRationales:
         b = extract_rationales(positives[0], prop, iterations=20)
         assert [r.key for r in a] == [r.key for r in b]
 
-    def test_stats_flow_conservation(self):
+    def test_stats_flow_conservation(self, monkeypatch):
         prop = ScoreSpec(lambda g: 0.4 + 0.05 * g.n)
         g = parse_smiles("CCC(C)CC(=O)NCC")
         holder = []
+
+        class RecordedSearch(extract._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                holder.append(self)
+
+        monkeypatch.setattr(extract, "_Search", RecordedSearch)
         iterations = 40
-        extract_rationales(g, prop, iterations=iterations, _search_out=holder)
-        search = holder[0]
+        extract_rationales(g, prop, iterations=iterations)
+        (search,) = holder
         nodes = search.nodes
         inflow = {key: 0 for key in nodes}
         for node in nodes.values():

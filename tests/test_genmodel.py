@@ -29,10 +29,8 @@ from molrationale.genmodel import (
     _mpn,
     TruncationError,
     atom_types_from_corpus,
-    complete,
     complete_with_trace,
     encode,
-    log_likelihood,
     log_likelihood_tensor,
     mpn_embed,
     prepare_start,
@@ -504,7 +502,7 @@ class TestComplete:
     def test_empty_peripheral_returns_rationale(self):
         model = small_model()
         r = rat("CC(=O)N", ())
-        out = complete(model, r, np.zeros(model.latent), np.random.default_rng(0))
+        out = complete_with_trace(model, r, np.zeros(model.latent), np.random.default_rng(0))[0]
         assert canonical_key(out) == canonical_key(r.fragments[0])
 
     def test_every_sample_contains_fragments(self):
@@ -521,7 +519,7 @@ class TestComplete:
             for _ in range(100):
                 z = prior_latent(model, rng)
                 try:
-                    out = complete(model, r, z, rng, max_steps=12)
+                    out = complete_with_trace(model, r, z, rng, max_steps=12)[0]
                 except TruncationError:
                     continue
                 completed += 1
@@ -536,7 +534,7 @@ class TestComplete:
         completed = 0
         for _ in range(500):
             try:
-                out = complete(model, r, prior_latent(model, rng), rng, max_steps=10)
+                out = complete_with_trace(model, r, prior_latent(model, rng), rng, max_steps=10)[0]
             except TruncationError:
                 continue
             MolGraph(out.atoms, out.bonds)  # revalidates valence
@@ -550,16 +548,8 @@ class TestComplete:
         model.params["expand_b2"].data = np.array([50.0])
         r = rat("CC", (0, 1))
         with pytest.raises(TruncationError) as err:
-            complete(model, r, np.zeros(model.latent), np.random.default_rng(0), max_steps=3)
+            complete_with_trace(model, r, np.zeros(model.latent), np.random.default_rng(0), max_steps=3)
         assert err.value.partial.n >= 3
-
-    def test_greedy_is_deterministic(self):
-        model = small_model(seed=17)
-        r = rat("CCO", (0,))
-        z = np.full(model.latent, 0.3)
-        a = complete(model, r, z, np.random.default_rng(1), greedy=True)
-        b = complete(model, r, z, np.random.default_rng(2), greedy=True)
-        assert canonical_key(a) == canonical_key(b)
 
 
 class TestLogLikelihood:
@@ -588,13 +578,13 @@ class TestLogLikelihood:
             sl = step_logits(model, state, z)
             expected += math.log(1.0 - sl.expand_prob)
             state.queue.popleft()
-        got = log_likelihood(model, g, r, z, mapping={i: i for i in range(g.n)})
+        got = float(log_likelihood_tensor(model, g, r, z, mapping={i: i for i in range(g.n)}).data)
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_containment_failure_raises(self):
         model = small_model()
         with pytest.raises(LikelihoodError):
-            log_likelihood(
+            log_likelihood_tensor(
                 model, parse_smiles("CCC"), rat("O", (0,)), np.zeros(model.latent)
             )
 
@@ -603,11 +593,11 @@ class TestLogLikelihood:
         g = parse_smiles("C1CCCCCCCCCCCC1CCCCCCCCCCCCC")
         r = rat("C" * 13, range(13))
         z = np.zeros(model.latent)
-        got = log_likelihood(model, g, r, z)
+        got = float(log_likelihood_tensor(model, g, r, z).data)
         assert math.isfinite(got) and got < 0.0
         # the search picks one of the induced embeddings
         assert any(
-            abs(got - log_likelihood(model, g, r, z, mapping=m)) < 1e-9
+            abs(got - float(log_likelihood_tensor(model, g, r, z, mapping=m).data)) < 1e-9
             for m in oracle_embeddings(g, r.combined, induced=True)
         )
 
@@ -694,19 +684,11 @@ class TestPreparedStart:
             start = prepare_start(model, r)
             for seed in range(220):
                 z = prior_latent(model, np.random.default_rng([5, seed]))
-                out = same_outcome(model, r, z, seed, 6, False, start)
+                out = same_outcome(model, r, z, seed, 6, start)
                 draws += 1
                 truncated += out[0] == "truncated"
                 grown += out[0] != "truncated" and out[0].n > r.n_atoms
         assert draws >= 1000 and truncated > 0 and grown > 100
-
-    def test_greedy_start_matches_fresh_decode(self):
-        model = small_model(seed=41)
-        for r in self.CASES.values():
-            start = prepare_start(model, r)
-            for seed in range(20):
-                z = prior_latent(model, np.random.default_rng([6, seed]))
-                same_outcome(model, r, z, seed, 8, True, start)
 
     def test_saturated_head_and_empty_queue(self):
         model = small_model(seed=43)
@@ -860,7 +842,7 @@ class TestEnumerationConsistency:
         mapping0 = {0: 0}
         for key, entries in by_graph.items():
             g = next(g for g, _, _ in results if canonical_key(g) == key)
-            ll = math.exp(log_likelihood(model, g, r, z, mapping=mapping0))
+            ll = math.exp(float(log_likelihood_tensor(model, g, r, z, mapping=mapping0).data))
             probs = [p for _, p in entries]
             # the teacher-forced order is one of the enumerated trajectories
             assert any(abs(ll - p) < 1e-9 for p in probs), (key, ll, probs)
@@ -879,7 +861,7 @@ class TestEnumerationConsistency:
         rng = np.random.default_rng(123)
         counts: dict[str, int] = {}
         for _ in range(n):
-            out = complete(model, r, z, rng, max_steps=10)
+            out = complete_with_trace(model, r, z, rng, max_steps=10)[0]
             key = canonical_key(out)
             counts[key] = counts.get(key, 0) + 1
         assert set(counts) <= set(expected)
@@ -903,6 +885,7 @@ class TestCheckpoint:
         assert np.array_equal(a.mu.data, b.mu.data)
         r = rat("CC", (0,))
         z = np.full(model.latent, 0.2)
-        ga = complete(model, r, z, np.random.default_rng(5), greedy=True)
-        gb = complete(back, r, z, np.random.default_rng(5), greedy=True)
-        assert canonical_key(ga) == canonical_key(gb)
+        for seed in range(20):
+            a = complete_with_trace(model, r, z, np.random.default_rng(seed))
+            b = complete_with_trace(back, r, z, np.random.default_rng(seed))
+            assert a == b, seed

@@ -12,6 +12,7 @@ from molrationale.genmodel import (
     atom_types_from_corpus,
     complete_with_trace,
     encode,
+    prepare_start,
     prior_latent,
 )
 from molrationale import train
@@ -215,6 +216,20 @@ class TestFinetune:
         assert (stats.truncated, stats.sampled, stats.kept) == (5, 5, 5)
         assert stats.success == 0.5
 
+    def test_one_start_per_rationale_per_iteration(self, monkeypatch):
+        model = toy_model(toy_corpus(), seed=3)
+        calls = []
+
+        def counted(model, rationale):
+            calls.append(rationale)
+            return prepare_start(model, rationale)
+
+        monkeypatch.setattr(train, "prepare_start", counted)
+        vocab = small_vocab()
+        stats = finetune(model, vocab, [ConstSpec(1.0)], quick_cfg(iterations=3))
+        assert all(s.kept > 0 for s in stats)  # every iteration takes a policy step
+        assert [id(r) for r in calls] == [id(r) for r in vocab.entries] * 3
+
     def test_all_negative_aborts_after_l_empty_iterations(self):
         corpus = toy_corpus()
         model = toy_model(corpus, seed=7)
@@ -333,6 +348,17 @@ def trajectories_adding(model, rationale, count, added):
     raise AssertionError("the toy decoder no longer gives these completions")
 
 
+def with_starts(model, trajectories):
+    """(start, trace, latent) trajectories from (rationale, trace, latent)
+    ones, with one start per rationale under the current parameters, as
+    finetune hands them to the policy step."""
+    starts = {}
+    for rationale, _trace, _z in trajectories:
+        if id(rationale) not in starts:
+            starts[id(rationale)] = prepare_start(model, rationale)
+    return [(starts[id(r)], trace_ids, z) for r, trace_ids, z in trajectories]
+
+
 def interleave(*groups):
     return [t for row in zip(*groups) for t in row]
 
@@ -373,7 +399,8 @@ class TestPolicyStep:
         train._policy_step(model, kept, quick_cfg(), {}, 0)
         return seen
 
-    def assert_oracle_gradients(self, model, kept, monkeypatch):
+    def assert_oracle_gradients(self, model, trajectories, monkeypatch):
+        kept = with_starts(model, trajectories)
         grads = self.adam_grads(model, kept, monkeypatch)
         ns.zero_grads(model.params)
         ns.backward(single_tape_policy_loss(model, kept))
@@ -410,8 +437,10 @@ class TestPolicyStep:
 
         monkeypatch.setattr(ns, "backward", measured)
         peaks = []
-        for kept in (distinct, distinct * 10):
+        for trajectories in (distinct, distinct * 10):
             sizes.clear()
+            # the first step's Adam update makes its starts stale
+            kept = with_starts(model, trajectories)
             train._policy_step(model, kept, quick_cfg(), {}, 0)
             # one backward per trajectory, and one per rationale's shared MPN
             assert len(sizes) == len(kept) + rationales
@@ -420,7 +449,7 @@ class TestPolicyStep:
 
     def test_non_finite_trajectory_raises_before_any_step(self, monkeypatch):
         model = toy_model(toy_corpus(), seed=0)
-        kept = kept_trajectories(model, 6)
+        kept = with_starts(model, kept_trajectories(model, 6))
         before = {k: t.data.copy() for k, t in model.params.items()}
         real = train.trace_log_likelihood
         calls = []
