@@ -153,7 +153,6 @@ class TestStageSequencing:
         assert main(["sample", "--config", cfg]) == EXIT_MISSING
         assert "distribution.json" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize(
         "stage, name, edit",
         [
@@ -162,7 +161,9 @@ class TestStageSequencing:
             ("evaluate", "forest_phenol.json", lambda text: text + " "),
         ],
     )
-    def test_every_upstream_stage_read_is_checked(self, pipeline, tmp_path, capsys, stage, name, edit):
+    def test_every_upstream_stage_read_is_checked(
+        self, pipeline, tmp_path, capsys, stage, name, edit
+    ):
         # each file is an output of a stage other than the one just upstream
         cfg, run = copy_pipeline(pipeline, tmp_path)
         path = run / name
