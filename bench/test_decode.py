@@ -72,17 +72,21 @@ def test_completion(benchmark, desk, prepared):
 @pytest.mark.parametrize("expanded", [False, True], ids=["declined", "expanded"])
 def test_step_logits(benchmark, desk, expanded):
     """A declined step reads the expand head; an expanded one also reads the
-    atom head and the first bond distribution."""
+    atom head and the first bond distribution, under the mask the walk
+    computes for that decision (computed once, outside the timed call)."""
     _, model = desk
     state = DecoderState.from_rationale(model, RATIONALE)
     h, hg = _decoder_vectors(model, state)
     z = prior_latent(model, np.random.default_rng(3))
+    t = int(np.argmax(StepLogits(model, state, z, h, hg).atom_probs))
+    placed = state.copy()
+    u = placed._append_atom(model.atom_types[t].to_atom())
+    mask = placed.bond_mask(u, placed.queue[0], first=True)
 
     def step():
         sl = StepLogits(model, state, z, h, hg)
         if expanded:
-            t = int(np.argmax(sl.atom_probs))
-            return sl.bond_probs(t, [])[0]
+            return sl.bond_probs(int(np.argmax(sl.atom_probs)), [], mask)
         return sl.expand_prob
 
     benchmark(step)

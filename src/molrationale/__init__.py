@@ -40,7 +40,7 @@ from .forest import (
 )
 from .genmodel import GenModel, complete_with_trace, encode, log_likelihood_tensor, sample_latent
 from .merge import build_multi_vocab, max_common_substructure, merge_pair
-from .metrics import EvalReport, diversity, evaluate, novelty, success_rate
+from .metrics import EvalReport, diversity, evaluate, novelty
 from .train import (
     RationaleDistribution,
     TrainConfig,

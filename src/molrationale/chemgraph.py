@@ -886,15 +886,3 @@ def embeddings(g: MolGraph, s: MolGraph, *, induced: bool = False) -> Iterator[d
 def contains_subgraph(g: MolGraph, s: MolGraph) -> dict[int, int] | None:
     """The first of `embeddings(g, s)`, or None when s does not embed in g."""
     return next(embeddings(g, s), None)
-
-
-def load_smiles_lines(path) -> list[MolGraph]:
-    """Read one molecule per line; blank lines and # comments are skipped."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            out.append(parse_smiles(line.split()[0]))
-    return out

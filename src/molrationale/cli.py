@@ -1,6 +1,7 @@
 """Pipeline orchestration: synthetic data, predictor training, rationale
 extraction and merging, generator pre-training and fine-tuning, sampling,
-evaluation, and the planted-motif faithfulness experiment.
+evaluation, and the planted-motif faithfulness experiment. Each stage loads
+its inputs, calls the library and writes its artifacts.
 
 Every stage writes its artifacts plus a manifest recording the config hash
 and the SHA-256 of its inputs and outputs. A stage refuses an upstream stage
@@ -17,6 +18,7 @@ import csv
 import hashlib
 import json
 import logging
+import re
 import sys
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -28,15 +30,12 @@ from . import synthetic
 from .chemgraph import (
     ChemError,
     MolGraph,
-    canonical_key,
     connected_components,
-    embeddings,
     induced_subgraph,
-    load_smiles_lines,
     parse_smiles,
     write_smiles,
 )
-from .extract import RationaleVocab, SearchError, build_vocab
+from .extract import RationaleVocab, SearchError, build_vocab, faithfulness
 from .forest import (
     ForestError,
     ForestModel,
@@ -146,23 +145,55 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _check_numbers(merged: dict) -> None:
-    """Numeric corpus, model and train values must have their default's type
-    (an integer where the default is one, else any number), and the corpus
-    must hold at least one molecule."""
-    for section in ("corpus", "model", "train"):
+    """Each numeric value of a section must have its default's type (an
+    integer where the default is one, else any number), extract.max_molecules
+    is null or an integer, and the corpus must hold at least one molecule."""
+    for section in ("corpus", "forest", "extract", "merge", "model", "train", "sample"):
         values = merged[section]
         if not isinstance(values, dict):
             raise ConfigError(f"{section} section must be an object")
         for key, default in _DEFAULTS[section].items():
-            if isinstance(default, bool) or not isinstance(default, (int, float)):
-                continue
             value = values[key]
-            kinds = int if isinstance(default, int) else (int, float)
+            if isinstance(default, bool) or (default is None and value is None):
+                continue
+            kinds = (int, float) if isinstance(default, float) else int
             if isinstance(value, bool) or not isinstance(value, kinds):
-                kind = "an integer" if kinds is int else "a number"
+                kind = {float: "a number", int: "an integer"}.get(type(default), "null or an integer")
                 raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
     if merged["corpus"]["size"] < 1:
         raise ConfigError("corpus.size must be >= 1")
+
+
+_PROPERTY_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _check_properties(props: list | None) -> None:
+    """Each property needs a motif SMILES and a unique name made of letters,
+    digits, '_' and '-' (it names the property's files), other than 'multi'
+    (vocab_multi.json is the merged vocabulary); its threshold and plant_prob
+    default to 0.5 and 0.2 and must be numbers in [0, 1]."""
+    if not props:
+        raise ConfigError("config must define at least one property")
+    seen = set()
+    for p in props:
+        if not isinstance(p, dict) or "name" not in p or "motif" not in p:
+            raise ConfigError("each property needs a name and a motif SMILES")
+        name = p["name"]
+        if not isinstance(name, str) or not _PROPERTY_NAME.fullmatch(name) or name == "multi":
+            raise ConfigError(
+                f"property name {name!r} must be letters, digits, '_' or '-', and not 'multi'"
+            )
+        if name in seen:
+            raise ConfigError(f"property name {name!r} is used twice")
+        seen.add(name)
+        for key, default in (("threshold", 0.5), ("plant_prob", 0.2)):
+            value = p.setdefault(key, default)
+            if type(value) not in (int, float) or not 0 <= value <= 1:
+                raise ConfigError(f"property {name}: {key} {value!r} is not a number in [0, 1]")
+        try:
+            parse_smiles(p["motif"])
+        except ChemError as exc:
+            raise ConfigError(f"property {name}: bad motif: {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -179,17 +210,7 @@ def load_config(path: str | Path) -> RunConfig:
     if "run_dir" not in merged:
         raise ConfigError("config must set run_dir")
     _check_numbers(merged)
-    if not merged.get("properties"):
-        raise ConfigError("config must define at least one property")
-    for p in merged["properties"]:
-        if "name" not in p or "motif" not in p:
-            raise ConfigError("each property needs a name and a motif SMILES")
-        p.setdefault("threshold", 0.5)
-        p.setdefault("plant_prob", 0.2)
-        try:
-            parse_smiles(p["motif"])
-        except ChemError as exc:
-            raise ConfigError(f"property {p['name']}: bad motif: {exc}") from exc
+    _check_properties(merged.get("properties"))
     cfg = RunConfig(raw=merged, path=path)
     cfg.train_config()  # rejects a bad train section before any stage writes
     return cfg
@@ -256,11 +277,22 @@ def _corpus_paths(cfg: RunConfig) -> tuple[Path, Path]:
 
 
 def _load_corpus(cfg: RunConfig) -> tuple[list[MolGraph], dict[str, list[int]]]:
+    """The corpus molecules and their labels by property. The non-blank lines
+    of corpus.smi must be the smiles column of properties.csv."""
     corpus_path, props_path = _corpus_paths(cfg)
-    mols = load_smiles_lines(corpus_path)
-    names, _smiles, rows = read_property_csv(props_path)
+    names, smiles, rows = read_property_csv(props_path)
+    lines = [line.strip() for line in corpus_path.read_text().splitlines()]
+    if [line for line in lines if line] != smiles:
+        raise ForestError(f"{corpus_path} and {props_path} do not list the same molecules")
     labels = {name: [row[i] for row in rows] for i, name in enumerate(names)}
-    return mols, labels
+    return [parse_smiles(text) for text in smiles], labels
+
+
+def _searched_positives(cfg: RunConfig, mols: list[MolGraph], labels: list[int]) -> list[MolGraph]:
+    """A property's labelled positives, cut at extract.max_molecules: the
+    molecules extract searches and faithfulness scores."""
+    positives = [g for g, lab in zip(mols, labels) if lab == 1]
+    return positives[: cfg.section("extract")["max_molecules"] or None]
 
 
 def _forest_paths(cfg: RunConfig) -> list[Path]:
@@ -366,10 +398,7 @@ def cmd_extract(cfg: RunConfig, force: bool) -> None:
     e = cfg.section("extract")
     outputs = []
     for spec in specs:
-        positives = [g for g, lab in zip(mols, labels[spec.name]) if lab == 1]
-        limit = e.get("max_molecules")
-        if limit:
-            positives = positives[: int(limit)]
+        positives = _searched_positives(cfg, mols, labels[spec.name])
         vocab = build_vocab(
             positives,
             spec,
@@ -519,17 +548,17 @@ def _parse_sample_line(line: str) -> MolGraph:
     return parts[0] if len(parts) == 1 else disjoint_union(parts)
 
 
-def cmd_sample(cfg: RunConfig, force: bool, n_override: int | None = None) -> None:
+def cmd_sample(cfg: RunConfig, force: bool) -> None:
     inputs = [cfg.run_dir / "vocab_multi.json", *_ckpt_paths(cfg, "finetune"),
               cfg.run_dir / "distribution.json"]
     _require_stages(cfg, ("merge", "finetune"), "sample", force, inputs)
     vocab = RationaleVocab.load(cfg.run_dir / "vocab_multi.json")
     model = GenModel.load(str(cfg.run_dir / "finetune.ckpt"))
     dist = _load_distribution(cfg, vocab)
-    n = cfg.section("sample")["n"] if n_override is None else n_override
     rng = np.random.default_rng([cfg.seed, 6700417])
     tcfg = cfg.train_config()
-    samples = sample_molecules(model, dist, n, rng, max_steps=tcfg.max_decode_steps)
+    samples = sample_molecules(model, dist, cfg.section("sample")["n"], rng,
+                               max_steps=tcfg.max_decode_steps)
     smi_path = cfg.run_dir / "samples.smi"
     jsonl_path = cfg.run_dir / "samples.jsonl"
     with open(smi_path, "w") as smi_fh, open(jsonl_path, "w") as js_fh:
@@ -573,56 +602,14 @@ def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
     _require_stages(cfg, ("gen-synthetic", "train-predictor", "extract"), "faithfulness", force,
                     inputs)
     mols, labels = _load_corpus(cfg)
-    specs = _load_predictors(cfg)
-    motifs = {p["name"]: parse_smiles(p["motif"]) for p in cfg.properties}
-    e = cfg.section("extract")
     report: dict[str, dict] = {}
-    for spec in specs:
-        vocab = RationaleVocab.load(cfg.run_dir / f"vocab_{spec.name}.json")
-        by_source: dict[str, list] = {}
-        for entry in vocab.entries:
-            for mol_key, atoms in entry.sources:
-                by_source.setdefault(mol_key, []).append((entry, atoms))
-        motif = motifs[spec.name]
-        motif_key = canonical_key(motif)
-        exact = 0
-        coverage_total = 0.0
-        evaluated = 0
-        positives = [g for g, lab in zip(mols, labels[spec.name]) if lab == 1]
-        limit = e.get("max_molecules")
-        if limit:
-            positives = positives[: int(limit)]
-        for g in positives:
-            key = canonical_key(g)
-            cands = by_source.get(key, [])
-            evaluated += 1
-            if not cands:
-                continue
-            def rank(item):
-                # most parsimonious qualifying rationale first: every stored
-                # rationale already clears the threshold, so the smallest one
-                # is the sharpest explanation
-                entry, _atoms = item
-                return (entry.n_atoms, -entry.scores.get(spec.name, 0.0), entry.key)
-
-            best_entry, best_atoms = sorted(cands, key=rank)[0]
-            if best_entry.key == motif_key:
-                exact += 1
-            rationale_atoms = set(best_atoms)
-            best_cov = 0.0
-            for emb in embeddings(g, motif):
-                motif_atoms = set(emb.values())
-                cov = len(motif_atoms & rationale_atoms) / len(motif_atoms)
-                best_cov = max(best_cov, cov)
-            coverage_total += best_cov
-        report[spec.name] = {
-            "evaluated": evaluated,
-            "exact_match_rate": exact / evaluated if evaluated else 0.0,
-            "coverage": coverage_total / evaluated if evaluated else 0.0,
-        }
+    for p, path in zip(cfg.properties, _vocab_paths(cfg)):
+        name, vocab = p["name"], RationaleVocab.load(path)
+        positives = _searched_positives(cfg, mols, labels[name])
+        report[name] = faithfulness(vocab, positives, parse_smiles(p["motif"]), name)
         print(
-            f"property {spec.name}: exact match {report[spec.name]['exact_match_rate']:.3f}, "
-            f"coverage {report[spec.name]['coverage']:.3f} over {evaluated} positives"
+            f"property {name}: exact match {report[name]['exact_match_rate']:.3f}, "
+            f"coverage {report[name]['coverage']:.3f} over {report[name]['evaluated']} positives"
         )
     out = cfg.run_dir / "faithfulness.json"
     out.write_text(json.dumps(report, sort_keys=True, indent=2))
@@ -662,8 +649,6 @@ def main(argv: list[str] | None = None) -> int:
             "--force", action="store_true",
             help="ignore config-hash mismatches and changed artifacts",
         )
-        if name == "sample":
-            p.add_argument("--n", type=int, default=None)
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
@@ -673,11 +658,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         handlers = dict(_STAGES + [("run-all", cmd_run_all)])
-        fn = handlers[args.command]
-        if args.command == "sample":
-            fn(cfg, args.force, n_override=args.n)
-        else:
-            fn(cfg, args.force)
+        handlers[args.command](cfg, args.force)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,6 +23,8 @@ from .chemgraph import (
     apply_deletion_with_map,
     canonical_key,
     disjoint_union,
+    embeddings,
+    induced_subgraph,
     parse_smiles,
     peripheral_deletions,
     write_smiles_with_order,
@@ -92,10 +94,6 @@ class Rationale:
     def n_atoms(self) -> int:
         return self.combined.n
 
-    @property
-    def source(self) -> str:
-        return self.sources[0][0] if self.sources else ""
-
 
 class RationaleVocab:
     """Rationales deduplicated by canonical key, tagged with property names."""
@@ -158,7 +156,6 @@ class RationaleVocab:
                     "fragments": frag_smiles,
                     "scores": {k: r.scores[k] for k in sorted(r.scores)},
                     "peripheral": sorted(new_peripheral),
-                    "source": new_sources[0]["molecule"] if new_sources else "",
                     "sources": new_sources,
                 }
             )
@@ -201,6 +198,49 @@ class RationaleVocab:
     def load(cls, path) -> "RationaleVocab":
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+def faithfulness(
+    vocab: RationaleVocab, positives: list[MolGraph], motif: MolGraph, prop_name: str
+) -> dict:
+    """How well a property's rationales recover its planted motif. A positive's
+    best rationale is its smallest, then highest-scoring, source: every stored
+    rationale clears the threshold, so the smallest is the sharpest
+    explanation. A source counts only if its atoms induce the rationale in the
+    molecule at hand, since the corpus may hold the molecule again in another
+    atom order. exact_match_rate is the share of positives whose best
+    rationale is the motif; coverage is the mean share of the motif's atoms
+    that the best rationale covers under the motif's best embedding (0 for a
+    positive without a rationale)."""
+    by_source: dict[str, list[tuple[Rationale, tuple[int, ...]]]] = {}
+    for entry in vocab.entries:
+        for mol_key, atoms in entry.sources:
+            by_source.setdefault(mol_key, []).append((entry, atoms))
+    motif_key = canonical_key(motif)
+    exact = 0
+    coverage = 0.0
+    for g in positives:
+        cands = sorted(
+            by_source.get(canonical_key(g), []),
+            key=lambda c: (c[0].n_atoms, -c[0].scores.get(prop_name, 0.0), c[0].key),
+        )
+        best = next(
+            (c for c in cands if canonical_key(induced_subgraph(g, c[1])) == c[0].key), None
+        )
+        if best is None:
+            continue
+        entry, atoms = best
+        exact += entry.key == motif_key
+        coverage += max(
+            (len(set(emb.values()) & set(atoms)) / motif.n for emb in embeddings(g, motif)),
+            default=0.0,
+        )
+    n = len(positives)
+    return {
+        "evaluated": n,
+        "exact_match_rate": exact / n if n else 0.0,
+        "coverage": coverage / n if n else 0.0,
+    }
 
 
 def select_action_index(node: SearchNode, c_puct: float) -> int:

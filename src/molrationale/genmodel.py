@@ -384,17 +384,14 @@ class DecoderState:
         self.half_units[u] += HALF_UNITS[BOND_TYPES[bond_idx]]
         self.half_units[v] += HALF_UNITS[BOND_TYPES[bond_idx]]
 
-    def valence_of(self, i: int) -> tuple[str, int]:
-        """(element, half units) of atom i, what the bond mask reads."""
-        return self.atoms[i].element, self.half_units[i]
-
     def can_accept_any_bond(self, i: int) -> bool:
         # a single bond is the cheapest addition under the floor rule
         return free_valence(self.atoms[i].element, self.half_units[i] + HALF_UNITS[SINGLE]) >= 0
 
     def bond_mask(self, u: int, q: int, first: bool) -> np.ndarray:
         """Additive logits mask over BOND_TYPES: 0 allowed, -inf banned."""
-        return _bond_mask(self.valence_of(u), self.valence_of(q), first)
+        atoms, half = self.atoms, self.half_units
+        return _bond_mask((atoms[u].element, half[u]), (atoms[q].element, half[q]), first)
 
     def to_molgraph(self) -> MolGraph:
         return MolGraph(
@@ -457,17 +454,14 @@ class StepLogits:
     """One decoding step's distributions for the queue head, evaluated from
     the decoder vectors h and hg of the graph at the step, in numpy only;
     bond distributions are produced one queue position at a time because each
-    depends on the bonds already placed. The step keeps the queue and its
-    members' valence, not the state. The atom head is evaluated on the first
-    read of atom_probs, so a declined step never evaluates it."""
+    depends on the bonds already placed. The step keeps the queue, not the
+    state. The atom head is evaluated on the first read of atom_probs, so a
+    declined step never evaluates it."""
 
     def __init__(self, model: GenModel, state: DecoderState, z: np.ndarray,
                  h: np.ndarray, hg: np.ndarray):
         self.model = model
         self.queue = list(state.queue)
-        # the step's bonds reach queue member k only at decision k, so the
-        # members' valence as of now holds for every decision
-        self.members = [state.valence_of(q) for q in self.queue]
         self.z = z
         self.h = h
         self.hg = hg
@@ -483,31 +477,27 @@ class StepLogits:
             self._atom_probs = ns.softmax_array(_mlp_forward(self.model, "atom", self._x)[2])
         return self._atom_probs
 
-    def bond_probs(
-        self, new_type_idx: int, prior: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def bond_probs(self, new_type_idx: int, prior: list[int], mask: np.ndarray) -> np.ndarray:
         """Distribution over BOND_TYPES for queue position len(prior), given
-        the bond decisions already taken; returns (probs, additive mask)."""
+        the bond decisions already taken and the decision's additive valence
+        mask (DecoderState.bond_mask)."""
         k = len(prior)
         if k >= len(self.queue):
             raise GenModelError("no queue member left for a bond decision")
+        if np.all(mask != 0.0):
+            raise GenModelError("no feasible bond decision for a saturated frontier atom")
         p = self.model.params
-        half = sum(HALF_UNITS[BOND_TYPES[b_idx]] for b_idx in prior if b_idx != NO_BOND_IDX)
         gsum = np.zeros(self.model.hidden)
         for j, b_idx in enumerate(prior):
             if (j, b_idx) not in self._gin:
                 pair = np.concatenate([self.h[self.queue[j]], p["emb_bond"].data[b_idx]])
                 self._gin[j, b_idx] = _mlp_forward(self.model, "gin", pair)[2]
             gsum = gsum + self._gin[j, b_idx]
-        new_atom = (self.model.atom_types[new_type_idx].element, half)
-        mask = _bond_mask(new_atom, self.members[k], first=(k == 0))
-        if np.all(mask != 0.0):
-            raise GenModelError("no feasible bond decision for a saturated frontier atom")
         g_in = np.concatenate([p["emb_atom"].data[new_type_idx], gsum])
         g_vec = _mlp_forward(self.model, "gout", g_in)[2]
         x = np.concatenate([g_vec, self.h[self.queue[k]], self.hg, self.z])
         logits = _mlp_forward(self.model, "bond", x)[2]
-        return ns.softmax_array(logits + mask), mask
+        return ns.softmax_array(logits + mask)
 
 
 def step_logits(model: GenModel, state: DecoderState, z) -> StepLogits:
@@ -557,8 +547,8 @@ class _SamplePolicy:
         self.trace.append(self.atom)
         return self.atom
 
-    def bond_type(self, state, u, q) -> int:
-        idx = self._draw(self.step.bond_probs(self.atom, self.bonds)[0])
+    def bond_type(self, state, u, q, mask) -> int:
+        idx = self._draw(self.step.bond_probs(self.atom, self.bonds, mask))
         self.bonds.append(idx)
         self.trace.append(idx)
         return idx
@@ -582,7 +572,7 @@ class _TracePolicy:
     def atom_type(self, state) -> int:
         return self._next()
 
-    def bond_type(self, state, u, q) -> int:
+    def bond_type(self, state, u, q, mask) -> int:
         return self._next()
 
 
@@ -621,7 +611,7 @@ class _TeacherPolicy:
         self.placed.add(u_g)
         return idx
 
-    def bond_type(self, state, u, q) -> int:
+    def bond_type(self, state, u, q, mask) -> int:
         u_g = self.local_to_g[u]
         q_g = self.local_to_g[q]
         bond = self.g.bond_between(u_g, q_g)
@@ -644,7 +634,9 @@ class _Walk:
 
 def _walk(model: GenModel, state: DecoderState, policy, max_steps: int) -> _Walk:
     """Drive the decoder with a policy and record its decisions; computes no
-    tensor itself. Saturated queue heads are dequeued with certainty."""
+    tensor itself. Each bond decision's valence mask is computed here, once,
+    and handed to the policy. Saturated queue heads are dequeued with
+    certainty."""
     walk = _Walk([], [], [], [])
     while state.queue:
         v_t = state.queue[0]
@@ -663,7 +655,7 @@ def _walk(model: GenModel, state: DecoderState, policy, max_steps: int) -> _Walk
         walk.atom_types.append(t_idx)
         for k, q in enumerate(list(state.queue)):
             mask = state.bond_mask(u, q, first=(k == 0))
-            b_idx = policy.bond_type(state, u, q)
+            b_idx = policy.bond_type(state, u, q, mask)
             if mask[b_idx] != 0.0:
                 raise GenModelError("policy chose a masked bond type")
             walk.bonds.append((len(walk.atom_types) - 1, q, b_idx))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .chemgraph import MolGraph
 from .fingerprint import fingerprint_matrix, tanimoto_matrix
-from .forest import PropertySpec, positive_mask
+from .forest import PropertySpec
 
 NOVELTY_CUTOFF = 0.4
 
@@ -52,13 +52,6 @@ class EvalReport:
             fmt(self.novelty_all),
             props,
         ]
-
-
-def success_rate(samples: list[MolGraph], props: list[PropertySpec]) -> float:
-    """Fraction of samples scoring at or above every property threshold."""
-    if not samples:
-        raise MetricsError("success_rate requires at least one sample")
-    return int(positive_mask(samples, props).sum()) / len(samples)
 
 
 def diversity(sim: np.ndarray) -> float:

@@ -86,9 +86,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""
         return f"Tensor{tag}(shape={self.shape})"

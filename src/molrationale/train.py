@@ -393,24 +393,3 @@ def sample_molecules(
         log.warning("sample_molecules: produced %d of %d after %d attempts", len(out), n, attempts)
     return out
 
-
-def success_of_model(
-    model: GenModel,
-    vocab: RationaleVocab,
-    props: list[PropertySpec],
-    n: int,
-    seed: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> float:
-    """Positive fraction of n completions with rationales drawn uniformly."""
-    if not vocab.entries:
-        raise TrainingError("empty vocabulary")
-    starts = [prepare_start(model, r) for r in vocab.entries]
-    drawn: list[MolGraph] = []
-    for i in range(n):
-        rng = np.random.default_rng([seed, 15485863, i])
-        k = int(rng.integers(len(vocab.entries)))
-        out = _draw_completion(model, starts[k], rng, max_steps)
-        if out is not None:  # a truncated completion counts as a miss
-            drawn.append(out[0])
-    return int(positive_mask(drawn, props).sum()) / n if n else 0.0

@@ -18,25 +18,33 @@ import numpy as np
 from molrationale.chemgraph import (
     _ORDER_CODE,
     AROMATIC,
+    HALF_UNITS,
     Atom,
     MolGraph,
     ResourceLimitError,
     canonical_key,
 )
 from molrationale import numsub as ns
-from molrationale.forest import _gini
+from molrationale.extract import RationaleVocab
+from molrationale.forest import PropertySpec, _gini, positive_mask
 from molrationale.genmodel import (
+    BOND_TYPES,
+    DEFAULT_MAX_STEPS,
     NO_BOND_IDX,
     DecoderState,
+    GenModel,
     TruncationError,
+    _bond_mask,
     _SamplePolicy,
     _walk,
     complete_with_trace,
+    prepare_start,
     step_logits,
     trace_log_likelihood,
 )
 from molrationale.merge import MCS_ATOM_LIMIT, AtomMapping
 from molrationale.synthetic import random_molecule
+from molrationale.train import TrainingError, _draw_completion
 
 
 def to_nx(g: MolGraph) -> nx.Graph:
@@ -441,8 +449,9 @@ def row_copy_forest_trees(
 
 
 # ---------------------------------------------------------------------------
-# Policy-step oracle: the fine-tuning loss recorded as one tape over every
-# kept trajectory, then back-propagated once.
+# Fine-tuning oracles: the policy-step loss recorded as one tape over every
+# kept trajectory, then back-propagated once, and the success estimator of
+# acceptance criterion 4.
 
 
 def single_tape_policy_loss(model, kept) -> ns.Tensor:
@@ -455,6 +464,28 @@ def single_tape_policy_loss(model, kept) -> ns.Tensor:
             loss, ns.scale(trace_log_likelihood(model, start.rationale, trace_ids, z), -1.0)
         )
     return ns.scale(loss, 1.0 / len(kept))
+
+
+def success_of_model(
+    model: GenModel,
+    vocab: RationaleVocab,
+    props: list[PropertySpec],
+    n: int,
+    seed: int,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> float:
+    """Positive fraction of n completions with rationales drawn uniformly."""
+    if not vocab.entries:
+        raise TrainingError("empty vocabulary")
+    starts = [prepare_start(model, r) for r in vocab.entries]
+    drawn: list[MolGraph] = []
+    for i in range(n):
+        rng = np.random.default_rng([seed, 15485863, i])
+        k = int(rng.integers(len(vocab.entries)))
+        out = _draw_completion(model, starts[k], rng, max_steps)
+        if out is not None:  # a truncated completion counts as a miss
+            drawn.append(out[0])
+    return int(positive_mask(drawn, props).sum()) / n if n else 0.0
 
 
 def tape_size(loss: ns.Tensor) -> int:
@@ -470,7 +501,22 @@ def tape_size(loss: ns.Tensor) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Sampler oracle: the decoder MPN run afresh on the graph at every step.
+# Sampler oracles: the decoder MPN run afresh on the graph at every step, and
+# each bond decision's valence mask from the oracle's own bookkeeping.
+
+
+def oracle_bond_mask(model, state, t_idx, prior):
+    """The valence mask of a step's bond decision len(prior): a new atom of
+    type t_idx, whose earlier bond decisions in the step are `prior`, against
+    queue member len(prior) of the state the step began from. Each end's half
+    units are summed from bond lists, not read from the walk's state."""
+    k = len(prior)
+    q = state.queue[k]
+    new_half = sum(HALF_UNITS[BOND_TYPES[b]] for b in prior if b != NO_BOND_IDX)
+    q_half = sum(HALF_UNITS[BOND_TYPES[bt]] for u, v, bt in state.edges if q in (u, v))
+    return _bond_mask(
+        (model.atom_types[t_idx].element, new_half), (state.atoms[q].element, q_half), k == 0
+    )
 
 
 def fresh_complete_with_trace(model, rationale, z, rng, max_steps):
@@ -503,7 +549,7 @@ def fresh_complete_with_trace(model, rationale, z, rng, max_steps):
         trace.append(t)
         members, prior = list(state.queue), []
         for _q in members:
-            prior.append(draw(sl.bond_probs(t, prior)[0]))
+            prior.append(draw(sl.bond_probs(t, prior, oracle_bond_mask(model, state, t, prior))))
         trace.extend(prior)
         u = state._append_atom(model.atom_types[t].to_atom())
         for q, b in zip(members, prior):
@@ -559,17 +605,21 @@ def bond_histories(cap: int) -> list[tuple[str, ...]]:
     return out
 
 
-def step_and_walk_masks(model, rationale, start, z, rng, max_steps):
+def walk_and_oracle_masks(model, start, z, rng, max_steps):
     """Sample one completion from a prepared start and return, for every bond
-    decision, the step's mask (StepLogits.bond_probs) with the walk state's
-    mask for the same decision (DecoderState.bond_mask), in order."""
+    decision, the mask the walk handed to the policy with the oracle's mask
+    for the same decision (oracle_bond_mask on the state the step began
+    from), in order."""
     pairs = []
 
     class Recording(_SamplePolicy):
-        def bond_type(self, state, u, q):
-            step_mask = self.step.bond_probs(self.atom, self.bonds)[1]
-            pairs.append((step_mask, state.bond_mask(u, q, first=not self.bonds)))
-            return super().bond_type(state, u, q)
+        def expand(self, state, v_t):
+            self.before = state.copy()
+            return super().expand(state, v_t)
+
+        def bond_type(self, state, u, q, mask):
+            pairs.append((mask, oracle_bond_mask(self.model, self.before, self.atom, self.bonds)))
+            return super().bond_type(state, u, q, mask)
 
     try:
         _walk(model, start.state.copy(), Recording(model, start, z, rng), max_steps)

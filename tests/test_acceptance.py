@@ -33,8 +33,8 @@ from molrationale.merge import build_multi_vocab, max_common_substructure
 from molrationale.metrics import (
     NOVELTY_CUTOFF,
     diversity,
+    evaluate,
     novelty,
-    success_rate,
 )
 from molrationale.synthetic import CorpusSpec, generate_corpus
 from molrationale.train import (
@@ -43,7 +43,6 @@ from molrationale.train import (
     finetune,
     make_pretrain_pairs,
     pretrain,
-    success_of_model,
 )
 
 from helpers import (
@@ -53,6 +52,7 @@ from helpers import (
     oracle_peripheral_removals,
     random_corpus,
     similarity,
+    success_of_model,
 )
 from test_genmodel import enumerate_completions, tiny_model
 
@@ -322,7 +322,7 @@ def test_criterion_6_metric_oracles():
             return self.score(g) >= self.threshold
 
     expected_succ = sum(1 for g in mols if g.n <= 6) / n
-    succ_ok = success_rate(mols, [SizeSpec()]) == expected_succ
+    succ_ok = evaluate(mols, [SizeSpec()], []).success == expected_succ
 
     # novelty against direct counting plus the exact-0.4 boundary
     train = [parse_smiles("CCO"), parse_smiles("CCCCCCCC")]

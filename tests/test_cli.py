@@ -21,7 +21,7 @@ from molrationale.forest import ForestError, read_property_csv
 from molrationale.genmodel import GenModel, prepare_start, prior_latent
 from molrationale.metrics import MetricsError
 
-from helpers import same_outcome, step_and_walk_masks
+from helpers import same_outcome, walk_and_oracle_masks
 
 
 def write_config(path: Path, run_dir: Path, **overrides) -> Path:
@@ -120,9 +120,13 @@ class TestStageSequencing:
     def test_changed_or_missing_artifact_refused_without_force(self, tmp_path, capsys):
         cfg = str(write_config(tmp_path, tmp_path / "run"))
         assert main(["gen-synthetic", "--config", cfg]) == EXIT_OK
+        # the first molecule becomes CCO in the corpus and in its labels
         corpus = tmp_path / "run" / "corpus.smi"
         lines = corpus.read_text().splitlines(keepends=True)
         corpus.write_text("".join(["CCO\n", *lines[1:]]))
+        props = tmp_path / "run" / "properties.csv"
+        header, first, *rows = props.read_text().splitlines(keepends=True)
+        props.write_text("".join([header, "CCO" + first[first.index(","):], *rows]))
         capsys.readouterr()
         assert main(["train-predictor", "--config", cfg]) == EXIT_MISSING
         assert "corpus.smi" in capsys.readouterr().err
@@ -156,7 +160,7 @@ class TestStageSequencing:
     @pytest.mark.parametrize(
         "stage, name, edit",
         [
-            ("extract", "corpus.smi", lambda text: text + "CCO\n"),
+            ("extract", "corpus.smi", lambda text: text + "\n"),
             ("sample", "vocab_multi.json", lambda text: text + " "),
             ("evaluate", "forest_phenol.json", lambda text: text + " "),
         ],
@@ -174,13 +178,14 @@ class TestStageSequencing:
         assert main([stage, "--config", cfg, "--force"]) == EXIT_OK
 
 
-def copy_pipeline(pipeline, tmp_path: Path) -> tuple[str, Path]:
+def copy_pipeline(pipeline, tmp_path: Path, **overrides) -> tuple[str, Path]:
     """A copy of the shared pipeline's run directory whose manifests carry
-    the copy's config hash (the configs differ in run_dir only)."""
+    the copy's config hash (the configs differ in run_dir and the given
+    top-level overrides only)."""
     _cfg, run_dir = pipeline
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
-    cfg = str(write_config(tmp_path, run))
+    cfg = str(write_config(tmp_path, run, **overrides))
     config_hash = load_config(cfg).config_hash
     for manifest in run.glob("*.manifest.json"):
         doc = json.loads(manifest.read_text())
@@ -226,6 +231,23 @@ class TestLibraryErrors:
         capsys.readouterr()
         assert main(["train-predictor", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: training data must contain both classes\n"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda lines: lines + ["CCO\n"], lambda lines: ["CCO\n", *lines[1:]]],
+        ids=["appended", "replaced"],
+    )
+    def test_corpus_that_disagrees_with_its_labels_is_an_error_line(
+        self, pipeline, tmp_path, capsys, edit
+    ):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        corpus = run / "corpus.smi"
+        corpus.write_text("".join(edit(corpus.read_text().splitlines(keepends=True))))
+        capsys.readouterr()
+        assert main(["extract", "--config", cfg, "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "corpus.smi" in err and "properties.csv" in err
 
     @pytest.mark.parametrize("error", [ForestError, SearchError, MetricsError])
     def test_library_error_exits_1_with_one_line(self, monkeypatch, capsys, error):
@@ -274,6 +296,12 @@ class TestConfigValidation:
             {"model": {"hidden": None}},
             {"corpus": {"ring_prob": True}},
             {"train": 5},
+            {"forest": {"trees": "6"}},
+            {"extract": {"iterations": 20.0}},
+            {"extract": {"max_molecules": "20"}},
+            {"extract": {"max_molecules": 2.5}},
+            {"merge": {"shortlist": None}},
+            {"sample": {"n": "30"}},
         ],
     )
     def test_non_numeric_value_rejected_before_writing(self, tmp_path, section):
@@ -294,6 +322,31 @@ class TestConfigValidation:
         assert main(["run-all", "--config", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "run" / "pretrain.manifest.json").exists()
 
+
+    def test_null_max_molecules_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, tmp_path / "run", extract={"max_molecules": None})
+        assert load_config(cfg).section("extract")["max_molecules"] is None
+
+    @pytest.mark.parametrize(
+        "properties",
+        [
+            [README_PROPERTIES[0], {**README_PROPERTIES[1], "name": "amide"}],
+            [{**README_PROPERTIES[0], "name": "multi"}],
+            [{**README_PROPERTIES[0], "name": "../amide"}],
+            [{**README_PROPERTIES[0], "name": "a/b"}],
+            [{**README_PROPERTIES[0], "name": ""}],
+            [{**README_PROPERTIES[0], "threshold": 1.5}],
+            [{**README_PROPERTIES[0], "plant_prob": -0.1}],
+            [{**README_PROPERTIES[0], "threshold": "0.5"}],
+        ],
+        ids=["duplicate", "multi", "dot-dot", "slash", "empty", "threshold", "plant_prob",
+             "string-threshold"],
+    )
+    def test_bad_property_entry_rejected_before_writing(self, tmp_path, capsys, properties):
+        cfg = write_config(tmp_path, tmp_path / "run", properties=properties)
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "run").exists()
 
 class TestArtifacts:
     def test_all_manifests_written(self, pipeline):
@@ -349,10 +402,10 @@ class TestArtifacts:
             assert 0.0 <= doc[name]["coverage"] <= 1.0
             assert doc[name]["evaluated"] > 0
 
-    def test_sample_zero_is_valid(self, pipeline):
-        cfg_file, run_dir = pipeline
-        assert main(["sample", "--config", str(cfg_file), "--n", "0"]) == EXIT_OK
-        assert (run_dir / "samples.smi").read_text() == ""
+    def test_sample_zero_is_valid(self, pipeline, tmp_path):
+        cfg, run = copy_pipeline(pipeline, tmp_path, sample={"n": 0})
+        assert main(["sample", "--config", cfg]) == EXIT_OK
+        assert (run / "samples.smi").read_text() == ""
 
     def test_finetune_stats_columns(self, pipeline):
         _cfg, run_dir = pipeline
@@ -405,9 +458,9 @@ class TestArtifacts:
             for seed in range(1000 // len(vocab.entries) + 1):
                 rng = np.random.default_rng([13, seed])
                 z = prior_latent(model, rng)
-                for step_mask, walk_mask in step_and_walk_masks(model, r, start, z, rng, 8):
-                    assert np.array_equal(step_mask, walk_mask), (r.key, seed)
+                for walk_mask, oracle_mask in walk_and_oracle_masks(model, start, z, rng, 8):
+                    assert np.array_equal(walk_mask, oracle_mask), (r.key, seed)
                     decisions += 1
-                    valence_bans += bool(np.any(step_mask[:-1] != 0.0))
+                    valence_bans += bool(np.any(walk_mask[:-1] != 0.0))
                 completions += 1
         assert completions >= 1000 and decisions >= 1000 and valence_bans > 0

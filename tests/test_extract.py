@@ -13,12 +13,14 @@ from molrationale.chemgraph import (
 )
 from molrationale.extract import (
     EdgeStats,
+    Rationale,
     RationaleVocab,
     SearchError,
     SearchNode,
     backup,
     build_vocab,
     extract_rationales,
+    faithfulness,
     select_action_index,
 )
 from molrationale.forest import PropertySpec, train_forest
@@ -268,7 +270,7 @@ class TestBuildVocab:
         with caplog.at_level(logging.WARNING):
             vocab = build_vocab([small, big], prop, iterations=5)
         assert "skipped 1" in caplog.text
-        assert all(r.source == canonical_key(small) for r in vocab)
+        assert all(r.sources[0][0] == canonical_key(small) for r in vocab)
 
 
 class TestVocabSerialization:
@@ -293,3 +295,41 @@ class TestVocabSerialization:
         back = RationaleVocab.from_json(r.to_json())
         assert len(back.entries[0].fragments) == 2
         assert back.entries[0].combined.n == 5
+
+
+def sourced(smiles, score, *sources):
+    return Rationale(
+        fragments=(parse_smiles(smiles),), scores={"p": score}, peripheral=(), sources=sources
+    )
+
+
+class TestFaithfulness:
+    MOTIF = parse_smiles("CO")
+
+    def test_hand_counted_exact_match_and_coverage(self):
+        a, b, c = (parse_smiles(s) for s in ("CCO", "OCCN", "CCCO"))
+        ka, kb = canonical_key(a), canonical_key(b)
+        vocab = RationaleVocab(("p",))
+        vocab.add(sourced("CO", 0.7, (ka, (1, 2))))
+        vocab.add(sourced("CCO", 0.6, (ka, (0, 1, 2)), (kb, (0, 1, 2))))
+        vocab.add(sourced("CCN", 0.95, (kb, (1, 2, 3))))
+        # a: the smallest rationale is the motif on C1-O2, so exact and full
+        # coverage; b: of the two 3-atom rationales the higher-scoring CCN
+        # wins, covering C1 of the motif's O0-C1; c: no rationale, coverage 0
+        assert faithfulness(vocab, [a, b, c], self.MOTIF, "p") == {
+            "evaluated": 3, "exact_match_rate": 1 / 3, "coverage": (1.0 + 0.5 + 0.0) / 3,
+        }
+
+    def test_source_atoms_of_another_copy_are_not_used(self):
+        g1, g2 = parse_smiles("OCCN"), parse_smiles("NCCO")
+        key = canonical_key(g1)
+        assert canonical_key(g2) == key
+        vocab = RationaleVocab(("p",))
+        vocab.add(sourced("CO", 0.9, (key, (2, 3))))  # C2-O3 of g2
+        vocab.add(sourced("CO", 0.9, (key, (1, 0))))  # C1-O0 of g1
+        assert len(vocab) == 1 and len(vocab.entries[0].sources) == 2
+        # g2's atoms (2, 3) are C2-N3 in g1, which cover none of its motif
+        for positives in ([g1], [g2], [g1, g2]):
+            assert faithfulness(vocab, positives, self.MOTIF, "p") == {
+                "evaluated": len(positives), "exact_match_rate": 1.0, "coverage": 1.0,
+            }

@@ -45,6 +45,7 @@ from molrationale.synthetic import _Builder
 from helpers import (
     bond_histories,
     floor_rule_valence,
+    oracle_bond_mask,
     oracle_embeddings,
     random_corpus,
     same_outcome,
@@ -116,7 +117,8 @@ def enumerate_completions(model, rationale, z, prune=0.0):
                         trace + (1, t_idx) + prior,
                     )
                     return
-                probs, mask = sl.bond_probs(t_idx, list(prior))
+                mask = oracle_bond_mask(model, state, t_idx, prior)
+                probs = sl.bond_probs(t_idx, list(prior), mask)
                 for b_idx in range(len(BOND_TYPES)):
                     if mask[b_idx] != 0.0:
                         continue
@@ -186,7 +188,7 @@ def stepwise_log_prob(model, rationale, z, decide):
         widest = max(widest, len(members))
         prior = []
         for q in members:
-            probs, _ = sl.bond_probs(t, prior)
+            probs = sl.bond_probs(t, prior, oracle_bond_mask(model, state, t, prior))
             b = decide("bond", q)
             total += math.log(probs[b])
             prior.append(b)
@@ -441,6 +443,14 @@ class TestValenceRule:
                             MolGraph(atoms, bonds)
 
 
+def placed_mask(model, state, t_idx):
+    """The first bond decision's mask for a new atom of type t_idx, from
+    DecoderState.bond_mask on a copy of the state with the atom placed."""
+    dup = state.copy()
+    u = dup._append_atom(model.atom_types[t_idx].to_atom())
+    return dup.bond_mask(u, dup.queue[0], first=True)
+
+
 class TestStepLogits:
     def test_zero_weights_give_uniform(self):
         model = small_model()
@@ -462,7 +472,8 @@ class TestStepLogits:
         model = small_model()
         state = DecoderState.from_rationale(model, rat("CC", (0, 1)))
         sl = step_logits(model, state, np.zeros(model.latent))
-        probs, mask = sl.bond_probs(0, [])
+        mask = placed_mask(model, state, 0)
+        probs = sl.bond_probs(0, [], mask)
         assert mask[NO_BOND_IDX] != 0.0
         assert probs[NO_BOND_IDX] == pytest.approx(0.0, abs=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -473,7 +484,8 @@ class TestStepLogits:
         state = DecoderState.from_rationale(model, rat("OC", (0,)))
         sl = step_logits(model, state, np.zeros(model.latent))
         c_idx = model.type_index[AtomType("C", 0, False)]
-        probs, mask = sl.bond_probs(c_idx, [])
+        mask = placed_mask(model, state, c_idx)
+        probs = sl.bond_probs(c_idx, [], mask)
         double = BOND_TYPES.index("double")
         triple = BOND_TYPES.index("triple")
         assert mask[double] != 0.0 and probs[double] == pytest.approx(0.0, abs=1e-12)
@@ -486,7 +498,7 @@ class TestStepLogits:
         sl = step_logits(model, state, np.zeros(model.latent))
         c_idx = model.type_index[AtomType("C", 0, False)]
         with pytest.raises(GenModelError):
-            sl.bond_probs(c_idx, [])
+            sl.bond_probs(c_idx, [], placed_mask(model, state, c_idx))
 
     def test_distributions_proper_after_masking(self):
         model = small_model(seed=3)
@@ -494,7 +506,7 @@ class TestStepLogits:
         sl = step_logits(model, state, prior_latent(model, np.random.default_rng(0)))
         assert sl.atom_probs.sum() == pytest.approx(1.0, abs=1e-9)
         for t_idx in range(len(model.atom_types)):
-            probs, _ = sl.bond_probs(t_idx, [])
+            probs = sl.bond_probs(t_idx, [], placed_mask(model, state, t_idx))
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -796,6 +808,33 @@ class TestPreparedStart:
                 pass
             assert copies == [start.state]
         assert grown > 5
+
+    def test_one_valence_mask_per_bond_decision(self, monkeypatch):
+        model = small_model(seed=59, expand_bias=0.5)
+        masks = []
+        real = genmodel._bond_mask
+
+        def counted(u, q, first):
+            masks.append((u, q, first))
+            return real(u, q, first)
+
+        r = rat("c1ccccc1", (0, 3))
+        start = prepare_start(model, r)
+        monkeypatch.setattr(genmodel, "_bond_mask", counted)
+        decisions = 0
+        for seed in range(30):
+            masks.clear()
+            rng = np.random.default_rng([7, seed])
+            try:
+                _g, trace = complete_with_trace(model, r, prior_latent(model, rng), rng,
+                                                max_steps=6, start=start)
+            except TruncationError:
+                continue
+            drawn = len(masks)
+            walk = genmodel._walk(model, start.state.copy(), genmodel._TracePolicy(trace), 10**9)
+            assert drawn == len(walk.bonds), seed
+            decisions += drawn
+        assert decisions > 20
 
     def test_declined_step_never_evaluates_atom_head(self, monkeypatch):
         model = small_model(seed=53)

@@ -9,7 +9,6 @@ from molrationale.metrics import (
     diversity,
     evaluate,
     novelty,
-    success_rate,
 )
 
 from helpers import StubProperty, random_corpus, similarity
@@ -35,21 +34,21 @@ MOLS = [parse_smiles(s) for s in ["C", "CC", "CCC", "CCCC"]]
 
 class TestSuccessRate:
     def test_all_positive(self):
-        assert success_rate(MOLS, [StubSpec(max_atoms=10)]) == 1.0
+        assert evaluate(MOLS, [StubSpec(max_atoms=10)], []).success == 1.0
 
     def test_none_positive(self):
-        assert success_rate(MOLS, [StubSpec(max_atoms=0)]) == 0.0
+        assert evaluate(MOLS, [StubSpec(max_atoms=0)], []).success == 0.0
 
     def test_half(self):
-        assert success_rate(MOLS, [StubSpec(max_atoms=2)]) == 0.5
+        assert evaluate(MOLS, [StubSpec(max_atoms=2)], []).success == 0.5
 
     def test_conjunction_over_properties(self):
         specs = [StubSpec("a", max_atoms=3), StubSpec("b", max_atoms=2)]
-        assert success_rate(MOLS, specs) == 0.5
+        assert evaluate(MOLS, specs, []).success == 0.5
 
     def test_empty_raises(self):
         with pytest.raises(MetricsError):
-            success_rate([], [StubSpec()])
+            evaluate([], [StubSpec()], [])
 
 
 class TestDiversity:

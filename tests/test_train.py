@@ -24,10 +24,9 @@ from molrationale.train import (
     pretrain,
     rationale_distribution,
     sample_molecules,
-    success_of_model,
 )
 
-from helpers import StubProperty, single_tape_policy_loss, tape_size
+from helpers import StubProperty, single_tape_policy_loss, success_of_model, tape_size
 
 
 def toy_corpus():
