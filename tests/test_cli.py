@@ -322,7 +322,6 @@ class TestConfigValidation:
         assert main(["run-all", "--config", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "run" / "pretrain.manifest.json").exists()
 
-
     def test_null_max_molecules_accepted(self, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "run", extract={"max_molecules": None})
         assert load_config(cfg).section("extract")["max_molecules"] is None
@@ -347,6 +346,7 @@ class TestConfigValidation:
         assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "run").exists()
+
 
 class TestArtifacts:
     def test_all_manifests_written(self, pipeline):
