@@ -789,11 +789,6 @@ def peripheral_deletions(g: MolGraph) -> list[Deletion]:
     return out
 
 
-def apply_deletion(g: MolGraph, d: Deletion) -> MolGraph:
-    graph, _ = apply_deletion_with_map(g, d)
-    return graph
-
-
 def apply_deletion_with_map(g: MolGraph, d: Deletion) -> tuple[MolGraph, dict[int, int]]:
     """Apply a deletion; also return the old-index -> new-index map of kept atoms."""
     if any(i >= g.n or i < 0 for i in d.atoms) or any(

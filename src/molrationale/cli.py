@@ -48,7 +48,6 @@ from .genmodel import GenModel, GenModelError, atom_types_from_corpus
 from .merge import build_multi_vocab
 from .train import (
     FinetuneStats,
-    GenerationError,
     RationaleDistribution,
     TrainConfig,
     TrainingError,
@@ -146,8 +145,10 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def _check_numbers(merged: dict) -> None:
     """Each numeric value of a section must have its default's type (an
-    integer where the default is one, else any number), extract.max_molecules
-    is null or an integer, and the corpus must hold at least one molecule."""
+    integer where the default is one, else any number), and
+    extract.max_molecules is null or an integer. Every integer is a count of
+    at least 1, except sample.n, which may be 0; corpus.atoms_min may not
+    exceed corpus.atoms_max."""
     for section in ("corpus", "forest", "extract", "merge", "model", "train", "sample"):
         values = merged[section]
         if not isinstance(values, dict):
@@ -160,8 +161,14 @@ def _check_numbers(merged: dict) -> None:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 kind = {float: "a number", int: "an integer"}.get(type(default), "null or an integer")
                 raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
-    if merged["corpus"]["size"] < 1:
-        raise ConfigError("corpus.size must be >= 1")
+            least = 0 if (section, key) == ("sample", "n") else 1
+            if kinds is int and value < least:
+                raise ConfigError(f"{section}.{key} must be >= {least}, got {value!r}")
+    corpus = merged["corpus"]
+    if corpus["atoms_min"] > corpus["atoms_max"]:
+        raise ConfigError(
+            f"corpus.atoms_min {corpus['atoms_min']} exceeds atoms_max {corpus['atoms_max']}"
+        )
 
 
 _PROPERTY_NAME = re.compile(r"[A-Za-z0-9_-]+")
@@ -221,6 +228,24 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _cell(x):
+    """A CSV cell: a float to six decimals, None empty, a dict as its sorted
+    name=value pairs joined by ';', and an integer or a string as it is."""
+    if x is None:
+        return ""
+    if isinstance(x, dict):
+        return ";".join(f"{k}={x[k]:.6f}" for k in sorted(x))
+    return f"{x:.6f}" if isinstance(x, float) else x
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a stage CSV: the header, then each row's values as cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _write_manifest(cfg: RunConfig, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
@@ -339,15 +364,11 @@ def cmd_gen_synthetic(cfg: RunConfig, force: bool) -> None:
     plant = {p["name"]: p["plant_prob"] for p in cfg.properties}
     mols, labels = synthetic.generate_corpus(spec, motifs, plant, cfg.seed)
     corpus_path, props_path = _corpus_paths(cfg)
-    with open(corpus_path, "w") as fh:
-        for g in mols:
-            fh.write(write_smiles(g) + "\n")
+    smiles = [write_smiles(g) for g in mols]
+    corpus_path.write_text("".join(text + "\n" for text in smiles))
     names = sorted(labels)
-    with open(props_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["smiles"] + names)
-        for i, g in enumerate(mols):
-            writer.writerow([write_smiles(g)] + [labels[name][i] for name in names])
+    rows = ([text] + [labels[name][i] for name in names] for i, text in enumerate(smiles))
+    _write_csv(props_path, ["smiles"] + names, rows)
     (cfg.run_dir / "config.snapshot.json").write_text(
         json.dumps(cfg.raw, sort_keys=True, indent=2)
     )
@@ -449,11 +470,7 @@ def cmd_pretrain(cfg: RunConfig, force: bool) -> None:
     stem = str(cfg.run_dir / "pretrain.ckpt")
     model.save(stem)
     loss_path = cfg.run_dir / "pretrain_loss.csv"
-    with open(loss_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for i, loss in enumerate(trace):
-            writer.writerow([i, f"{loss:.6f}"])
+    _write_csv(loss_path, ["epoch", "loss"], enumerate(trace))
     _write_manifest(cfg, "pretrain", inputs, [*_ckpt_paths(cfg, "pretrain"), loss_path])
     print(f"pretrain: {len(pairs)} pairs, loss {trace[0]:.3f} -> {trace[-1]:.3f}")
 
@@ -473,11 +490,7 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
     stem = str(cfg.run_dir / "finetune.ckpt")
     model.save(stem)
     stats_path = cfg.run_dir / "finetune_stats.csv"
-    with open(stats_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(FinetuneStats)])
-        for s in stats:
-            writer.writerow([_cell(v) for v in astuple(s)])
+    _write_csv(stats_path, [f.name for f in fields(FinetuneStats)], map(astuple, stats))
     dist = rationale_distribution(
         model, vocab, specs, tcfg.entropy_weight,
         samples_per_rationale=tcfg.dist_samples, seed=cfg.seed,
@@ -492,13 +505,6 @@ def cmd_finetune(cfg: RunConfig, force: bool) -> None:
         f"finetune: success {stats[0].success:.3f} -> {stats[-1].success:.3f} "
         f"over {len(stats)} iterations"
     )
-
-
-def _cell(x):
-    """A CSV cell: a float to six decimals, None empty, an integer as it is."""
-    if x is None:
-        return ""
-    return f"{x:.6f}" if isinstance(x, float) else x
 
 
 def _train_positives(
@@ -582,8 +588,9 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
             if line:
                 samples.append(_parse_sample_line(line))
     train_pos = _train_positives(mols, labels, specs)
+    report = metrics_mod.evaluate(samples, specs, train_pos)
     out = cfg.run_dir / "evaluation.csv"
-    report = metrics_mod.evaluate(samples, specs, train_pos, csv_path=out)
+    _write_csv(out, [f.name for f in fields(report)], [astuple(report)])
     _write_manifest(cfg, "evaluate", inputs, [out])
 
     def show(x):
@@ -598,9 +605,8 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
 
 
 def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
-    inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), *_vocab_paths(cfg)]
-    _require_stages(cfg, ("gen-synthetic", "train-predictor", "extract"), "faithfulness", force,
-                    inputs)
+    inputs = [*_corpus_paths(cfg), *_vocab_paths(cfg)]
+    _require_stages(cfg, ("gen-synthetic", "extract"), "faithfulness", force, inputs)
     mols, labels = _load_corpus(cfg)
     report: dict[str, dict] = {}
     for p, path in zip(cfg.properties, _vocab_paths(cfg)):
@@ -665,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (TrainingError, GenerationError, GenModelError) as exc:
+    except (TrainingError, GenModelError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ChemError, ForestError, SearchError, metrics_mod.MetricsError) as exc:

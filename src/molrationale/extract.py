@@ -130,33 +130,23 @@ class RationaleVocab:
         items = []
         for r in self.entries:
             frag_smiles = []
-            peripheral = list(r.peripheral)
-            sources = [
-                {"molecule": key, "atoms": list(atoms)} for key, atoms in r.sources
-            ]
-            offset = 0
-            new_peripheral = []
-            new_sources = [dict(s, atoms=list(s["atoms"])) for s in sources]
+            # the combined-graph index of each atom in written order: each
+            # fragment's order, offset by the atoms of the fragments before it
+            order: list[int] = []
             for frag in r.fragments:
-                smiles, order = write_smiles_with_order(frag)
+                smiles, frag_order = write_smiles_with_order(frag)
                 frag_smiles.append(smiles)
-                # remap fragment-local indices to the written atom order
-                pos_of = {old: new for new, old in enumerate(order)}
-                for p in peripheral:
-                    if offset <= p < offset + frag.n:
-                        new_peripheral.append(offset + pos_of[p - offset])
-                for s_old, s_new in zip(sources, new_sources):
-                    if len(s_old["atoms"]) == sum(f.n for f in r.fragments):
-                        frag_atoms = s_old["atoms"][offset : offset + frag.n]
-                        for new, old in enumerate(order):
-                            s_new["atoms"][offset + new] = frag_atoms[old]
-                offset += frag.n
+                order += [len(order) + i for i in frag_order]
+            written = {old: new for new, old in enumerate(order)}
             items.append(
                 {
                     "fragments": frag_smiles,
                     "scores": {k: r.scores[k] for k in sorted(r.scores)},
-                    "peripheral": sorted(new_peripheral),
-                    "sources": new_sources,
+                    "peripheral": sorted(written[p] for p in r.peripheral),
+                    "sources": [
+                        {"molecule": key, "atoms": [atoms[i] for i in order]}
+                        for key, atoms in r.sources
+                    ],
                 }
             )
         doc = {

@@ -1,9 +1,10 @@
 """Circular (Morgan-style) bit fingerprints and Tanimoto similarity.
 
 Hashing uses a fixed 64-bit mixing function so fingerprints are bit-exact
-across platforms and runs. `fingerprint_matrix` hashes every atom of a batch
-of molecules at once; `morgan_fingerprint` and `tanimoto` are its one-row
-views.
+across platforms and runs. Every fingerprint has one geometry: environments
+up to radius `RADIUS`, folded into `WIDTH` bits. `fingerprint_matrix` hashes
+every atom of a batch of molecules at once; `morgan_fingerprint` and
+`tanimoto` are its one-row views.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import numpy as np
 
 from .chemgraph import ELEMENTS, MolGraph, _ORDER_CODE
 
-DEFAULT_RADIUS = 2
-DEFAULT_WIDTH = 2048
-MAX_RADIUS = 4
+RADIUS = 2
+WIDTH = 2048
 
 _SEED = np.uint64(0x9E3779B97F4A7C15)
 _OFFSET = np.uint64(0x165667B19E3779F9)
@@ -49,7 +49,8 @@ class BitFingerprint:
     bits: frozenset[int]
 
     def __post_init__(self):
-        _check_width(self.width)
+        if self.width & (self.width - 1) or self.width <= 0:
+            raise ValueError(f"width must be a power of two, got {self.width}")
 
     def row(self) -> np.ndarray:
         """The fingerprint as one 0/1 row of a fingerprint matrix."""
@@ -58,20 +59,13 @@ class BitFingerprint:
         return out
 
 
-def _check_width(width: int) -> None:
-    if width & (width - 1) or width <= 0:
-        raise ValueError(f"width must be a power of two, got {width}")
-
-
-def _environment_rounds(mols: list[MolGraph], radius: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Environment hash of every atom of the batch for rounds 0..radius, over
+def _environment_rounds(mols: list[MolGraph]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Environment hash of every atom of the batch for rounds 0..RADIUS, over
     the disjoint union of the molecules, and the molecule of each atom.
 
     Round 0 hashes (element, degree, charge + 16, aromatic). Round r hashes
     the atom's previous hash followed by its (bond order code, neighbour
     hash) pairs in ascending order, each value absorbed in turn."""
-    if radius > MAX_RADIUS:
-        raise ValueError(f"radius > {MAX_RADIUS} not supported")
     element: list[int] = []
     charge: list[int] = []
     aromatic: list[bool] = []
@@ -113,7 +107,7 @@ def _environment_rounds(mols: list[MolGraph], radius: int) -> tuple[list[np.ndar
     # than k neighbours
     start = np.cumsum(degree) - degree
     slots = [np.flatnonzero(degree > k) for k in range(int(degree.max(initial=0)))]
-    for _ in range(radius):
+    for _ in range(RADIUS):
         nxt = _absorb(np.full(n_atoms, _SEED, dtype=np.uint64), h)
         nb_hash = h[dst_a]
         # each atom's directed edges, sorted by (order code, neighbour hash)
@@ -126,26 +120,21 @@ def _environment_rounds(mols: list[MolGraph], radius: int) -> tuple[list[np.ndar
     return rounds, np.array(mol_of, dtype=np.intp)
 
 
-def fingerprint_matrix(
-    mols: list[MolGraph], radius: int = DEFAULT_RADIUS, width: int = DEFAULT_WIDTH
-) -> np.ndarray:
-    """(len(mols), width) boolean matrix: row k has a bit set for every atom
-    environment hash of molecule k, up to the radius, folded modulo width."""
-    _check_width(width)
-    rounds, mol_of = _environment_rounds(mols, radius)
-    out = np.zeros((len(mols), width), dtype=bool)
-    mask = np.uint64(width - 1)
+def fingerprint_matrix(mols: list[MolGraph]) -> np.ndarray:
+    """(len(mols), WIDTH) boolean matrix: row k has a bit set for every atom
+    environment hash of molecule k, up to RADIUS, folded modulo WIDTH."""
+    rounds, mol_of = _environment_rounds(mols)
+    out = np.zeros((len(mols), WIDTH), dtype=bool)
+    mask = np.uint64(WIDTH - 1)
     for h in rounds:
         out[mol_of, (h & mask).astype(np.intp)] = True
     return out
 
 
-def morgan_fingerprint(
-    g: MolGraph, radius: int = DEFAULT_RADIUS, width: int = DEFAULT_WIDTH
-) -> BitFingerprint:
-    """Hash every atom environment up to the radius into a fixed-width bit set."""
-    row = fingerprint_matrix([g], radius, width)[0]
-    return BitFingerprint(width=width, radius=radius, bits=frozenset(np.flatnonzero(row).tolist()))
+def morgan_fingerprint(g: MolGraph) -> BitFingerprint:
+    """Hash every atom environment up to RADIUS into a WIDTH-bit set."""
+    row = fingerprint_matrix([g])[0]
+    return BitFingerprint(width=WIDTH, radius=RADIUS, bits=frozenset(np.flatnonzero(row).tolist()))
 
 
 def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ from functools import cached_property
 import numpy as np
 
 from .chemgraph import MolGraph
-from .fingerprint import DEFAULT_RADIUS, DEFAULT_WIDTH, fingerprint_matrix
+from .fingerprint import WIDTH, fingerprint_matrix
 
 DEFAULT_TREES = 100
 DEFAULT_MAX_DEPTH = 12
 
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
 
 class ForestError(ValueError):
@@ -28,8 +28,6 @@ class ForestError(ValueError):
 @dataclass
 class ForestModel:
     trees: list[dict]
-    width: int
-    radius: int
     n_trees: int
     max_depth: int
     seed: int
@@ -37,8 +35,6 @@ class ForestModel:
     def to_json(self) -> str:
         doc = {
             "version": _MODEL_VERSION,
-            "width": self.width,
-            "radius": self.radius,
             "n_trees": self.n_trees,
             "max_depth": self.max_depth,
             "seed": self.seed,
@@ -53,8 +49,6 @@ class ForestModel:
             raise ForestError(f"unsupported model version {doc.get('version')}")
         return cls(
             trees=doc["trees"],
-            width=doc["width"],
-            radius=doc["radius"],
             n_trees=doc["n_trees"],
             max_depth=doc["max_depth"],
             seed=doc["seed"],
@@ -90,8 +84,7 @@ class PropertySpec:
 
     def scores(self, mols: list[MolGraph]) -> np.ndarray:
         """Predicted score of every molecule of a batch."""
-        m = self.model
-        return predict_scores(m, fingerprint_matrix(mols, m.radius, m.width))
+        return predict_scores(self.model, fingerprint_matrix(mols))
 
     def score(self, g: MolGraph) -> float:
         return predict_score(self.model, g)
@@ -166,10 +159,8 @@ def train_forest(
     n_trees: int = DEFAULT_TREES,
     max_depth: int = DEFAULT_MAX_DEPTH,
     seed: int = 0,
-    width: int = DEFAULT_WIDTH,
-    radius: int = DEFAULT_RADIUS,
 ) -> ForestModel:
-    """Bootstrap-sampled trees with Gini splits over a sqrt(width) random bit
+    """Bootstrap-sampled trees with Gini splits over a sqrt(WIDTH) random bit
     subset per node. Class balance is handled by a stratified bootstrap. The
     result is a deterministic function of (data, params, seed)."""
     if len(data) < 2:
@@ -177,14 +168,14 @@ def train_forest(
     y = np.array([int(label) for _, label in data], dtype=np.int64)
     if y.min() == y.max():
         raise ForestError("training data must contain both classes")
-    X = fingerprint_matrix([g for g, _ in data], radius, width)
+    X = fingerprint_matrix([g for g, _ in data])
     # a bit set in no training row never varies, so it never splits
     cols = np.flatnonzero(X.any(axis=0))
     F = X[:, cols].astype(np.float32)
 
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
-    n_candidates = max(1, int(np.sqrt(width)))
+    n_candidates = max(1, int(np.sqrt(WIDTH)))
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for tree_seed in seeds:
@@ -196,10 +187,7 @@ def train_forest(
             ]
         )
         trees.append(_build_tree(F, cols, y, boot, rng, max_depth, n_candidates))
-    return ForestModel(
-        trees=trees, width=width, radius=radius,
-        n_trees=n_trees, max_depth=max_depth, seed=seed,
-    )
+    return ForestModel(trees=trees, n_trees=n_trees, max_depth=max_depth, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -242,7 +230,7 @@ class _FlatForest:
 
 def predict_scores(m: ForestModel, X: np.ndarray) -> np.ndarray:
     """Mean leaf value over the trees for every row of a fingerprint matrix
-    (n, width); each in [0, 1].
+    (n, WIDTH); each in [0, 1].
 
     Every row walks every tree at once until all have reached a leaf, however
     deep the trees are. A row's leaf values are summed in tree order, as a
@@ -261,7 +249,7 @@ def predict_scores(m: ForestModel, X: np.ndarray) -> np.ndarray:
 
 def predict_score(m: ForestModel, g: MolGraph) -> float:
     """Mean positive fraction over the trees' leaves; in [0, 1]."""
-    return float(predict_scores(m, fingerprint_matrix([g], m.radius, m.width))[0])
+    return float(predict_scores(m, fingerprint_matrix([g]))[0])
 
 
 def auroc_from_scores(scores, labels) -> float:
@@ -287,7 +275,7 @@ def auroc_from_scores(scores, labels) -> float:
 
 
 def auroc(m: ForestModel, data: list[tuple[MolGraph, int]]) -> float:
-    X = fingerprint_matrix([g for g, _ in data], m.radius, m.width)
+    X = fingerprint_matrix([g for g, _ in data])
     return auroc_from_scores(predict_scores(m, X), [label for _, label in data])
 
 

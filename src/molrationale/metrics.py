@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,38 +19,15 @@ class MetricsError(ValueError):
 
 @dataclass
 class EvalReport:
+    """One evaluation; its fields, in order, are the columns of evaluation.csv."""
+
     n: int
     success: float
     diversity: float | None
     novelty: float | None
+    diversity_all: float | None
+    novelty_all: float | None
     per_property: dict[str, float]
-    diversity_all: float | None = None
-    novelty_all: float | None = None
-
-    CSV_FIELDS = (
-        "n",
-        "success",
-        "diversity",
-        "novelty",
-        "diversity_all",
-        "novelty_all",
-        "per_property",
-    )
-
-    def csv_row(self) -> list[str]:
-        def fmt(x):
-            return "" if x is None else f"{x:.6f}"
-
-        props = ";".join(f"{k}={self.per_property[k]:.6f}" for k in sorted(self.per_property))
-        return [
-            str(self.n),
-            fmt(self.success),
-            fmt(self.diversity),
-            fmt(self.novelty),
-            fmt(self.diversity_all),
-            fmt(self.novelty_all),
-            props,
-        ]
 
 
 def diversity(sim: np.ndarray) -> float:
@@ -81,7 +57,6 @@ def evaluate(
     samples: list[MolGraph],
     props: list[PropertySpec],
     train_positives: list[MolGraph],
-    csv_path=None,
 ) -> EvalReport:
     """Assemble the metric suite; diversity and novelty are computed over the
     positive samples only, with all-sample variants carried for debugging.
@@ -99,18 +74,12 @@ def evaluate(
     fps = fingerprint_matrix(samples)
     sim = tanimoto_matrix(fps, fps)
     to_ref = tanimoto_matrix(fps, fingerprint_matrix(train_positives)) if train_positives else None
-    report = EvalReport(
+    return EvalReport(
         n=n,
         success=len(pos) / n,
         diversity=diversity(sim[np.ix_(pos, pos)]) if len(pos) >= 2 else None,
         novelty=novelty(to_ref[pos]) if len(pos) and to_ref is not None else None,
-        per_property={p.name: int(h.sum()) / n for p, h in zip(props, hits)},
         diversity_all=diversity(sim) if n >= 2 else None,
         novelty_all=novelty(to_ref) if to_ref is not None else None,
+        per_property={p.name: int(h.sum()) / n for p, h in zip(props, hits)},
     )
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EvalReport.CSV_FIELDS)
-            writer.writerow(report.csv_row())
-    return report

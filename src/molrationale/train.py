@@ -35,10 +35,6 @@ class TrainingError(RuntimeError):
     pass
 
 
-class GenerationError(RuntimeError):
-    pass
-
-
 @dataclass
 class TrainConfig:
     entropy_weight: float = 0.02  # lambda in the rationale distribution

@@ -425,16 +425,15 @@ def row_copy_build_tree(
 
 def row_copy_forest_trees(
     data: list[tuple[MolGraph, int]], n_trees: int, max_depth: int, seed: int,
-    width: int = 2048, radius: int = 2,
 ) -> list[dict]:
     """The trees `train_forest` grows, each built by `row_copy_build_tree`."""
-    from molrationale.fingerprint import fingerprint_matrix
+    from molrationale.fingerprint import WIDTH, fingerprint_matrix
 
     y = np.array([int(label) for _, label in data], dtype=np.int64)
-    X = fingerprint_matrix([g for g, _ in data], radius, width)
+    X = fingerprint_matrix([g for g, _ in data])
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
-    n_candidates = max(1, int(np.sqrt(width)))
+    n_candidates = max(1, int(np.sqrt(WIDTH)))
     trees = []
     for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(tree_seed)

@@ -13,7 +13,7 @@ from molrationale.chemgraph import (
     ParseError,
     ResourceLimitError,
     ValenceError,
-    apply_deletion,
+    apply_deletion_with_map,
     canonical_key,
     canonical_ranks,
     contains_subgraph,
@@ -189,7 +189,7 @@ class TestPeripheralDeletions:
         assert len(dels) == 2
         for d in dels:
             assert d.kind == "peripheral-bond"
-            assert apply_deletion(g, d).n == 2
+            assert apply_deletion_with_map(g, d)[0].n == 2
 
     def test_benzene_no_deletions(self):
         assert peripheral_deletions(parse_smiles("c1ccccc1")) == []
@@ -207,7 +207,7 @@ class TestPeripheralDeletions:
         }
         assert got == oracle_peripheral_removals(g)
         assert len(dels) == 2
-        sizes = sorted(apply_deletion(g, d).n for d in dels)
+        sizes = sorted(apply_deletion_with_map(g, d)[0].n for d in dels)
         assert sizes == [1, 3]  # ring removal leaves the lone methyl carbon
 
     def test_disconnected_input_raises(self):
@@ -239,7 +239,7 @@ class TestPeripheralDeletions:
         checked = 0
         for g in corpus:
             for d in peripheral_deletions(g):
-                out = apply_deletion(g, d)
+                out = apply_deletion_with_map(g, d)[0]
                 assert out.n > 0
                 assert out.n < g.n
                 assert is_connected(out)
@@ -251,18 +251,18 @@ class TestApplyDeletion:
     def test_terminal_bond(self):
         g = parse_smiles("CCC")
         d = peripheral_deletions(g)[0]
-        assert apply_deletion(g, d).n == 2
+        assert apply_deletion_with_map(g, d)[0].n == 2
 
     def test_exocyclic_bond_gives_ring(self):
         g = parse_smiles("CC1CC1")
         bond_dels = [d for d in peripheral_deletions(g) if d.kind == "peripheral-bond"]
-        out = apply_deletion(g, bond_dels[0])
+        out = apply_deletion_with_map(g, bond_dels[0])[0]
         assert canonical_key(out) == canonical_key(parse_smiles("C1CC1"))
 
     def test_ring_deletion_gives_single_atom(self):
         g = parse_smiles("CC1CC1")
         ring_dels = [d for d in peripheral_deletions(g) if d.kind == "peripheral-ring"]
-        out = apply_deletion(g, ring_dels[0])
+        out = apply_deletion_with_map(g, ring_dels[0])[0]
         assert out.n == 1 and out.atoms[0].element == "C"
 
     def test_stale_deletion_raises(self):
@@ -270,13 +270,13 @@ class TestApplyDeletion:
         stale = [d for d in peripheral_deletions(g) if d.bonds[0] == 1][0]
         small = parse_smiles("CC")  # has no bond index 1
         with pytest.raises(GraphError):
-            apply_deletion(small, stale)
+            apply_deletion_with_map(small, stale)
         # a dangling bond left behind is also detected
         ring = parse_smiles("CC1CC1")
         from molrationale.chemgraph import Deletion
 
         with pytest.raises(GraphError):
-            apply_deletion(ring, Deletion("peripheral-ring", (1, 2, 3), (1, 2)))
+            apply_deletion_with_map(ring, Deletion("peripheral-ring", (1, 2, 3), (1, 2)))
 
 
 class TestContainsSubgraph:

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,18 @@ class TestLibraryErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "corpus.smi" in err and "properties.csv" in err
 
+    def test_forest_file_of_the_previous_version_is_an_error_line(
+        self, pipeline, tmp_path, capsys
+    ):
+        # version 1 stored the fingerprint radius and width in each forest
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / "forest_amide.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "version": 1, "width": 2048, "radius": 2}))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--force"]) == 1
+        assert capsys.readouterr().err == "error: unsupported model version 1\n"
+
     @pytest.mark.parametrize("error", [ForestError, SearchError, MetricsError])
     def test_library_error_exits_1_with_one_line(self, monkeypatch, capsys, error):
         def fail(path):
@@ -322,6 +337,22 @@ class TestConfigValidation:
         assert main(["run-all", "--config", str(cfg)]) == EXIT_CONFIG
         assert not (tmp_path / "run" / "pretrain.manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"forest": {"trees": 0}},
+            {"corpus": {"atoms_min": 12, "atoms_max": 9}},
+            {"sample": {"n": -5}},
+            {"extract": {"max_molecules": -3}},
+        ],
+        ids=["zero-trees", "empty-atom-range", "negative-sample-n", "negative-max-molecules"],
+    )
+    def test_out_of_range_count_rejected_before_writing(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path, tmp_path / "run", **section)
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "run").exists()
+
     def test_null_max_molecules_accepted(self, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "run", extract={"max_molecules": None})
         assert load_config(cfg).section("extract")["max_molecules"] is None
@@ -372,7 +403,7 @@ class TestArtifacts:
             "sample": ["vocab_multi.json", "finetune.ckpt.json", "finetune.ckpt.bin",
                        "distribution.json"],
             "evaluate": [*corpus, *forests, "samples.smi"],
-            "faithfulness": [*corpus, *forests, "vocab_amide.json", "vocab_phenol.json"],
+            "faithfulness": [*corpus, "vocab_amide.json", "vocab_phenol.json"],
         }
         for stage, names in expected.items():
             doc = json.loads((run_dir / f"{stage}.manifest.json").read_text())
@@ -401,6 +432,15 @@ class TestArtifacts:
             assert 0.0 <= doc[name]["exact_match_rate"] <= 1.0
             assert 0.0 <= doc[name]["coverage"] <= 1.0
             assert doc[name]["evaluated"] > 0
+
+    def test_faithfulness_reads_no_forest(self, pipeline, tmp_path):
+        # the ranking uses the scores stored in the vocabularies
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        before = (run / "faithfulness.json").read_bytes()
+        forest = run / "forest_amide.json"
+        forest.write_text(forest.read_text() + " ")
+        assert main(["faithfulness", "--config", cfg]) == EXIT_OK
+        assert (run / "faithfulness.json").read_bytes() == before
 
     def test_sample_zero_is_valid(self, pipeline, tmp_path):
         cfg, run = copy_pipeline(pipeline, tmp_path, sample={"n": 0})
@@ -464,3 +504,29 @@ class TestArtifacts:
                     valence_bans += bool(np.any(walk_mask[:-1] != 0.0))
                 completions += 1
         assert completions >= 1000 and decisions >= 1000 and valence_bans > 0
+
+
+class TestEntryPoint:
+    BLAS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def python(self, code: str, **env: str) -> str:
+        """Run code in a fresh interpreter that finds this package; its stdout."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if k not in self.BLAS}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                              capture_output=True, text=True, check=True)
+        return proc.stdout
+
+    def test_package_import_loads_no_numpy(self):
+        assert self.python("import molrationale, sys; print('numpy' in sys.modules)") == "False\n"
+
+    def test_blas_pin_fills_unset_variables_and_keeps_a_preset_one(self):
+        code = (
+            "import os, sys\n"
+            "from molrationale.__main__ import main\n"
+            "sys.argv = ['molrationale', 'gen-synthetic', '--config', 'missing.json']\n"
+            "assert main() == 2 and 'numpy' in sys.modules\n"
+            f"print(*(os.environ.get(v) for v in {self.BLAS!r}))\n"
+        )
+        assert self.python(code, OMP_NUM_THREADS="3").split() == ["1", "3", "1"]

@@ -4,12 +4,14 @@ import pytest
 
 from molrationale import extract
 from molrationale.chemgraph import (
-    apply_deletion,
+    apply_deletion_with_map,
     canonical_key,
     contains_subgraph,
+    induced_subgraph,
     is_connected,
     parse_smiles,
     peripheral_deletions,
+    write_smiles_with_order,
 )
 from molrationale.extract import (
     EdgeStats,
@@ -222,7 +224,7 @@ class TestExtractRationales:
             while stack:
                 cur = stack.pop()
                 for d in peripheral_deletions(cur):
-                    child = apply_deletion(cur, d)
+                    child = apply_deletion_with_map(cur, d)[0]
                     key = canonical_key(child)
                     if key not in seen:
                         seen.add(key)
@@ -295,6 +297,31 @@ class TestVocabSerialization:
         back = RationaleVocab.from_json(r.to_json())
         assert len(back.entries[0].fragments) == 2
         assert back.entries[0].combined.n == 5
+
+    def test_fragment_atoms_out_of_smiles_order_keep_their_marks(self, tmp_path):
+        # both fragments store their atoms in an order the SMILES writer does
+        # not visit them in; each atom must keep its peripheral mark and its
+        # source atom through save and load
+        frag1 = induced_subgraph(parse_smiles("CCO"), [0, 2, 1])
+        frag2 = induced_subgraph(parse_smiles("NCCS"), [0, 3, 1, 2])
+        assert write_smiles_with_order(frag1)[1] != [0, 1, 2]
+        assert write_smiles_with_order(frag2)[1] != [0, 1, 2, 3]
+        source = (10, 11, 12, 20, 21, 22, 23)  # a distinct molecule atom per rationale atom
+        vocab = RationaleVocab(("a",))
+        vocab.add(Rationale(fragments=(frag1, frag2), scores={"a": 0.8}, peripheral=(1, 4, 6),
+                            sources=(("mol", source),)))
+        path = tmp_path / "vocab.json"
+        vocab.save(path)
+        back = RationaleVocab.load(path)
+
+        def by_source_atom(r):
+            g, (_key, atoms) = r.combined, r.sources[0]
+            marks = {atoms[i]: (g.atoms[i].element, i in r.peripheral) for i in range(g.n)}
+            bonds = {(frozenset((atoms[b.u], atoms[b.v])), b.order) for b in g.bonds}
+            return marks, bonds
+
+        assert by_source_atom(back.entries[0]) == by_source_atom(vocab.entries[0])
+        assert back.to_json() == vocab.to_json()
 
 
 def sourced(smiles, score, *sources):

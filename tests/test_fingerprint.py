@@ -5,6 +5,7 @@ import pytest
 
 from molrationale.chemgraph import parse_smiles
 from molrationale.fingerprint import (
+    RADIUS,
     BitFingerprint,
     _environment_rounds,
     morgan_fingerprint,
@@ -49,34 +50,26 @@ class TestMorgan:
     def test_ethanol_vs_methanol_radius1(self):
         # oracle: shared environments exist (terminal-carbon and oxygen-side
         # radius-0 entries), but the full environment sets differ
-        eth = oracle_environments("CCO", 1)
-        met = oracle_environments("CO", 1)
+        eth = oracle_environments("CCO", RADIUS)
+        met = oracle_environments("CO", RADIUS)
         shared = eth & met
         assert shared  # both have a degree-1 carbon and a degree-1 oxygen
         assert eth != met
-        fp_eth = morgan_fingerprint(parse_smiles("CCO"), radius=1)
-        fp_met = morgan_fingerprint(parse_smiles("CO"), radius=1)
+        fp_eth = morgan_fingerprint(parse_smiles("CCO"))
+        fp_met = morgan_fingerprint(parse_smiles("CO"))
         assert fp_eth.bits & fp_met.bits  # shared radius-0 bits present
         assert fp_eth != fp_met
 
     def test_environment_count_bounds_popcount(self):
         # distinct environments >= set bits (hash folding can only collide)
         for s in ["CCO", "CC(=O)N", "c1ccncc1"]:
-            envs = oracle_environments(s, 2)
-            fp = morgan_fingerprint(parse_smiles(s), radius=2)
+            envs = oracle_environments(s, RADIUS)
+            fp = morgan_fingerprint(parse_smiles(s))
             assert len(fp.bits) <= len(envs)
 
     def test_deterministic_across_runs(self):
         g = parse_smiles("CC(=O)Nc1ccccc1")
         assert morgan_fingerprint(g).bits == morgan_fingerprint(g).bits
-
-    def test_radius_zero_subset(self):
-        g = parse_smiles("CC(=O)N")
-        assert morgan_fingerprint(g, radius=0).bits <= morgan_fingerprint(g, radius=2).bits
-
-    def test_radius_cap(self):
-        with pytest.raises(ValueError):
-            morgan_fingerprint(parse_smiles("C"), radius=5)
 
     def test_width_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -84,8 +77,8 @@ class TestMorgan:
 
     def test_rounds_shape(self):
         g = parse_smiles("CCO")
-        rounds, mol_of = _environment_rounds([g], 2)
-        assert len(rounds) == 3
+        rounds, mol_of = _environment_rounds([g])
+        assert len(rounds) == RADIUS + 1
         assert all(len(r) == g.n for r in rounds)
         assert mol_of.tolist() == [0] * g.n
 

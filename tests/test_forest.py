@@ -85,13 +85,13 @@ class TestPredict:
         # trees stubbed directly: scores are the mean of leaf values
         model = ForestModel(
             trees=[{"leaf": 1.0}, {"leaf": 1.0}, {"leaf": 1.0}, {"leaf": 0.0}],
-            width=2048, radius=2, n_trees=4, max_depth=1, seed=0,
+            n_trees=4, max_depth=1, seed=0,
         )
         assert predict_score(model, parse_smiles("C")) == 0.75
 
     def test_all_positive_and_negative(self):
-        up = ForestModel([{"leaf": 1.0}] * 3, 2048, 2, 3, 1, 0)
-        down = ForestModel([{"leaf": 0.0}] * 3, 2048, 2, 3, 1, 0)
+        up = ForestModel([{"leaf": 1.0}] * 3, 3, 1, 0)
+        down = ForestModel([{"leaf": 0.0}] * 3, 3, 1, 0)
         g = parse_smiles("CCO")
         assert predict_score(up, g) == 1.0
         assert predict_score(down, g) == 0.0
@@ -109,8 +109,7 @@ class TestPredict:
             base = predict_score(model, g)
             for dup in model.trees[:3]:
                 extended = ForestModel(
-                    model.trees + [dup], model.width, model.radius,
-                    model.n_trees + 1, model.max_depth, model.seed,
+                    model.trees + [dup], model.n_trees + 1, model.max_depth, model.seed
                 )
                 assert abs(predict_score(extended, g) - base) <= 1.0 / model.n_trees + 1e-12
 
@@ -163,12 +162,12 @@ class TestSerialization:
 
 class TestPropertySpec:
     def test_threshold_validation(self):
-        model = ForestModel([{"leaf": 1.0}], 2048, 2, 1, 1, 0)
+        model = ForestModel([{"leaf": 1.0}], 1, 1, 0)
         with pytest.raises(ForestError):
             PropertySpec("x", model, threshold=1.5)
 
     def test_is_positive(self):
-        model = ForestModel([{"leaf": 0.6}], 2048, 2, 1, 1, 0)
+        model = ForestModel([{"leaf": 0.6}], 1, 1, 0)
         spec = PropertySpec("x", model, threshold=0.5)
         assert spec.is_positive(parse_smiles("C"))
 

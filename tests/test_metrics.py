@@ -1,7 +1,9 @@
 import itertools
+from dataclasses import astuple, fields
 
 import pytest
 
+from molrationale import cli
 from molrationale.chemgraph import parse_smiles
 from molrationale.fingerprint import morgan_fingerprint, tanimoto
 from molrationale.metrics import (
@@ -146,11 +148,14 @@ class TestEvaluate:
         assert report.per_property == {"size": pytest.approx(2 / 3)}
 
     def test_csv_row_written(self, tmp_path):
+        # the report's fields are the columns of the CLI's stage-record writer
         out = tmp_path / "report.csv"
-        evaluate(MOLS, [StubSpec(max_atoms=10)], [parse_smiles("C")], csv_path=out)
+        report = evaluate(MOLS, [StubSpec(max_atoms=10)], [parse_smiles("C")])
+        cli._write_csv(out, [f.name for f in fields(report)], [astuple(report)])
         lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("n,success,diversity,novelty")
+        assert lines[0] == "n,success,diversity,novelty,diversity_all,novelty_all,per_property"
         assert lines[1].split(",")[0] == "4"
+        assert lines[1].split(",")[-1] == "size=1.000000"
 
     def test_empty_samples_raise(self):
         with pytest.raises(MetricsError):

@@ -9,6 +9,8 @@ import pytest
 from molrationale.chemgraph import parse_smiles
 from molrationale.cli import _parse_sample_line
 from molrationale.fingerprint import (
+    RADIUS,
+    WIDTH,
     BitFingerprint,
     _environment_rounds,
     fingerprint_matrix,
@@ -75,18 +77,18 @@ class TestFingerprintMatrix:
             assert np.flatnonzero(row).tolist() == GOLDEN_BITS[smiles], smiles
             assert sorted(morgan_fingerprint(g).bits) == GOLDEN_BITS[smiles], smiles
 
-    @pytest.mark.parametrize("radius,width", [(0, 2048), (1, 256), (2, 2048), (3, 64)])
+    @pytest.mark.parametrize("radius,width", [(RADIUS, WIDTH)])
     def test_equals_fold_on_ringed_corpus(self, radius, width):
         mols = ringed_corpus()
         assert any(b.order == "aromatic" for g in mols for b in g.bonds)
-        X = fingerprint_matrix(mols, radius, width)
+        X = fingerprint_matrix(mols)
         assert X.shape == (len(mols), width)
         assert rows_as_sets(X) == [fold_fingerprint_bits(g, radius, width) for g in mols]
 
     def test_environment_hashes_equal_fold(self):
         for g in ringed_corpus()[:20] + [parse_smiles("[O-]C(=O)C")]:
-            rounds, _ = _environment_rounds([g], 3)
-            assert [r.tolist() for r in rounds] == fold_environment_hashes(g, 3)
+            rounds, _ = _environment_rounds([g])
+            assert [r.tolist() for r in rounds] == fold_environment_hashes(g, 2)
 
     def test_row_does_not_depend_on_batch(self):
         mols = ringed_corpus()
@@ -96,13 +98,6 @@ class TestFingerprintMatrix:
 
     def test_empty_batch(self):
         assert fingerprint_matrix([]).shape == (0, 2048)
-
-    def test_bad_width_and_radius(self):
-        g = parse_smiles("CC")
-        with pytest.raises(ValueError):
-            fingerprint_matrix([g], width=1000)
-        with pytest.raises(ValueError):
-            fingerprint_matrix([g], radius=5)
 
 
 class TestPredictScores:
@@ -120,7 +115,7 @@ class TestPredictScores:
         deep = {"bit": 1, "left": {"leaf": 0.1}, "right": {
             "bit": 2, "left": {"leaf": 0.2}, "right": {
                 "bit": 3, "left": {"leaf": 0.3}, "right": {"leaf": 0.9}}}}
-        model = ForestModel([deep, {"leaf": 0.5}, deep], 8, 2, 3, 1, 0)
+        model = ForestModel([deep, {"leaf": 0.5}, deep], 3, 1, 0)
         X = np.zeros((5, 8), dtype=bool)
         X[1, [1]] = X[2, [1, 2]] = X[3, [1, 2, 3]] = X[4, [2, 3]] = True
         got = predict_scores(model, X).tolist()
@@ -131,7 +126,7 @@ class TestPredictScores:
         # 21 one-leaf trees whose float sum depends on the order of addition:
         # a pairwise or blocked sum would differ in the last bit
         leaves = [round(0.1 * k, 1) for k in range(1, 17)] + [0.3] * 5
-        model = ForestModel([{"leaf": v} for v in leaves], 8, 2, len(leaves), 1, 0)
+        model = ForestModel([{"leaf": v} for v in leaves], len(leaves), 1, 0)
         got = predict_scores(model, np.zeros((3, 8), dtype=bool)).tolist()
         assert got == [walk_score(model.trees, frozenset())] * 3
         assert got[0] == sum(leaves) / len(leaves)
