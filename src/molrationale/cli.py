@@ -3,12 +3,14 @@ extraction and merging, generator pre-training and fine-tuning, sampling,
 evaluation, and the planted-motif faithfulness experiment. Each stage loads
 its inputs, calls the library and writes its artifacts.
 
-Every stage writes its artifacts plus a manifest recording the config hash
-and the SHA-256 of its inputs and outputs. A stage refuses an upstream stage
+The stage table, _STAGES, declares the files each stage reads and writes.
+From it every stage writes its artifacts plus a manifest recording the config
+hash and the SHA-256 of its reads and writes, and refuses an upstream stage
 run under another config, or an upstream output it reads that is missing or
 changed on disk, unless --force.
 Exit codes: 0 success, 1 invalid input (a chemistry, predictor, search or
-metric error), 2 config error, 3 missing artifact, 4 numeric failure.
+metric error, or a file that does not parse as its artifact), 2 config error,
+3 missing artifact, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import logging
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
@@ -76,6 +79,10 @@ class MissingArtifactError(RuntimeError):
     pass
 
 
+class ArtifactError(ValueError):
+    """A run-directory file that does not parse as the artifact it should be."""
+
+
 _DEFAULTS = {
     "seed": 7,
     "corpus": {"size": 800, "atoms_min": 9, "atoms_max": 14, "ring_prob": 0.25, "decoy_prob": 0.25, "unique": False},
@@ -114,7 +121,8 @@ class RunConfig:
         return int(self.raw["seed"])
 
     def section(self, name: str) -> dict:
-        return self.raw[name]
+        """A section's settings: the keys its defaults declare."""
+        return {k: self.raw[name][k] for k in _DEFAULTS[name]}
 
     @property
     def properties(self) -> list[dict]:
@@ -126,9 +134,8 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        t = self.section("train")
         try:
-            return TrainConfig(**{k: t[k] for k in _DEFAULTS["train"]}, seed=self.seed)
+            return TrainConfig(**self.section("train"), seed=self.seed)
         except ValueError as exc:
             raise ConfigError(f"train section: {exc}") from exc
 
@@ -248,63 +255,97 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _write_manifest(cfg: RunConfig, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
+def _write_manifest(
+    cfg: RunConfig, stage: str, inputs: list[Path] | dict[Path, str], outputs: list[Path]
+) -> None:
+    """Write <stage>.manifest.json. `inputs` may instead map each input to
+    its SHA-256, taken when the stage checked it, so that it is not hashed
+    again."""
+    known = inputs if isinstance(inputs, dict) else {}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "stage": stage,
         "config_hash": cfg.config_hash,
-        "inputs": {p.name: _sha256(p) for p in sorted(inputs)},
+        "inputs": {p.name: known.get(p) or _sha256(p) for p in sorted(inputs)},
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
     path = cfg.run_dir / f"{stage}.manifest.json"
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _require_stages(
-    cfg: RunConfig, stages: tuple[str, ...], needed_by: str, force: bool, reads: list[Path]
-) -> None:
-    """Refuse unless each upstream stage in `stages` ran under this config,
-    and each file in `reads`, the files `needed_by` opens, is an output one of
-    them recorded and is unchanged on disk."""
-    recorded: dict[str, tuple[str, str]] = {}  # output name -> (stage, digest)
-    for stage in stages:
-        path = cfg.run_dir / f"{stage}.manifest.json"
-        if not path.exists():
-            raise MissingArtifactError(
-                f"{needed_by} needs artifacts from '{stage}'; run `molrationale {stage}` first"
-            )
-        doc = json.loads(path.read_text())
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError(f"{path}: unsupported schema version")
-        if not force and doc.get("config_hash") != cfg.config_hash:
-            raise ConfigError(
-                f"{path}: artifacts were produced with a different config; rerun or use --force"
-            )
-        recorded.update({name: (stage, digest) for name, digest in doc.get("outputs", {}).items()})
-    if force:
-        return
-    for out in sorted(reads, key=lambda p: p.name):
-        if out.name not in recorded:
-            raise MissingArtifactError(
-                f"{out}: {needed_by} reads it, but none of {', '.join(stages)} recorded it"
-            )
-        stage, digest = recorded[out.name]
-        if not out.exists():
-            raise MissingArtifactError(f"{out}: recorded by '{stage}' but missing; rerun {stage}")
-        if _sha256(out) != digest:
-            raise MissingArtifactError(
-                f"{out}: changed since '{stage}' wrote it; rerun {stage} or use --force"
-            )
+def _read(path: Path, load):
+    """load(path); a file that does not parse as its artifact is one error
+    that names it."""
+    try:
+        return load(path)
+    except (ValueError, KeyError, TypeError, ChemError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ArtifactError(f"{path}: {reason}") from exc
 
 
-def _corpus_paths(cfg: RunConfig) -> tuple[Path, Path]:
-    return cfg.run_dir / "corpus.smi", cfg.run_dir / "properties.csv"
+def _paths(cfg: RunConfig, patterns) -> list[Path]:
+    """The run-directory files the patterns name, "{name}" standing for each
+    property's name."""
+    names = [p["name"] for p in cfg.properties]
+    return list(dict.fromkeys(cfg.run_dir / pat.format(name=n) for pat in patterns for n in names))
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """A row of the stage table, _STAGES. Calling it runs the stage: check
+    its reads, run its body and write its manifest."""
+
+    name: str
+    body: Callable[[RunConfig], None]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+    def __call__(self, cfg: RunConfig, force: bool) -> None:
+        inputs = self._checked_reads(cfg, force)
+        self.body(cfg)
+        _write_manifest(cfg, self.name, inputs, _paths(cfg, self.writes))
+
+    def _checked_reads(self, cfg: RunConfig, force: bool) -> dict[Path, str]:
+        """The SHA-256 of each file the stage reads, each hashed once. Refuses
+        unless the upstream stage that writes a read left a manifest and the
+        read exists; without force, also unless that manifest carries this
+        config's hash and records the read as it is on disk."""
+        digests = {}
+        for _, upstream in _STAGES:
+            shared = [p for p in upstream.writes if p in self.reads]
+            if not shared:
+                continue
+            path = cfg.run_dir / f"{upstream.name}.manifest.json"
+            if not path.exists():
+                raise MissingArtifactError(
+                    f"{self.name} needs artifacts from '{upstream.name}'; "
+                    f"run `molrationale {upstream.name}` first"
+                )
+            doc = _read(path, lambda p: json.loads(p.read_text()))
+            if doc.get("schema_version") != SCHEMA_VERSION:
+                raise ConfigError(f"{path}: unsupported schema version")
+            if not force and doc.get("config_hash") != cfg.config_hash:
+                raise ConfigError(
+                    f"{path}: artifacts were produced with a different config; rerun or use --force"
+                )
+            for read in _paths(cfg, shared):
+                if not read.exists():
+                    raise MissingArtifactError(
+                        f"{read}: written by '{upstream.name}' but missing; rerun {upstream.name}"
+                    )
+                digests[read] = _sha256(read)
+                if not force and doc.get("outputs", {}).get(read.name) != digests[read]:
+                    raise MissingArtifactError(
+                        f"{read}: not as '{upstream.name}' recorded it; "
+                        f"rerun {upstream.name} or use --force"
+                    )
+        return digests
 
 
 def _load_corpus(cfg: RunConfig) -> tuple[list[MolGraph], dict[str, list[int]]]:
     """The corpus molecules and their labels by property. The non-blank lines
     of corpus.smi must be the smiles column of properties.csv."""
-    corpus_path, props_path = _corpus_paths(cfg)
+    corpus_path, props_path = cfg.run_dir / "corpus.smi", cfg.run_dir / "properties.csv"
     names, smiles, rows = read_property_csv(props_path)
     lines = [line.strip() for line in corpus_path.read_text().splitlines()]
     if [line for line in lines if line] != smiles:
@@ -320,23 +361,21 @@ def _searched_positives(cfg: RunConfig, mols: list[MolGraph], labels: list[int])
     return positives[: cfg.section("extract")["max_molecules"] or None]
 
 
-def _forest_paths(cfg: RunConfig) -> list[Path]:
-    return [cfg.run_dir / f"forest_{p['name']}.json" for p in cfg.properties]
-
-
-def _vocab_paths(cfg: RunConfig) -> list[Path]:
-    return [cfg.run_dir / f"vocab_{p['name']}.json" for p in cfg.properties]
-
-
-def _ckpt_paths(cfg: RunConfig, stage: str) -> list[Path]:
-    return [cfg.run_dir / f"{stage}.ckpt.json", cfg.run_dir / f"{stage}.ckpt.bin"]
-
-
 def _load_predictors(cfg: RunConfig) -> list[PropertySpec]:
     return [
-        PropertySpec(name=p["name"], model=ForestModel.load(path), threshold=p["threshold"])
-        for p, path in zip(cfg.properties, _forest_paths(cfg))
+        PropertySpec(name=p["name"], model=_read(path, ForestModel.load), threshold=p["threshold"])
+        for p, path in zip(cfg.properties, _paths(cfg, ["forest_{name}.json"]))
     ]
+
+
+def _load_vocabs(cfg: RunConfig) -> list[RationaleVocab]:
+    return [_read(path, RationaleVocab.load) for path in _paths(cfg, ["vocab_{name}.json"])]
+
+
+def _load_model(cfg: RunConfig, stage: str) -> GenModel:
+    """A stage's checkpoint, named by its .json half in an error."""
+    path = cfg.run_dir / f"{stage}.ckpt.json"
+    return _read(path, lambda p: GenModel.load(str(p.with_suffix(""))))
 
 
 def _split_indices(n: int, seed: int, holdout: float = 0.2) -> tuple[list[int], list[int]]:
@@ -347,58 +386,42 @@ def _split_indices(n: int, seed: int, holdout: float = 0.2) -> tuple[list[int], 
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stage bodies: each loads the files its _STAGES row reads, calls the library
+# and writes the files its row names
 
-def cmd_gen_synthetic(cfg: RunConfig, force: bool) -> None:
+def _gen_synthetic(cfg: RunConfig) -> None:
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
-    c = cfg.section("corpus")
-    spec = synthetic.CorpusSpec(
-        size=c["size"],
-        atoms_min=c["atoms_min"],
-        atoms_max=c["atoms_max"],
-        ring_prob=c["ring_prob"],
-        decoy_prob=c["decoy_prob"],
-        unique=c["unique"],
-    )
+    spec = synthetic.CorpusSpec(**cfg.section("corpus"))
     motifs = {p["name"]: parse_smiles(p["motif"]) for p in cfg.properties}
     plant = {p["name"]: p["plant_prob"] for p in cfg.properties}
     mols, labels = synthetic.generate_corpus(spec, motifs, plant, cfg.seed)
-    corpus_path, props_path = _corpus_paths(cfg)
     smiles = [write_smiles(g) for g in mols]
-    corpus_path.write_text("".join(text + "\n" for text in smiles))
+    (cfg.run_dir / "corpus.smi").write_text("".join(text + "\n" for text in smiles))
     names = sorted(labels)
     rows = ([text] + [labels[name][i] for name in names] for i, text in enumerate(smiles))
-    _write_csv(props_path, ["smiles"] + names, rows)
+    _write_csv(cfg.run_dir / "properties.csv", ["smiles"] + names, rows)
     (cfg.run_dir / "config.snapshot.json").write_text(
         json.dumps(cfg.raw, sort_keys=True, indent=2)
     )
-    _write_manifest(cfg, "gen-synthetic", [], [corpus_path, props_path])
     for name in names:
         pos = sum(labels[name])
         print(f"property {name}: {pos}/{len(mols)} positive ({pos / len(mols):.1%})")
 
 
-def cmd_train_predictor(cfg: RunConfig, force: bool) -> None:
-    inputs = list(_corpus_paths(cfg))
-    _require_stages(cfg, ("gen-synthetic",), "train-predictor", force, inputs)
+def _train_predictor(cfg: RunConfig) -> None:
     mols, labels = _load_corpus(cfg)
     f = cfg.section("forest")
     train_idx, test_idx = _split_indices(len(mols), cfg.seed)
-    outputs = []
     scores = {}
     for p in cfg.properties:
         name = p["name"]
         data = [(mols[i], labels[name][i]) for i in train_idx]
-        model = train_forest(
-            data, n_trees=f["trees"], max_depth=f["max_depth"], seed=cfg.seed
-        )
+        model = train_forest(data, n_trees=f["trees"], max_depth=f["max_depth"], seed=cfg.seed)
         heldout = [(mols[i], labels[name][i]) for i in test_idx]
         # AUROC is undefined when the held-out split holds one class only
         defined = len({label for _, label in heldout}) == 2
         scores[name] = auroc(model, heldout) if defined else None
-        out = cfg.run_dir / f"forest_{name}.json"
-        model.save(out)
-        outputs.append(out)
+        model.save(cfg.run_dir / f"forest_{name}.json")
         shown = "n/a" if scores[name] is None else f"{scores[name]:.4f}"
         print(f"property {name}: held-out AUROC {shown}")
     (cfg.run_dir / "predictor_scores.json").write_text(
@@ -407,100 +430,59 @@ def cmd_train_predictor(cfg: RunConfig, force: bool) -> None:
             sort_keys=True,
         )
     )
-    outputs.append(cfg.run_dir / "predictor_scores.json")
-    _write_manifest(cfg, "train-predictor", inputs, outputs)
 
 
-def cmd_extract(cfg: RunConfig, force: bool) -> None:
-    inputs = [*_corpus_paths(cfg), *_forest_paths(cfg)]
-    _require_stages(cfg, ("gen-synthetic", "train-predictor"), "extract", force, inputs)
+def _extract(cfg: RunConfig) -> None:
     mols, labels = _load_corpus(cfg)
-    specs = _load_predictors(cfg)
     e = cfg.section("extract")
-    outputs = []
-    for spec in specs:
+    for spec in _load_predictors(cfg):
         positives = _searched_positives(cfg, mols, labels[spec.name])
-        vocab = build_vocab(
-            positives,
-            spec,
-            iterations=e["iterations"],
-            c_puct=e["c_puct"],
-            max_atoms=e["max_atoms"],
-        )
-        out = cfg.run_dir / f"vocab_{spec.name}.json"
-        vocab.save(out)
-        outputs.append(out)
+        vocab = build_vocab(positives, spec, iterations=e["iterations"], c_puct=e["c_puct"],
+                            max_atoms=e["max_atoms"])
+        vocab.save(cfg.run_dir / f"vocab_{spec.name}.json")
         print(f"property {spec.name}: {len(vocab)} rationales from {len(positives)} positives")
-    _write_manifest(cfg, "extract", inputs, outputs)
 
 
-def cmd_merge(cfg: RunConfig, force: bool) -> None:
-    inputs = [*_vocab_paths(cfg), *_forest_paths(cfg)]
-    _require_stages(cfg, ("train-predictor", "extract"), "merge", force, inputs)
+def _merge(cfg: RunConfig) -> None:
     specs = _load_predictors(cfg)
-    vocabs = [RationaleVocab.load(p) for p in _vocab_paths(cfg)]
+    vocabs = _load_vocabs(cfg)
     if len(specs) == 1:
         multi = vocabs[0]
     else:
         multi = build_multi_vocab(vocabs, specs, cfg.section("merge")["shortlist"])
-    out = cfg.run_dir / "vocab_multi.json"
-    multi.save(out)
-    _write_manifest(cfg, "merge", inputs, [out])
+    multi.save(cfg.run_dir / "vocab_multi.json")
     print(f"multi-property vocabulary: {len(multi)} rationales")
 
 
-def cmd_pretrain(cfg: RunConfig, force: bool) -> None:
-    inputs = list(_corpus_paths(cfg))
-    _require_stages(cfg, ("gen-synthetic",), "pretrain", force, inputs)
+def _pretrain(cfg: RunConfig) -> None:
     mols, _ = _load_corpus(cfg)
     tcfg = cfg.train_config()
-    m = cfg.section("model")
-    model = GenModel(
-        atom_types_from_corpus(mols),
-        hidden=m["hidden"],
-        latent=m["latent"],
-        rounds=m["rounds"],
-        seed=cfg.seed,
-    )
+    model = GenModel(atom_types_from_corpus(mols), **cfg.section("model"), seed=cfg.seed)
     rng = np.random.default_rng([cfg.seed, 997])
-    pairs = make_pretrain_pairs(
-        mols, tcfg.max_subgraph_atoms, tcfg.pairs_per_molecule, rng
-    )
+    pairs = make_pretrain_pairs(mols, tcfg.max_subgraph_atoms, tcfg.pairs_per_molecule, rng)
     trace = pretrain(model, pairs, tcfg)
-    stem = str(cfg.run_dir / "pretrain.ckpt")
-    model.save(stem)
-    loss_path = cfg.run_dir / "pretrain_loss.csv"
-    _write_csv(loss_path, ["epoch", "loss"], enumerate(trace))
-    _write_manifest(cfg, "pretrain", inputs, [*_ckpt_paths(cfg, "pretrain"), loss_path])
+    model.save(str(cfg.run_dir / "pretrain.ckpt"))
+    _write_csv(cfg.run_dir / "pretrain_loss.csv", ["epoch", "loss"], enumerate(trace))
     print(f"pretrain: {len(pairs)} pairs, loss {trace[0]:.3f} -> {trace[-1]:.3f}")
 
 
-def cmd_finetune(cfg: RunConfig, force: bool) -> None:
-    inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "vocab_multi.json",
-              *_ckpt_paths(cfg, "pretrain")]
-    _require_stages(cfg, ("gen-synthetic", "train-predictor", "merge", "pretrain"), "finetune",
-                    force, inputs)
+def _finetune(cfg: RunConfig) -> None:
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
-    vocab = RationaleVocab.load(cfg.run_dir / "vocab_multi.json")
-    model = GenModel.load(str(cfg.run_dir / "pretrain.ckpt"))
+    vocab = _read(cfg.run_dir / "vocab_multi.json", RationaleVocab.load)
+    model = _load_model(cfg, "pretrain")
     tcfg = cfg.train_config()
     train_pos = _train_positives(mols, labels, specs)
     stats = finetune(model, vocab, specs, tcfg, train_positives=train_pos)
-    stem = str(cfg.run_dir / "finetune.ckpt")
-    model.save(stem)
-    stats_path = cfg.run_dir / "finetune_stats.csv"
-    _write_csv(stats_path, [f.name for f in fields(FinetuneStats)], map(astuple, stats))
+    model.save(str(cfg.run_dir / "finetune.ckpt"))
+    _write_csv(cfg.run_dir / "finetune_stats.csv", [f.name for f in fields(FinetuneStats)],
+               map(astuple, stats))
     dist = rationale_distribution(
         model, vocab, specs, tcfg.entropy_weight,
         samples_per_rationale=tcfg.dist_samples, seed=cfg.seed,
         max_steps=tcfg.max_decode_steps,
     )
-    dist_path = cfg.run_dir / "distribution.json"
-    dist_path.write_text(dist.to_json())
-    _write_manifest(
-        cfg, "finetune", inputs, [*_ckpt_paths(cfg, "finetune"), stats_path, dist_path]
-    )
+    (cfg.run_dir / "distribution.json").write_text(dist.to_json())
     print(
         f"finetune: success {stats[0].success:.3f} -> {stats[-1].success:.3f} "
         f"over {len(stats)} iterations"
@@ -521,24 +503,17 @@ def _train_positives(
     ]
 
 
-def _load_distribution(cfg: RunConfig, vocab: RationaleVocab) -> RationaleDistribution:
-    doc = json.loads((cfg.run_dir / "distribution.json").read_text())
+def _load_distribution(path: Path, vocab: RationaleVocab) -> RationaleDistribution:
     by_key = {r.key: r for r in vocab.entries}
-    keys, rationales, rewards, probs = [], [], [], []
-    for entry in doc["entries"]:
-        if entry["key"] not in by_key:
-            raise ConfigError("distribution references a rationale missing from the vocabulary")
-        keys.append(entry["key"])
-        rationales.append(by_key[entry["key"]])
-        rewards.append(entry["reward"])
-        probs.append(entry["probability"])
-    probs_arr = np.array(probs)
-    probs_arr = probs_arr / probs_arr.sum()
+    entries = json.loads(path.read_text())["entries"]
+    if any(e["key"] not in by_key for e in entries):
+        raise ValueError("names a rationale missing from the merged vocabulary")
+    probs = np.array([e["probability"] for e in entries])
     return RationaleDistribution(
-        keys=tuple(keys),
-        rationales=tuple(rationales),
-        reward_estimates=np.array(rewards),
-        probabilities=probs_arr,
+        keys=tuple(e["key"] for e in entries),
+        rationales=tuple(by_key[e["key"]] for e in entries),
+        reward_estimates=np.array([e["reward"] for e in entries]),
+        probabilities=probs / probs.sum(),
     )
 
 
@@ -554,31 +529,24 @@ def _parse_sample_line(line: str) -> MolGraph:
     return parts[0] if len(parts) == 1 else disjoint_union(parts)
 
 
-def cmd_sample(cfg: RunConfig, force: bool) -> None:
-    inputs = [cfg.run_dir / "vocab_multi.json", *_ckpt_paths(cfg, "finetune"),
-              cfg.run_dir / "distribution.json"]
-    _require_stages(cfg, ("merge", "finetune"), "sample", force, inputs)
-    vocab = RationaleVocab.load(cfg.run_dir / "vocab_multi.json")
-    model = GenModel.load(str(cfg.run_dir / "finetune.ckpt"))
-    dist = _load_distribution(cfg, vocab)
+def _sample(cfg: RunConfig) -> None:
+    vocab = _read(cfg.run_dir / "vocab_multi.json", RationaleVocab.load)
+    model = _load_model(cfg, "finetune")
+    dist = _read(cfg.run_dir / "distribution.json", lambda p: _load_distribution(p, vocab))
     rng = np.random.default_rng([cfg.seed, 6700417])
     tcfg = cfg.train_config()
     samples = sample_molecules(model, dist, cfg.section("sample")["n"], rng,
                                max_steps=tcfg.max_decode_steps)
     smi_path = cfg.run_dir / "samples.smi"
-    jsonl_path = cfg.run_dir / "samples.jsonl"
-    with open(smi_path, "w") as smi_fh, open(jsonl_path, "w") as js_fh:
+    with open(smi_path, "w") as smi_fh, open(cfg.run_dir / "samples.jsonl", "w") as js_fh:
         for g, key in samples:
             text = _sample_smiles(g)
             smi_fh.write(text + "\n")
             js_fh.write(json.dumps({"smiles": text, "rationale": key}) + "\n")
-    _write_manifest(cfg, "sample", inputs, [smi_path, jsonl_path])
     print(f"sampled {len(samples)} molecules -> {smi_path}")
 
 
-def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
-    inputs = [*_corpus_paths(cfg), *_forest_paths(cfg), cfg.run_dir / "samples.smi"]
-    _require_stages(cfg, ("gen-synthetic", "train-predictor", "sample"), "evaluate", force, inputs)
+def _evaluate(cfg: RunConfig) -> None:
     mols, labels = _load_corpus(cfg)
     specs = _load_predictors(cfg)
     samples = []
@@ -589,9 +557,7 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
                 samples.append(_parse_sample_line(line))
     train_pos = _train_positives(mols, labels, specs)
     report = metrics_mod.evaluate(samples, specs, train_pos)
-    out = cfg.run_dir / "evaluation.csv"
-    _write_csv(out, [f.name for f in fields(report)], [astuple(report)])
-    _write_manifest(cfg, "evaluate", inputs, [out])
+    _write_csv(cfg.run_dir / "evaluation.csv", [f.name for f in fields(report)], [astuple(report)])
 
     def show(x):
         return "-" if x is None else f"{x:.4f}"
@@ -604,35 +570,49 @@ def cmd_evaluate(cfg: RunConfig, force: bool) -> None:
         print(f"  {name}: positive rate {report.per_property[name]:.4f}")
 
 
-def cmd_faithfulness(cfg: RunConfig, force: bool) -> None:
-    inputs = [*_corpus_paths(cfg), *_vocab_paths(cfg)]
-    _require_stages(cfg, ("gen-synthetic", "extract"), "faithfulness", force, inputs)
+def _faithfulness(cfg: RunConfig) -> None:
     mols, labels = _load_corpus(cfg)
     report: dict[str, dict] = {}
-    for p, path in zip(cfg.properties, _vocab_paths(cfg)):
-        name, vocab = p["name"], RationaleVocab.load(path)
+    for p, vocab in zip(cfg.properties, _load_vocabs(cfg)):
+        name = p["name"]
         positives = _searched_positives(cfg, mols, labels[name])
         report[name] = faithfulness(vocab, positives, parse_smiles(p["motif"]), name)
         print(
             f"property {name}: exact match {report[name]['exact_match_rate']:.3f}, "
             f"coverage {report[name]['coverage']:.3f} over {report[name]['evaluated']} positives"
         )
-    out = cfg.run_dir / "faithfulness.json"
-    out.write_text(json.dumps(report, sort_keys=True, indent=2))
-    _write_manifest(cfg, "faithfulness", inputs, [out])
+    (cfg.run_dir / "faithfulness.json").write_text(json.dumps(report, sort_keys=True, indent=2))
 
 
+# The stage table, in run-all order: each stage's name, body, and the
+# run-directory files it reads and writes, "{name}" standing for each
+# property's name. A read's upstream stage is the stage that writes it, and a
+# stage's manifest records exactly its reads and writes.
 _STAGES = [
-    ("gen-synthetic", cmd_gen_synthetic),
-    ("train-predictor", cmd_train_predictor),
-    ("extract", cmd_extract),
-    ("merge", cmd_merge),
-    ("pretrain", cmd_pretrain),
-    ("finetune", cmd_finetune),
-    ("sample", cmd_sample),
-    ("evaluate", cmd_evaluate),
-    ("faithfulness", cmd_faithfulness),
+    (name, _Stage(name, body, tuple(reads.split()), tuple(writes.split())))
+    for name, body, reads, writes in [
+        ("gen-synthetic", _gen_synthetic, "", "corpus.smi properties.csv"),
+        ("train-predictor", _train_predictor, "corpus.smi properties.csv",
+         "forest_{name}.json predictor_scores.json"),
+        ("extract", _extract, "corpus.smi properties.csv forest_{name}.json", "vocab_{name}.json"),
+        ("merge", _merge, "vocab_{name}.json forest_{name}.json", "vocab_multi.json"),
+        ("pretrain", _pretrain, "corpus.smi properties.csv",
+         "pretrain.ckpt.json pretrain.ckpt.bin pretrain_loss.csv"),
+        ("finetune", _finetune,
+         "corpus.smi properties.csv forest_{name}.json vocab_multi.json pretrain.ckpt.json "
+         "pretrain.ckpt.bin",
+         "finetune.ckpt.json finetune.ckpt.bin finetune_stats.csv distribution.json"),
+        ("sample", _sample,
+         "vocab_multi.json finetune.ckpt.json finetune.ckpt.bin distribution.json",
+         "samples.smi samples.jsonl"),
+        ("evaluate", _evaluate, "corpus.smi properties.csv forest_{name}.json samples.smi",
+         "evaluation.csv"),
+        ("faithfulness", _faithfulness, "corpus.smi properties.csv vocab_{name}.json",
+         "faithfulness.json"),
+    ]
 ]
+(cmd_gen_synthetic, cmd_train_predictor, cmd_extract, cmd_merge, cmd_pretrain, cmd_finetune,
+ cmd_sample, cmd_evaluate, cmd_faithfulness) = (stage for _, stage in _STAGES)
 
 
 def cmd_run_all(cfg: RunConfig, force: bool) -> None:
@@ -674,7 +654,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TrainingError, GenModelError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ChemError, ForestError, SearchError, metrics_mod.MetricsError) as exc:
+    except (ArtifactError, ChemError, ForestError, SearchError, metrics_mod.MetricsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return EXIT_OK

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -144,6 +146,9 @@ class TestStageSequencing:
         capsys.readouterr()
         assert main(["extract", "--config", cfg]) == EXIT_MISSING
         assert "forest_amide.json" in capsys.readouterr().err
+        # --force skips the digest checks, not the read's existence
+        assert main(["extract", "--config", cfg, "--force"]) == EXIT_MISSING
+        assert "forest_amide.json" in capsys.readouterr().err
 
     def test_only_the_upstream_outputs_a_stage_reads_are_checked(
         self, pipeline, tmp_path, capsys
@@ -194,6 +199,80 @@ def copy_pipeline(pipeline, tmp_path: Path, **overrides) -> tuple[str, Path]:
         doc = json.loads(manifest.read_text())
         manifest.write_text(json.dumps({**doc, "config_hash": config_hash}))
     return cfg, run
+
+
+_opens: list[tuple[Path, bool]] | None = None  # (file, opened for writing) while recording
+
+
+def _audit_open(event: str, args: tuple) -> None:
+    if event == "open" and _opens is not None and isinstance(args[0], (str, os.PathLike)):
+        path, mode, flags = args
+        writing = any(c in mode for c in "wax+") if mode else flags & (os.O_WRONLY | os.O_RDWR)
+        _opens.append((Path(path), bool(writing)))
+
+
+sys.addaudithook(_audit_open)
+
+
+@contextlib.contextmanager
+def recorded_opens():
+    """The files opened in the block, each with whether it was for writing."""
+    global _opens
+    _opens = []
+    try:
+        yield _opens
+    finally:
+        _opens = None
+
+
+def upstream_of(stage) -> list[str]:
+    """The stages, in table order, that write a file the stage reads."""
+    return [up.name for _, up in cli._STAGES if set(up.writes) & set(stage.reads)]
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("name", [name for name, _ in cli._STAGES])
+    def test_stage_body_reads_and_writes_what_its_row_declares(self, pipeline, tmp_path, name):
+        cfg_file, run = copy_pipeline(pipeline, tmp_path)
+        cfg, stage = load_config(cfg_file), dict(cli._STAGES)[name]
+        writes = cli._paths(cfg, stage.writes)
+        for path in writes:
+            path.unlink()
+        with recorded_opens() as opens:
+            stage.body(cfg)
+        read = {path for path, writing in opens if not writing and path.parent == run}
+        assert read == set(cli._paths(cfg, stage.reads))
+        assert all(path.exists() for path in writes)
+
+    @pytest.mark.parametrize("name", [name for name, _ in cli._STAGES])
+    def test_each_read_and_write_is_hashed_once(self, pipeline, tmp_path, monkeypatch, name):
+        cfg_file, _run = copy_pipeline(pipeline, tmp_path)
+        cfg, stage = load_config(cfg_file), dict(cli._STAGES)[name]
+        hashed = []
+        sha256 = cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        for force in (False, True):
+            hashed.clear()
+            stage(cfg, force)
+            assert sorted(hashed) == sorted(cli._paths(cfg, stage.reads + stage.writes))
+
+    def test_each_file_has_one_writer_and_it_runs_earlier(self):
+        writer = {}
+        for i, (_name, stage) in enumerate(cli._STAGES):
+            assert all(writer.get(pattern, i) < i for pattern in stage.reads), stage.name
+            for pattern in stage.writes:
+                assert writer.setdefault(pattern, i) == i, pattern
+
+    def test_readme_stage_table_lists_each_stages_upstream_stages(self):
+        readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+        table = readme.split("| stage | verifies the outputs it reads of |\n|---|---|\n")[1]
+        documented = {}
+        for row in table.split("\n\n")[0].splitlines():
+            stages, upstream = row.strip("|").split("|")
+            for name in re.findall(r"`([^`]+)`", stages):
+                documented[name] = re.findall(r"`([^`]+)`", upstream)
+        derived = {name: upstream_of(stage) for name, stage in cli._STAGES if stage.reads}
+        assert documented == derived
 
 
 README_PROPERTIES = [
@@ -252,17 +331,59 @@ class TestLibraryErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "corpus.smi" in err and "properties.csv" in err
 
-    def test_forest_file_of_the_previous_version_is_an_error_line(
+    @pytest.mark.parametrize(
+        "stage, name, version, reason",
+        [
+            # version 1 stored the fingerprint radius and width in each forest
+            ("evaluate", "forest_amide.json", 1, "unsupported model version 1"),
+            ("sample", "vocab_multi.json", 2, "unsupported vocabulary version 2"),
+            ("sample", "finetune.ckpt.json", 2, "unsupported checkpoint version 2"),
+        ],
+        ids=["forest", "vocabulary", "checkpoint"],
+    )
+    def test_artifact_of_another_version_is_an_error_line(
+        self, pipeline, tmp_path, capsys, stage, name, version, reason
+    ):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / name
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": version}))
+        capsys.readouterr()
+        assert main([stage, "--config", cfg, "--force"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [
+            ("evaluate", "forest_phenol.json"),
+            ("faithfulness", "vocab_amide.json"),
+            ("sample", "vocab_multi.json"),
+            ("sample", "finetune.ckpt.json"),
+            ("sample", "distribution.json"),
+            ("sample", "merge.manifest.json"),
+        ],
+    )
+    def test_malformed_artifact_is_an_error_line(self, pipeline, tmp_path, capsys, stage, name):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / name
+        path.write_text(path.read_text()[:-2])
+        capsys.readouterr()
+        assert main([stage, "--config", cfg, "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    def test_distribution_naming_a_missing_rationale_is_an_error_line(
         self, pipeline, tmp_path, capsys
     ):
-        # version 1 stored the fingerprint radius and width in each forest
         cfg, run = copy_pipeline(pipeline, tmp_path)
-        path = run / "forest_amide.json"
+        path = run / "distribution.json"
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps({**doc, "version": 1, "width": 2048, "radius": 2}))
+        doc["entries"][0]["key"] = "not-a-rationale"
+        path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["evaluate", "--config", cfg, "--force"]) == 1
-        assert capsys.readouterr().err == "error: unsupported model version 1\n"
+        assert main(["sample", "--config", cfg, "--force"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: names a rationale missing from the merged vocabulary\n"
+        )
 
     @pytest.mark.parametrize("error", [ForestError, SearchError, MetricsError])
     def test_library_error_exits_1_with_one_line(self, monkeypatch, capsys, error):
