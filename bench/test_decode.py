@@ -80,7 +80,7 @@ def test_step_logits(benchmark, desk, expanded):
     z = prior_latent(model, np.random.default_rng(3))
     t = int(np.argmax(StepLogits(model, state, z, h, hg).atom_probs))
     placed = state.copy()
-    u = placed._append_atom(model.atom_types[t].to_atom())
+    u = placed._append_atom(model.atom_types[t])
     mask = placed.bond_mask(u, placed.queue[0], first=True)
 
     def step():

@@ -32,9 +32,6 @@ HALF_UNITS = {SINGLE: 2, DOUBLE: 4, TRIPLE: 6, AROMATIC: 3}
 MAX_RING_SIZE = 8
 SUBGRAPH_ATOM_LIMIT = 60
 
-PERIPHERAL_BOND = "peripheral-bond"
-PERIPHERAL_RING = "peripheral-ring"
-
 
 class ChemError(Exception):
     """Base class for molecular graph errors."""
@@ -75,18 +72,10 @@ class Bond:
 
 
 @dataclass(frozen=True)
-class Ring:
-    """Ordered atom cycle from the smallest-set-of-smallest-rings."""
-
-    atoms: tuple[int, ...]
-    aromatic: bool
-
-
-@dataclass(frozen=True)
 class Deletion:
-    """A legal peripheral removal: a terminal bond with its endpoint, or a whole ring."""
+    """A legal peripheral removal: a terminal bond with its endpoint (one
+    atom), or a whole ring (at least three)."""
 
-    kind: str
     atoms: tuple[int, ...]
     bonds: tuple[int, ...]
 
@@ -177,17 +166,7 @@ class MolGraph:
 
 
 def is_connected(g: MolGraph) -> bool:
-    if g.n == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+    return len(connected_components(g)) == 1
 
 
 def connected_components(g: MolGraph) -> list[tuple[int, ...]]:
@@ -673,8 +652,9 @@ def _bridges(g: MolGraph) -> set[int]:
     return out
 
 
-def sssr(g: MolGraph) -> list[Ring]:
-    """Smallest set of smallest rings, capped at size MAX_RING_SIZE."""
+def sssr(g: MolGraph) -> list[tuple[int, ...]]:
+    """Smallest set of smallest rings, capped at size MAX_RING_SIZE, each an
+    ordered atom cycle."""
     n_comp = len(connected_components(g)) if g.n else 0
     rank = len(g.bonds) - g.n + n_comp
     if rank <= 0:
@@ -685,23 +665,19 @@ def sssr(g: MolGraph) -> list[Ring]:
     for bi, b in enumerate(g.bonds):
         if bi in bridges:
             continue
+        # a bond that is not a bridge closes a cycle of existing bonds
         cycle = _shortest_cycle_through(g, b)
-        if cycle is None or len(cycle) > MAX_RING_SIZE:
+        if len(cycle) > MAX_RING_SIZE:
             continue
         mask = 0
-        ok = True
         for k in range(len(cycle)):
-            e = g._bond_index.get((cycle[k], cycle[(k + 1) % len(cycle)]))
-            if e is None:
-                ok = False
-                break
-            mask |= 1 << e
-        if ok and mask not in seen_masks:
+            mask |= 1 << g._bond_index[(cycle[k], cycle[(k + 1) % len(cycle)])]
+        if mask not in seen_masks:
             seen_masks.add(mask)
             candidates.append((len(cycle), cycle, mask))
     candidates.sort(key=lambda t: (t[0], t[1]))
     basis: list[int] = []
-    rings: list[Ring] = []
+    rings: list[tuple[int, ...]] = []
     for _, cycle, mask in candidates:
         reduced = mask
         for bmask in basis:
@@ -710,23 +686,20 @@ def sssr(g: MolGraph) -> list[Ring]:
             continue
         basis.append(reduced)
         basis.sort(reverse=True)
-        aromatic = all(
-            g.bond_between(cycle[k], cycle[(k + 1) % len(cycle)]).order == AROMATIC
-            for k in range(len(cycle))
-        )
-        rings.append(Ring(cycle, aromatic))
+        rings.append(cycle)
         if len(rings) == rank:
             break
     return rings
 
 
-def _shortest_cycle_through(g: MolGraph, b: Bond) -> tuple[int, ...] | None:
-    # BFS from b.u to b.v avoiding bond b; path + b closes the smallest cycle
+def _shortest_cycle_through(g: MolGraph, b: Bond) -> tuple[int, ...]:
+    # BFS from b.u to b.v avoiding bond b, which is no bridge, so the search
+    # reaches b.v; path + b closes the smallest cycle
     from collections import deque
 
     prev = {b.u: None}
     q = deque([b.u])
-    while q:
+    while True:
         x = q.popleft()
         if x == b.v:
             path = []
@@ -741,7 +714,6 @@ def _shortest_cycle_through(g: MolGraph, b: Bond) -> tuple[int, ...] | None:
             if y not in prev:
                 prev[y] = x
                 q.append(y)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +738,9 @@ def peripheral_deletions(g: MolGraph) -> list[Deletion]:
         if (du == 1) == (dv == 1):
             continue
         endpoint = b.u if du == 1 else b.v
-        if g.n - 1 == 0:
-            continue
-        out.append(Deletion(PERIPHERAL_BOND, (endpoint,), (bi,)))
+        out.append(Deletion((endpoint,), (bi,)))
     for ring in sssr(g):
-        ring_atoms = set(ring.atoms)
+        ring_atoms = set(ring)
         if len(ring_atoms) >= g.n:
             continue
         keep = [i for i in range(g.n) if i not in ring_atoms]
@@ -782,10 +752,8 @@ def peripheral_deletions(g: MolGraph) -> list[Deletion]:
             )
         )
         rest = induced_subgraph(g, keep)
-        if rest.n > 0 and is_connected(rest):
-            out.append(
-                Deletion(PERIPHERAL_RING, tuple(sorted(ring_atoms)), removed_bonds)
-            )
+        if is_connected(rest):
+            out.append(Deletion(tuple(sorted(ring_atoms)), removed_bonds))
     return out
 
 

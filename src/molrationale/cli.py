@@ -150,6 +150,22 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _reject_unknown(keys, allowed, where: str) -> None:
+    """A config error naming the first key, in sorted order, that nothing reads."""
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}unknown key {unknown[0]!r}")
+
+
+def _check_keys(user: dict) -> None:
+    """Every top-level key is a key of _DEFAULTS, run_dir, preset or
+    properties, and every key of a section is a key of its defaults."""
+    _reject_unknown(user, [*_DEFAULTS, "run_dir", "preset", "properties"], "")
+    for key, value in user.items():
+        if isinstance(_DEFAULTS.get(key), dict) and isinstance(value, dict):
+            _reject_unknown(value, _DEFAULTS[key], f"{key} section: ")
+
+
 def _check_numbers(merged: dict) -> None:
     """Each numeric value of a section must have its default's type (an
     integer where the default is one, else any number), and
@@ -185,7 +201,8 @@ def _check_properties(props: list | None) -> None:
     """Each property needs a motif SMILES and a unique name made of letters,
     digits, '_' and '-' (it names the property's files), other than 'multi'
     (vocab_multi.json is the merged vocabulary); its threshold and plant_prob
-    default to 0.5 and 0.2 and must be numbers in [0, 1]."""
+    default to 0.5 and 0.2 and must be numbers in [0, 1]. It has no other
+    key."""
     if not props:
         raise ConfigError("config must define at least one property")
     seen = set()
@@ -199,6 +216,7 @@ def _check_properties(props: list | None) -> None:
             )
         if name in seen:
             raise ConfigError(f"property name {name!r} is used twice")
+        _reject_unknown(p, ("name", "motif", "threshold", "plant_prob"), f"property {name}: ")
         seen.add(name)
         for key, default in (("threshold", 0.5), ("plant_prob", 0.2)):
             value = p.setdefault(key, default)
@@ -218,6 +236,7 @@ def load_config(path: str | Path) -> RunConfig:
         user = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    _check_keys(user)
     merged = _deep_merge(_DEFAULTS, user)
     if merged.get("preset", "desk") != "desk":
         raise ConfigError(f"unknown preset {merged['preset']!r} (only 'desk' is defined)")
@@ -343,13 +362,8 @@ class _Stage:
 
 
 def _load_corpus(cfg: RunConfig) -> tuple[list[MolGraph], dict[str, list[int]]]:
-    """The corpus molecules and their labels by property. The non-blank lines
-    of corpus.smi must be the smiles column of properties.csv."""
-    corpus_path, props_path = cfg.run_dir / "corpus.smi", cfg.run_dir / "properties.csv"
-    names, smiles, rows = read_property_csv(props_path)
-    lines = [line.strip() for line in corpus_path.read_text().splitlines()]
-    if [line for line in lines if line] != smiles:
-        raise ForestError(f"{corpus_path} and {props_path} do not list the same molecules")
+    """The corpus molecules and their labels by property, from properties.csv."""
+    names, smiles, rows = read_property_csv(cfg.run_dir / "properties.csv")
     labels = {name: [row[i] for row in rows] for i, name in enumerate(names)}
     return [parse_smiles(text) for text in smiles], labels
 
@@ -395,10 +409,8 @@ def _gen_synthetic(cfg: RunConfig) -> None:
     motifs = {p["name"]: parse_smiles(p["motif"]) for p in cfg.properties}
     plant = {p["name"]: p["plant_prob"] for p in cfg.properties}
     mols, labels = synthetic.generate_corpus(spec, motifs, plant, cfg.seed)
-    smiles = [write_smiles(g) for g in mols]
-    (cfg.run_dir / "corpus.smi").write_text("".join(text + "\n" for text in smiles))
     names = sorted(labels)
-    rows = ([text] + [labels[name][i] for name in names] for i, text in enumerate(smiles))
+    rows = ([write_smiles(g)] + [labels[name][i] for name in names] for i, g in enumerate(mols))
     _write_csv(cfg.run_dir / "properties.csv", ["smiles"] + names, rows)
     (cfg.run_dir / "config.snapshot.json").write_text(
         json.dumps(cfg.raw, sort_keys=True, indent=2)
@@ -510,7 +522,6 @@ def _load_distribution(path: Path, vocab: RationaleVocab) -> RationaleDistributi
         raise ValueError("names a rationale missing from the merged vocabulary")
     probs = np.array([e["probability"] for e in entries])
     return RationaleDistribution(
-        keys=tuple(e["key"] for e in entries),
         rationales=tuple(by_key[e["key"]] for e in entries),
         reward_estimates=np.array([e["reward"] for e in entries]),
         probabilities=probs / probs.sum(),
@@ -591,24 +602,21 @@ def _faithfulness(cfg: RunConfig) -> None:
 _STAGES = [
     (name, _Stage(name, body, tuple(reads.split()), tuple(writes.split())))
     for name, body, reads, writes in [
-        ("gen-synthetic", _gen_synthetic, "", "corpus.smi properties.csv"),
-        ("train-predictor", _train_predictor, "corpus.smi properties.csv",
+        ("gen-synthetic", _gen_synthetic, "", "properties.csv config.snapshot.json"),
+        ("train-predictor", _train_predictor, "properties.csv",
          "forest_{name}.json predictor_scores.json"),
-        ("extract", _extract, "corpus.smi properties.csv forest_{name}.json", "vocab_{name}.json"),
+        ("extract", _extract, "properties.csv forest_{name}.json", "vocab_{name}.json"),
         ("merge", _merge, "vocab_{name}.json forest_{name}.json", "vocab_multi.json"),
-        ("pretrain", _pretrain, "corpus.smi properties.csv",
+        ("pretrain", _pretrain, "properties.csv",
          "pretrain.ckpt.json pretrain.ckpt.bin pretrain_loss.csv"),
         ("finetune", _finetune,
-         "corpus.smi properties.csv forest_{name}.json vocab_multi.json pretrain.ckpt.json "
-         "pretrain.ckpt.bin",
+         "properties.csv forest_{name}.json vocab_multi.json pretrain.ckpt.json pretrain.ckpt.bin",
          "finetune.ckpt.json finetune.ckpt.bin finetune_stats.csv distribution.json"),
         ("sample", _sample,
          "vocab_multi.json finetune.ckpt.json finetune.ckpt.bin distribution.json",
          "samples.smi samples.jsonl"),
-        ("evaluate", _evaluate, "corpus.smi properties.csv forest_{name}.json samples.smi",
-         "evaluation.csv"),
-        ("faithfulness", _faithfulness, "corpus.smi properties.csv vocab_{name}.json",
-         "faithfulness.json"),
+        ("evaluate", _evaluate, "properties.csv forest_{name}.json samples.smi", "evaluation.csv"),
+        ("faithfulness", _faithfulness, "properties.csv vocab_{name}.json", "faithfulness.json"),
     ]
 ]
 (cmd_gen_synthetic, cmd_train_predictor, cmd_extract, cmd_merge, cmd_pretrain, cmd_finetune,

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .chemgraph import (
-    Deletion,
     MolGraph,
     apply_deletion_with_map,
     canonical_key,
@@ -64,7 +63,6 @@ class SearchNode:
     origin: tuple[int, ...]  # atom index in the source molecule, per state atom
     key: str
     score: float
-    deletions: list[Deletion] = field(default_factory=list)
     edges: list[EdgeStats] = field(default_factory=list)
     child_keys: list[str] = field(default_factory=list)
     visited: bool = False
@@ -285,11 +283,9 @@ class _Search:
         return node
 
     def expand(self, node: SearchNode) -> None:
-        if node.deletions or node.edges:
-            return
-        node.deletions = peripheral_deletions(node.graph)
+        """Score and link the node's children; done once, on its first visit."""
         children = []
-        for d in node.deletions:
+        for d in peripheral_deletions(node.graph):
             child_graph, remap = apply_deletion_with_map(node.graph, d)
             child_origin = tuple(
                 node.origin[old] for old in sorted(remap, key=remap.get)

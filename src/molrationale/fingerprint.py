@@ -44,17 +44,13 @@ def _absorb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BitFingerprint:
-    width: int
-    radius: int
-    bits: frozenset[int]
+    """The set bits of one molecule's fingerprint, each below WIDTH."""
 
-    def __post_init__(self):
-        if self.width & (self.width - 1) or self.width <= 0:
-            raise ValueError(f"width must be a power of two, got {self.width}")
+    bits: frozenset[int]
 
     def row(self) -> np.ndarray:
         """The fingerprint as one 0/1 row of a fingerprint matrix."""
-        out = np.zeros(self.width, dtype=bool)
+        out = np.zeros(WIDTH, dtype=bool)
         out[list(self.bits)] = True
         return out
 
@@ -134,7 +130,7 @@ def fingerprint_matrix(mols: list[MolGraph]) -> np.ndarray:
 def morgan_fingerprint(g: MolGraph) -> BitFingerprint:
     """Hash every atom environment up to RADIUS into a WIDTH-bit set."""
     row = fingerprint_matrix([g])[0]
-    return BitFingerprint(width=WIDTH, radius=RADIUS, bits=frozenset(np.flatnonzero(row).tolist()))
+    return BitFingerprint(frozenset(np.flatnonzero(row).tolist()))
 
 
 def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

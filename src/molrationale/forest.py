@@ -119,10 +119,9 @@ def _build_tree(
     integers no larger than the bootstrap size, far below 2^24, so the
     float32 products are exact in any summation order, and they equal the
     counts over the copied rows."""
+    # idx is never empty: the root holds both classes and no split empties a side
     n = len(idx)
     pos = int(y[idx].sum())
-    if n == 0:
-        return {"leaf": 0.0}
     value = pos / n
     if pos == 0 or pos == n or max_depth == 0 or n < 2:
         return {"leaf": value}

@@ -66,16 +66,6 @@ class LikelihoodError(GenModelError):
     pass
 
 
-@dataclass(frozen=True)
-class AtomType:
-    element: str
-    charge: int
-    aromatic: bool
-
-    def to_atom(self) -> Atom:
-        return Atom(self.element, self.charge, self.aromatic)
-
-
 @dataclass
 class LatentParams:
     """Posterior mean and log standard deviation (used verbatim as exp(.))."""
@@ -84,11 +74,8 @@ class LatentParams:
     log_std: ns.Tensor
 
 
-def atom_types_from_corpus(corpus) -> tuple[AtomType, ...]:
-    seen = set()
-    for g in corpus:
-        for a in g.atoms:
-            seen.add(AtomType(a.element, a.charge, a.aromatic))
+def atom_types_from_corpus(corpus) -> tuple[Atom, ...]:
+    seen = {a for g in corpus for a in g.atoms}
     return tuple(sorted(seen, key=lambda t: (t.element, t.charge, t.aromatic)))
 
 
@@ -97,7 +84,7 @@ class GenModel:
 
     def __init__(
         self,
-        atom_types: tuple[AtomType, ...],
+        atom_types: tuple[Atom, ...],
         hidden: int = DEFAULT_HIDDEN,
         latent: int = DEFAULT_LATENT,
         rounds: int = DEFAULT_ROUNDS,
@@ -148,7 +135,7 @@ class GenModel:
         return p
 
     def type_of_atom(self, a: Atom) -> int:
-        return self.type_index.get(AtomType(a.element, a.charge, a.aromatic), self.unknown_index)
+        return self.type_index.get(a, self.unknown_index)
 
     def save(self, path_stem: str) -> None:
         extra = {
@@ -162,7 +149,7 @@ class GenModel:
     @classmethod
     def load(cls, path_stem: str) -> "GenModel":
         arrays, extra = ns.load_params(path_stem)
-        atom_types = tuple(AtomType(e, c, ar) for e, c, ar in extra["atom_types"])
+        atom_types = tuple(Atom(e, c, ar) for e, c, ar in extra["atom_types"])
         params = {k: ns.param(v, k) for k, v in arrays.items()}
         return cls(
             atom_types,
@@ -604,7 +591,7 @@ class _TeacherPolicy:
     def atom_type(self, state) -> int:
         u_g = self.pending_new
         a = self.g.atoms[u_g]
-        idx = self.model.type_index.get(AtomType(a.element, a.charge, a.aromatic))
+        idx = self.model.type_index.get(a)
         if idx is None:
             raise LikelihoodError(f"target atom type {a} missing from the model vocabulary")
         self.local_to_g.append(u_g)
@@ -651,7 +638,7 @@ def _walk(model: GenModel, state: DecoderState, policy, max_steps: int) -> _Walk
         if len(walk.atom_types) >= max_steps:
             raise TruncationError(state.to_molgraph())
         t_idx = policy.atom_type(state)
-        u = state._append_atom(model.atom_types[t_idx].to_atom())
+        u = state._append_atom(model.atom_types[t_idx])
         walk.atom_types.append(t_idx)
         for k, q in enumerate(list(state.queue)):
             mask = state.bond_mask(u, q, first=(k == 0))

@@ -5,7 +5,6 @@ maximum common substructure and keep unions that satisfy every threshold.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .chemgraph import (
@@ -22,20 +21,11 @@ log = logging.getLogger(__name__)
 MCS_ATOM_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class AtomMapping:
-    """Injective atom pairing between two graphs whose mapped subgraph is
-    connected and agrees on atom labels and shared bond orders."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def max_common_substructure(a: MolGraph, b: MolGraph) -> list[AtomMapping]:
+def max_common_substructure(a: MolGraph, b: MolGraph) -> list[tuple[tuple[int, int], ...]]:
     """All maximum-cardinality connected common-subgraph mappings between a and
-    b, sorted by their pairs. Empty when no atom labels coincide.
+    b, each the sorted (a atom, b atom) pairs of an injective pairing whose
+    mapped subgraph is connected and agrees on atom labels and shared bond
+    orders; sorted. Empty when no atom labels coincide.
 
     The search grows each mapping at its frontier, as FMCS does (Dalke &
     Hastings, 2013): next to a mapped pair (aj, bj) it pairs an unmapped
@@ -104,16 +94,16 @@ def max_common_substructure(a: MolGraph, b: MolGraph) -> list[AtomMapping]:
             if label_a[ai] == label_b[bi] and key not in seen:
                 visit(key, ai, bi)
 
-    return [AtomMapping(pairs) for pairs in sorted(best)]
+    return sorted(best)
 
 
 def _superpose(
-    a: MolGraph, b: MolGraph, mapping: AtomMapping
+    a: MolGraph, b: MolGraph, mapping: tuple[tuple[int, int], ...]
 ) -> tuple[MolGraph, dict[int, int]] | None:
     """Union of a and b with mapped atoms identified, and the map from b's
     atoms to the union's; None when bond orders conflict or the union
     violates valence."""
-    b_to_new = {bi: ai for ai, bi in mapping.pairs}
+    b_to_new = {bi: ai for ai, bi in mapping}
     atoms = list(a.atoms)
     for bi in range(b.n):
         if bi not in b_to_new:
@@ -177,26 +167,33 @@ def merge_pair(a: Rationale, b: Rationale) -> list[Rationale]:
 
 def _merge_into(acc: Rationale, nxt: Rationale) -> list[Rationale]:
     """Merge a possibly multi-fragment accumulator with a single-fragment
-    rationale: superpose on the first fragment with a non-empty MCS, else
-    append as a new fragment."""
+    rationale: superpose it on every fragment it shares a non-empty MCS with,
+    or, when it shares one with no fragment, append it as a trailing
+    fragment. The keys of the results do not depend on the fragment order."""
     if len(acc.fragments) == 1:
         return merge_pair(acc, nxt)
-    results: dict[str, Rationale] = {}
     offsets = list(accumulate((f.n for f in acc.fragments), initial=0))
-    for fi, frag in enumerate(acc.fragments):
-        start, end = offsets[fi], offsets[fi + 1]
-        part = Rationale(
-            fragments=(frag,),
-            scores={},
-            peripheral=tuple(p - start for p in acc.peripheral if start <= p < end),
+    merged = [
+        merge_pair(
+            Rationale(
+                fragments=(frag,),
+                scores={},
+                peripheral=tuple(p - start for p in acc.peripheral if start <= p < end),
+            ),
+            nxt,
         )
-        for m in merge_pair(part, nxt):
-            if len(m.fragments) > 1 and fi < len(acc.fragments) - 1:
-                continue  # only append as a trailing fragment once
-            new_fragments = (
-                acc.fragments[:fi] + m.fragments + acc.fragments[fi + 1 :]
-            )
-            delta = sum(f.n for f in m.fragments) - frag.n
+        for frag, start, end in zip(acc.fragments, offsets, offsets[1:])
+    ]
+    # merge_pair returns one two-fragment rationale exactly when the MCS is empty
+    disjoint = all(len(ms) == 1 and len(ms[0].fragments) > 1 for ms in merged)
+    results: dict[str, Rationale] = {}
+    for fi, ms in enumerate(merged):
+        start, end = offsets[fi], offsets[fi + 1]
+        for m in ms:
+            if len(m.fragments) > 1 and not (disjoint and fi == len(merged) - 1):
+                continue  # append once, and only when no fragment overlaps nxt
+            new_fragments = acc.fragments[:fi] + m.fragments + acc.fragments[fi + 1 :]
+            delta = sum(f.n for f in m.fragments) - (end - start)
             peripheral = {p if p < start else p + delta for p in acc.peripheral if not start <= p < end}
             peripheral.update(p + start for p in m.peripheral)
             r = Rationale(

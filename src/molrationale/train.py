@@ -63,7 +63,6 @@ class TrainConfig:
 class RationaleDistribution:
     """Categorical P(S) over a vocabulary with its sampled reward estimates."""
 
-    keys: tuple[str, ...]
     rationales: tuple[Rationale, ...]
     reward_estimates: np.ndarray  # I-hat per rationale
     probabilities: np.ndarray
@@ -73,8 +72,8 @@ class RationaleDistribution:
             {
                 "version": 1,
                 "entries": [
-                    {"key": k, "reward": float(i), "probability": float(p)}
-                    for k, i, p in zip(self.keys, self.reward_estimates, self.probabilities)
+                    {"key": r.key, "reward": float(i), "probability": float(p)}
+                    for r, i, p in zip(self.rationales, self.reward_estimates, self.probabilities)
                 ],
             },
             sort_keys=True,
@@ -360,7 +359,6 @@ def rationale_distribution(
     rewards = [h / samples_per_rationale if samples_per_rationale else 0.0 for h in hits]
     rewards_arr = np.array(rewards)
     return RationaleDistribution(
-        keys=tuple(r.key for r in vocab.entries),
         rationales=tuple(vocab.entries),
         reward_estimates=rewards_arr,
         probabilities=closed_form_distribution(rewards_arr, entropy_weight),
@@ -384,7 +382,7 @@ def sample_molecules(
         k = int(rng.choice(len(dist.probabilities), p=dist.probabilities))
         drew = _draw_completion(model, starts[k], rng, max_steps)
         if drew is not None:
-            out.append((drew[0], dist.keys[k]))
+            out.append((drew[0], dist.rationales[k].key))
     if len(out) < n:
         log.warning("sample_molecules: produced %d of %d after %d attempts", len(out), n, attempts)
     return out

@@ -42,7 +42,7 @@ from molrationale.genmodel import (
     step_logits,
     trace_log_likelihood,
 )
-from molrationale.merge import MCS_ATOM_LIMIT, AtomMapping
+from molrationale.merge import MCS_ATOM_LIMIT
 from molrationale.synthetic import random_molecule
 from molrationale.train import TrainingError, _draw_completion
 
@@ -180,9 +180,10 @@ def _labels_match(a: Atom, b: Atom) -> bool:
     return a.element == b.element and a.charge == b.charge and a.aromatic == b.aromatic
 
 
-def oracle_mcs_mappings(a: MolGraph, b: MolGraph) -> list[AtomMapping]:
+def oracle_mcs_mappings(a: MolGraph, b: MolGraph) -> list[tuple[tuple[int, int], ...]]:
     """All maximum-cardinality connected common-subgraph mappings between a and
-    b, deduplicated by their pair sets. Empty when no atom labels coincide.
+    b, each its sorted (a atom, b atom) pairs, deduplicated by their pair
+    sets. Empty when no atom labels coincide.
 
     The backtracking search that `merge.max_common_substructure` replaced: it
     tries every unmapped (ai, bi) pair at every state and rescans the whole
@@ -191,7 +192,7 @@ def oracle_mcs_mappings(a: MolGraph, b: MolGraph) -> list[AtomMapping]:
         raise ResourceLimitError(f"MCS limited to {MCS_ATOM_LIMIT} atoms per graph")
 
     best_size = 0
-    best: dict[frozenset, AtomMapping] = {}
+    best: dict[frozenset, tuple[tuple[int, int], ...]] = {}
 
     def consistent(ai: int, bi: int, mapping: dict[int, int]) -> bool:
         # mapped neighbors must agree on bond order wherever both graphs bond
@@ -219,7 +220,7 @@ def oracle_mcs_mappings(a: MolGraph, b: MolGraph) -> list[AtomMapping]:
         if size > best_size:
             best_size = size
             best.clear()
-        best[key] = AtomMapping(tuple(sorted(mapping.items())))
+        best[key] = tuple(sorted(mapping.items()))
 
     seen_states: set[frozenset] = set()
 
@@ -550,7 +551,7 @@ def fresh_complete_with_trace(model, rationale, z, rng, max_steps):
         for _q in members:
             prior.append(draw(sl.bond_probs(t, prior, oracle_bond_mask(model, state, t, prior))))
         trace.extend(prior)
-        u = state._append_atom(model.atom_types[t].to_atom())
+        u = state._append_atom(model.atom_types[t])
         for q, b in zip(members, prior):
             if b != NO_BOND_IDX:
                 state._append_bond(u, q, b)

@@ -188,7 +188,7 @@ class TestPeripheralDeletions:
         dels = peripheral_deletions(g)
         assert len(dels) == 2
         for d in dels:
-            assert d.kind == "peripheral-bond"
+            assert len(d.atoms) == 1  # a bond deletion removes one atom
             assert apply_deletion_with_map(g, d)[0].n == 2
 
     def test_benzene_no_deletions(self):
@@ -202,7 +202,7 @@ class TestPeripheralDeletions:
         g = parse_smiles("CC1CC1")
         dels = peripheral_deletions(g)
         got = {
-            ("bond" if d.kind == "peripheral-bond" else "ring", d.atoms, d.bonds)
+            ("bond" if len(d.atoms) == 1 else "ring", d.atoms, d.bonds)
             for d in dels
         }
         assert got == oracle_peripheral_removals(g)
@@ -228,7 +228,7 @@ class TestPeripheralDeletions:
             if g.n > 12 or not is_connected(g):
                 continue
             got = {
-                ("bond" if d.kind == "peripheral-bond" else "ring", d.atoms, d.bonds)
+                ("bond" if len(d.atoms) == 1 else "ring", d.atoms, d.bonds)
                 for d in peripheral_deletions(g)
             }
             assert got == oracle_peripheral_removals(g), write_smiles(g)
@@ -255,13 +255,13 @@ class TestApplyDeletion:
 
     def test_exocyclic_bond_gives_ring(self):
         g = parse_smiles("CC1CC1")
-        bond_dels = [d for d in peripheral_deletions(g) if d.kind == "peripheral-bond"]
+        bond_dels = [d for d in peripheral_deletions(g) if len(d.atoms) == 1]
         out = apply_deletion_with_map(g, bond_dels[0])[0]
         assert canonical_key(out) == canonical_key(parse_smiles("C1CC1"))
 
     def test_ring_deletion_gives_single_atom(self):
         g = parse_smiles("CC1CC1")
-        ring_dels = [d for d in peripheral_deletions(g) if d.kind == "peripheral-ring"]
+        ring_dels = [d for d in peripheral_deletions(g) if len(d.atoms) >= 3]
         out = apply_deletion_with_map(g, ring_dels[0])[0]
         assert out.n == 1 and out.atoms[0].element == "C"
 
@@ -276,7 +276,7 @@ class TestApplyDeletion:
         from molrationale.chemgraph import Deletion
 
         with pytest.raises(GraphError):
-            apply_deletion_with_map(ring, Deletion("peripheral-ring", (1, 2, 3), (1, 2)))
+            apply_deletion_with_map(ring, Deletion((1, 2, 3), (1, 2)))
 
 
 class TestContainsSubgraph:

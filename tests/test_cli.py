@@ -101,9 +101,6 @@ class TestGenSynthetic:
         cfg2 = write_config(tmp_path / "b", tmp_path / "b" / "run")
         assert main(["gen-synthetic", "--config", str(cfg1)]) == EXIT_OK
         assert main(["gen-synthetic", "--config", str(cfg2)]) == EXIT_OK
-        a = (tmp_path / "a" / "run" / "corpus.smi").read_bytes()
-        b = (tmp_path / "b" / "run" / "corpus.smi").read_bytes()
-        assert a == b
         pa = (tmp_path / "a" / "run" / "properties.csv").read_bytes()
         pb = (tmp_path / "b" / "run" / "properties.csv").read_bytes()
         assert pa == pb
@@ -125,21 +122,18 @@ class TestStageSequencing:
     def test_changed_or_missing_artifact_refused_without_force(self, tmp_path, capsys):
         cfg = str(write_config(tmp_path, tmp_path / "run"))
         assert main(["gen-synthetic", "--config", cfg]) == EXIT_OK
-        # the first molecule becomes CCO in the corpus and in its labels
-        corpus = tmp_path / "run" / "corpus.smi"
-        lines = corpus.read_text().splitlines(keepends=True)
-        corpus.write_text("".join(["CCO\n", *lines[1:]]))
+        # the first molecule becomes CCO
         props = tmp_path / "run" / "properties.csv"
         header, first, *rows = props.read_text().splitlines(keepends=True)
         props.write_text("".join([header, "CCO" + first[first.index(","):], *rows]))
         capsys.readouterr()
         assert main(["train-predictor", "--config", cfg]) == EXIT_MISSING
-        assert "corpus.smi" in capsys.readouterr().err
+        assert "properties.csv" in capsys.readouterr().err
         assert main(["train-predictor", "--config", cfg, "--force"]) == EXIT_OK
         # the forced stage leaves the edited corpus in place, and extract reads it
         capsys.readouterr()
         assert main(["extract", "--config", cfg]) == EXIT_MISSING
-        assert "corpus.smi" in capsys.readouterr().err
+        assert "properties.csv" in capsys.readouterr().err
         assert main(["gen-synthetic", "--config", cfg]) == EXIT_OK
         assert main(["train-predictor", "--config", cfg]) == EXIT_OK
         (tmp_path / "run" / "forest_amide.json").unlink()
@@ -168,7 +162,7 @@ class TestStageSequencing:
     @pytest.mark.parametrize(
         "stage, name, edit",
         [
-            ("extract", "corpus.smi", lambda text: text + "\n"),
+            ("extract", "properties.csv", lambda text: text + "\n"),
             ("sample", "vocab_multi.json", lambda text: text + " "),
             ("evaluate", "forest_phenol.json", lambda text: text + " "),
         ],
@@ -313,23 +307,6 @@ class TestLibraryErrors:
         capsys.readouterr()
         assert main(["train-predictor", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: training data must contain both classes\n"
-
-    @pytest.mark.parametrize(
-        "edit",
-        [lambda lines: lines + ["CCO\n"], lambda lines: ["CCO\n", *lines[1:]]],
-        ids=["appended", "replaced"],
-    )
-    def test_corpus_that_disagrees_with_its_labels_is_an_error_line(
-        self, pipeline, tmp_path, capsys, edit
-    ):
-        cfg, run = copy_pipeline(pipeline, tmp_path)
-        corpus = run / "corpus.smi"
-        corpus.write_text("".join(edit(corpus.read_text().splitlines(keepends=True))))
-        capsys.readouterr()
-        assert main(["extract", "--config", cfg, "--force"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "corpus.smi" in err and "properties.csv" in err
 
     @pytest.mark.parametrize(
         "stage, name, version, reason",
@@ -500,7 +477,31 @@ class TestConfigValidation:
         assert not (tmp_path / "run").exists()
 
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"train": {"iteration": 2}}, "train section: unknown key 'iteration'"),
+            ({"properties": [{**README_PROPERTIES[0], "treshold": 0.9}]},
+             "property amide: unknown key 'treshold'"),
+            ({"sampel": {"n": 5}}, "unknown key 'sampel'"),
+        ],
+        ids=["section-key", "property-key", "top-level-key"],
+    )
+    def test_unknown_key_rejected_before_writing(self, tmp_path, capsys, overrides, error):
+        cfg = write_config(tmp_path, tmp_path / "run", **overrides)
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "run").exists()
+
+
 class TestArtifacts:
+    def test_run_directory_holds_exactly_the_declared_writes(self, pipeline):
+        cfg_file, run_dir = pipeline
+        cfg = load_config(cfg_file)
+        declared = {path for _, stage in cli._STAGES for path in cli._paths(cfg, stage.writes)}
+        manifests = {run_dir / f"{name}.manifest.json" for name, _ in cli._STAGES}
+        assert set(run_dir.iterdir()) == declared | manifests
+
     def test_all_manifests_written(self, pipeline):
         _cfg, run_dir = pipeline
         for stage in [
@@ -515,7 +516,7 @@ class TestArtifacts:
     def test_manifests_list_inputs(self, pipeline):
         _cfg, run_dir = pipeline
         forests = ["forest_amide.json", "forest_phenol.json"]
-        corpus = ["corpus.smi", "properties.csv"]
+        corpus = ["properties.csv"]
         expected = {
             "extract": [*corpus, *forests],
             "merge": ["vocab_amide.json", "vocab_phenol.json", *forests],

@@ -45,7 +45,6 @@ class ScoreSpec(StubProperty):
 
 def make_node(graph, edge_stats):
     node = SearchNode(graph=graph, origin=tuple(range(graph.n)), key="k", score=0.5)
-    node.deletions = list(range(len(edge_stats)))  # placeholder actions
     node.edges = edge_stats
     return node
 

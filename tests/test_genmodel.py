@@ -20,7 +20,6 @@ from molrationale.extract import Rationale
 from molrationale.genmodel import (
     BOND_TYPES,
     NO_BOND_IDX,
-    AtomType,
     DecoderState,
     GenModel,
     GenModelError,
@@ -106,7 +105,7 @@ def enumerate_completions(model, rationale, z, prune=0.0):
                 k = len(prior)
                 if k == len(queue_members):
                     deeper = state.copy()
-                    u = deeper._append_atom(model.atom_types[t_idx].to_atom())
+                    u = deeper._append_atom(model.atom_types[t_idx])
                     for j, b in enumerate(prior):
                         if b != NO_BOND_IDX:
                             deeper._append_bond(u, queue_members[j], b)
@@ -192,7 +191,7 @@ def stepwise_log_prob(model, rationale, z, decide):
             b = decide("bond", q)
             total += math.log(probs[b])
             prior.append(b)
-        u = state._append_atom(model.atom_types[t].to_atom())
+        u = state._append_atom(model.atom_types[t])
         for q, b in zip(members, prior):
             if b != NO_BOND_IDX:
                 state._append_bond(u, q, b)
@@ -217,7 +216,7 @@ def teacher_decisions(model, g, mapping):
             return True
         if kind == "atom":
             a = g.atoms[local[-1]]
-            return model.type_index[AtomType(a.element, a.charge, a.aromatic)]
+            return model.type_index[a]
         bond = g.bond_between(local[-1], local[v])
         return NO_BOND_IDX if bond is None else BOND_TYPES.index(bond.order)
 
@@ -447,7 +446,7 @@ def placed_mask(model, state, t_idx):
     """The first bond decision's mask for a new atom of type t_idx, from
     DecoderState.bond_mask on a copy of the state with the atom placed."""
     dup = state.copy()
-    u = dup._append_atom(model.atom_types[t_idx].to_atom())
+    u = dup._append_atom(model.atom_types[t_idx])
     return dup.bond_mask(u, dup.queue[0], first=True)
 
 
@@ -483,7 +482,7 @@ class TestStepLogits:
         # oxygen head with one bond used: a double bond would overflow it
         state = DecoderState.from_rationale(model, rat("OC", (0,)))
         sl = step_logits(model, state, np.zeros(model.latent))
-        c_idx = model.type_index[AtomType("C", 0, False)]
+        c_idx = model.type_index[Atom("C")]
         mask = placed_mask(model, state, c_idx)
         probs = sl.bond_probs(c_idx, [], mask)
         double = BOND_TYPES.index("double")
@@ -496,7 +495,7 @@ class TestStepLogits:
         model = small_model()
         state = DecoderState.from_rationale(model, rat("FC", (0,)))
         sl = step_logits(model, state, np.zeros(model.latent))
-        c_idx = model.type_index[AtomType("C", 0, False)]
+        c_idx = model.type_index[Atom("C")]
         with pytest.raises(GenModelError):
             sl.bond_probs(c_idx, [], placed_mask(model, state, c_idx))
 

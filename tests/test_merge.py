@@ -13,6 +13,7 @@ from molrationale.cli import cmd_extract, cmd_gen_synthetic, cmd_train_predictor
 from molrationale.extract import Rationale, RationaleVocab
 from molrationale.forest import PropertySpec, train_forest
 from molrationale.merge import (
+    _merge_into,
     _shortlist,
     build_multi_vocab,
     max_common_substructure,
@@ -132,7 +133,7 @@ class TestMCS:
     def test_mapping_labels_agree(self):
         a, b = parse_smiles("CCO"), parse_smiles("OCC")
         for m in max_common_substructure(a, b):
-            for ai, bi in m.pairs:
+            for ai, bi in m:
                 assert a.atoms[ai].element == b.atoms[bi].element
 
 
@@ -194,6 +195,28 @@ class TestMergePair:
         )
         with pytest.raises(ValueError):
             merge_pair(two, rat("C"))
+
+
+class TestMergeInto:
+    @pytest.mark.parametrize(
+        "fragments, nxt, sizes",
+        [
+            # CCO shares an MCS with CC and none with benzene: it is superposed
+            # on CC and never appended
+            (("CC", "c1ccccc1"), "CCO", [2]),
+            # O shares an MCS with neither fragment: it is appended once
+            (("N", "c1ccccc1"), "O", [3]),
+        ],
+        ids=["overlap", "disjoint"],
+    )
+    def test_fragment_order_does_not_change_the_keys(self, fragments, nxt, sizes):
+        keys = []
+        for order in (fragments, fragments[::-1]):
+            acc = Rationale(fragments=tuple(map(parse_smiles, order)), scores={}, peripheral=())
+            out = _merge_into(acc, rat(nxt, (0,)))
+            assert sorted(len(r.fragments) for r in out) == sizes
+            keys.append({r.key for r in out})
+        assert keys[0] == keys[1]
 
 
 def two_property_setup(seed=19, size=400):

@@ -106,8 +106,8 @@ class TestNovelty:
         from molrationale.fingerprint import BitFingerprint
         from molrationale import metrics as m
 
-        a = BitFingerprint(2048, 2, frozenset({1, 2}))
-        b = BitFingerprint(2048, 2, frozenset({1, 2, 3, 4, 5}))
+        a = BitFingerprint(frozenset({1, 2}))
+        b = BitFingerprint(frozenset({1, 2, 3, 4, 5}))
         assert tanimoto(a, b) == pytest.approx(0.4)
 
         class FP:

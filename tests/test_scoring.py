@@ -151,10 +151,10 @@ class TestTanimotoMatrix:
         assert S.tolist() == [[set_tanimoto(a, b) for b in sets[:25]] for a in sets]
 
     def test_conventions(self):
-        empty = BitFingerprint(2048, 2, frozenset())
+        empty = BitFingerprint(frozenset())
         assert tanimoto(empty, empty) == 1.0
-        a = BitFingerprint(2048, 2, frozenset({1, 2}))
-        b = BitFingerprint(2048, 2, frozenset({1, 2, 3, 4, 5}))
+        a = BitFingerprint(frozenset({1, 2}))
+        b = BitFingerprint(frozenset({1, 2, 3, 4, 5}))
         assert tanimoto(a, b) == 0.4
         assert tanimoto(a, empty) == 0.0
         with pytest.raises(ValueError):
@@ -177,8 +177,8 @@ class TestMatrixMetrics:
         wide = frozenset({1, 2, 3, 4, 5, 6})
         sets = [empty, empty, at_cutoff, below]
         refs = [ref, wide]
-        X = np.array([BitFingerprint(2048, 2, s).row() for s in sets])
-        R = np.array([BitFingerprint(2048, 2, s).row() for s in refs])
+        X = np.array([BitFingerprint(s).row() for s in sets])
+        R = np.array([BitFingerprint(s).row() for s in refs])
         assert diversity(tanimoto_matrix(X, X)) == loop_diversity(sets)
         # empty rows share nothing with the references and are novel
         assert novelty(tanimoto_matrix(X, R)) == loop_novelty(sets, refs) == 0.75

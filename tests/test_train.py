@@ -511,7 +511,6 @@ class TestSampleMolecules:
         from molrationale.train import RationaleDistribution
 
         return RationaleDistribution(
-            keys=tuple(r.key for r in vocab.entries),
             rationales=tuple(vocab.entries),
             reward_estimates=np.zeros(len(vocab.entries)),
             probabilities=np.array(probs),
@@ -542,10 +541,11 @@ class TestSampleMolecules:
         rng = np.random.default_rng(8)
         n = 10000
         out = sample_molecules(model, dist, n, rng)
-        counts = {k: 0 for k in dist.keys}
+        keys = [r.key for r in dist.rationales]
+        counts = {k: 0 for k in keys}
         for _, key in out:
             counts[key] += 1
-        for k, p in zip(dist.keys, probs):
+        for k, p in zip(keys, probs):
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts[k] / n - p) <= 3 * se
 
