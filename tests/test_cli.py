@@ -476,7 +476,6 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "run").exists()
 
-
     @pytest.mark.parametrize(
         "overrides, error",
         [
