@@ -57,7 +57,7 @@ def decode(model, start):
     rng = np.random.default_rng(10)
     z = prior_latent(model, rng)
     try:
-        return len(complete_with_trace(model, RATIONALE, z, rng, start=start)[1])
+        return len(complete_with_trace(model, RATIONALE, z, rng, 60, start=start)[1])
     except TruncationError:
         return -1
 
@@ -132,14 +132,18 @@ def test_policy_step(benchmark, desk):
         rng = np.random.default_rng([12, seed])
         z = prior_latent(model, rng)
         try:
-            sampled.append((complete_with_trace(model, RATIONALE, z, rng)[1], z))
+            sampled.append((complete_with_trace(model, RATIONALE, z, rng, 60)[1], z))
         except TruncationError:
             continue
         if len(sampled) == 40:
             break
     params = {k: ns.param(t.data.copy(), k) for k, t in model.params.items()}
     copy = GenModel(model.atom_types, model.hidden, model.latent, model.rounds, params=params)
-    cfg = TrainConfig()
+    cfg = TrainConfig(
+        entropy_weight=0.02, samples_per_rationale=200, iterations=50, kl_weight=0.3,
+        learning_rate=1e-3, batch_size=16, pretrain_epochs=10, max_subgraph_atoms=20,
+        pairs_per_molecule=2, max_decode_steps=60, dist_samples=20, seed=0,
+    )
 
     def step():
         start = prepare_start(copy, RATIONALE)

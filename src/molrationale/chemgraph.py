@@ -20,7 +20,6 @@ SINGLE = "single"
 DOUBLE = "double"
 TRIPLE = "triple"
 AROMATIC = "aromatic"
-BOND_ORDERS = (SINGLE, DOUBLE, TRIPLE, AROMATIC)
 
 _BOND_FROM_SYMBOL = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
 _SYMBOL_FROM_BOND = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}

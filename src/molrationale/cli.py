@@ -20,6 +20,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import re
 import sys
 from collections.abc import Callable
@@ -34,6 +35,7 @@ from .chemgraph import (
     ChemError,
     MolGraph,
     connected_components,
+    disjoint_union,
     induced_subgraph,
     parse_smiles,
     write_smiles,
@@ -83,6 +85,7 @@ class ArtifactError(ValueError):
     """A run-directory file that does not parse as the artifact it should be."""
 
 
+# each run setting's only default: the library takes every setting from its caller
 _DEFAULTS = {
     "seed": 7,
     "corpus": {"size": 800, "atoms_min": 9, "atoms_max": 14, "ring_prob": 0.25, "decoy_prob": 0.25, "unique": False},
@@ -166,12 +169,24 @@ def _check_keys(user: dict) -> None:
             _reject_unknown(value, _DEFAULTS[key], f"{key} section: ")
 
 
+# The range of each float setting that has one, as (test, wording); every
+# other float need only be finite. train.entropy_weight > 0 is TrainConfig's.
+_FLOAT_RANGES = {
+    ("corpus", "ring_prob"): (lambda x: 0 <= x <= 1, "in [0, 1]"),
+    ("corpus", "decoy_prob"): (lambda x: 0 <= x <= 1, "in [0, 1]"),
+    ("train", "learning_rate"): (lambda x: x > 0, "finite and > 0"),
+    ("train", "kl_weight"): (lambda x: x >= 0, "finite and >= 0"),
+    ("extract", "c_puct"): (lambda x: x >= 0, "finite and >= 0"),
+}
+
+
 def _check_numbers(merged: dict) -> None:
     """Each numeric value of a section must have its default's type (an
     integer where the default is one, else any number), and
     extract.max_molecules is null or an integer. Every integer is a count of
-    at least 1, except sample.n, which may be 0; corpus.atoms_min may not
-    exceed corpus.atoms_max."""
+    at least 1, except sample.n, which may be 0; every float is finite and in
+    its _FLOAT_RANGES range; corpus.atoms_min may not exceed
+    corpus.atoms_max."""
     for section in ("corpus", "forest", "extract", "merge", "model", "train", "sample"):
         values = merged[section]
         if not isinstance(values, dict):
@@ -187,6 +202,9 @@ def _check_numbers(merged: dict) -> None:
             least = 0 if (section, key) == ("sample", "n") else 1
             if kinds is int and value < least:
                 raise ConfigError(f"{section}.{key} must be >= {least}, got {value!r}")
+            within, wording = _FLOAT_RANGES.get((section, key), (math.isfinite, "finite"))
+            if kinds is not int and not (math.isfinite(value) and within(value)):
+                raise ConfigError(f"{section}.{key} must be {wording}, got {value!r}")
     corpus = merged["corpus"]
     if corpus["atoms_min"] > corpus["atoms_max"]:
         raise ConfigError(
@@ -236,6 +254,8 @@ def load_config(path: str | Path) -> RunConfig:
         user = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(user, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     _check_keys(user)
     merged = _deep_merge(_DEFAULTS, user)
     if merged.get("preset", "desk") != "desk":
@@ -534,8 +554,6 @@ def _sample_smiles(g: MolGraph) -> str:
 
 
 def _parse_sample_line(line: str) -> MolGraph:
-    from .chemgraph import disjoint_union
-
     parts = [parse_smiles(p) for p in line.split(".")]
     return parts[0] if len(parts) == 1 else disjoint_union(parts)
 

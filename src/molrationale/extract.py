@@ -32,10 +32,6 @@ from .forest import PropertySpec
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ITERATIONS = 20
-DEFAULT_C_PUCT = 10.0
-DEFAULT_MAX_ATOMS = 20
-
 _VOCAB_VERSION = 1
 
 
@@ -320,9 +316,9 @@ def _make_rationale(
 def extract_rationales(
     g: MolGraph,
     prop: PropertySpec,
-    iterations: int = DEFAULT_ITERATIONS,
-    c_puct: float = DEFAULT_C_PUCT,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
+    iterations: int,
+    c_puct: float,
+    max_atoms: int,
     score_cache: dict | None = None,
 ) -> list[Rationale]:
     """Run the deletion search on one molecule and return all distinct visited
@@ -364,9 +360,9 @@ def extract_rationales(
 def build_vocab(
     positives: list[MolGraph],
     prop: PropertySpec,
-    iterations: int = DEFAULT_ITERATIONS,
-    c_puct: float = DEFAULT_C_PUCT,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
+    iterations: int,
+    c_puct: float,
+    max_atoms: int,
 ) -> RationaleVocab:
     """Union of per-molecule rationales over predicted-positive inputs,
     deduplicated by canonical key (sources are merged)."""

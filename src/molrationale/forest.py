@@ -15,9 +15,6 @@ import numpy as np
 from .chemgraph import MolGraph
 from .fingerprint import WIDTH, fingerprint_matrix
 
-DEFAULT_TREES = 100
-DEFAULT_MAX_DEPTH = 12
-
 _MODEL_VERSION = 2
 
 
@@ -76,7 +73,7 @@ class PropertySpec:
 
     name: str
     model: ForestModel
-    threshold: float = 0.5
+    threshold: float
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
@@ -155,8 +152,8 @@ def _build_tree(
 
 def train_forest(
     data: list[tuple[MolGraph, int]],
-    n_trees: int = DEFAULT_TREES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
+    n_trees: int,
+    max_depth: int,
     seed: int = 0,
 ) -> ForestModel:
     """Bootstrap-sampled trees with Gini splits over a sqrt(WIDTH) random bit

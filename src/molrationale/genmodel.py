@@ -44,11 +44,6 @@ NO_BOND_IDX = BOND_TYPES.index(NO_BOND)
 
 _NEG_INF = -1e30
 
-DEFAULT_HIDDEN = 64
-DEFAULT_LATENT = 16
-DEFAULT_ROUNDS = 3
-DEFAULT_MAX_STEPS = 60
-
 
 class GenModelError(RuntimeError):
     pass
@@ -85,9 +80,9 @@ class GenModel:
     def __init__(
         self,
         atom_types: tuple[Atom, ...],
-        hidden: int = DEFAULT_HIDDEN,
-        latent: int = DEFAULT_LATENT,
-        rounds: int = DEFAULT_ROUNDS,
+        hidden: int,
+        latent: int,
+        rounds: int,
         seed: int = 0,
         params: dict[str, ns.Tensor] | None = None,
     ):
@@ -729,7 +724,7 @@ def complete_with_trace(
     rationale: Rationale,
     z,
     rng: np.random.Generator,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    max_steps: int,
     *,
     start: DecodeStart | None = None,
 ) -> tuple[MolGraph, list[int]]:

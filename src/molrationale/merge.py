@@ -217,7 +217,7 @@ def _shortlist(vocab: RationaleVocab, prop_name: str, size: int) -> list[Rationa
 def build_multi_vocab(
     vocabs: list[RationaleVocab],
     props: list[PropertySpec],
-    shortlist_size: int = 8,
+    shortlist_size: int,
 ) -> RationaleVocab:
     """Merge per-property shortlists (left-associative over the property
     order) and keep candidates whose every property score clears its

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 
 from .chemgraph import (
     AROMATIC,
@@ -22,6 +23,7 @@ from .chemgraph import (
     canonical_key,
     contains_subgraph,
     free_valence,
+    induced_subgraph,
 )
 
 log = logging.getLogger(__name__)
@@ -58,8 +60,6 @@ class _Builder:
         return MolGraph(self.atoms, self.bonds)
 
     def distance(self, a: int, b: int) -> int:
-        from collections import deque
-
         adj: dict[int, list[int]] = {i: [] for i in range(len(self.atoms))}
         for bond in self.bonds:
             adj[bond.u].append(bond.v)
@@ -104,7 +104,7 @@ def _attach_aromatic_ring(b: _Builder, rng: random.Random, anchor: int) -> None:
 def random_molecule(
     rng: random.Random,
     n_atoms: int,
-    ring_prob: float = 0.3,
+    ring_prob: float,
     motif: MolGraph | None = None,
 ) -> MolGraph:
     """Grow a connected molecule to roughly n_atoms by valence-respecting
@@ -175,15 +175,13 @@ class CorpusSpec:
     size: int
     atoms_min: int
     atoms_max: int
-    ring_prob: float = 0.3
-    decoy_prob: float = 0.25
-    unique: bool = True
+    ring_prob: float
+    decoy_prob: float
+    unique: bool
 
 
 def _random_proper_subgraph(g: MolGraph, rng: random.Random) -> MolGraph:
     """Connected subgraph of g missing 1-3 atoms (a near-miss decoy)."""
-    from .chemgraph import induced_subgraph
-
     drop = rng.randint(1, min(3, g.n - 2))
     size = g.n - drop
     start = rng.randrange(g.n)
@@ -227,10 +225,7 @@ def generate_corpus(
         attempts += 1
         if attempts > max_attempts:
             log.warning("corpus: uniqueness attempts exhausted, allowing duplicates")
-            spec = CorpusSpec(
-                spec.size, spec.atoms_min, spec.atoms_max, spec.ring_prob,
-                spec.decoy_prob, unique=False,
-            )
+            spec = replace(spec, unique=False)
         planted: MolGraph | None = None
         r = rng.random()
         acc = 0.0

@@ -15,7 +15,6 @@ from .extract import Rationale, RationaleVocab, peripheral_atoms
 from .fingerprint import fingerprint_matrix, tanimoto_matrix
 from .forest import PropertySpec, positive_mask
 from .genmodel import (
-    DEFAULT_MAX_STEPS,
     DecodeStart,
     GenModel,
     TruncationError,
@@ -37,18 +36,18 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    entropy_weight: float = 0.02  # lambda in the rationale distribution
-    samples_per_rationale: int = 200  # K
-    iterations: int = 50  # L
-    kl_weight: float = 0.3  # beta
-    learning_rate: float = 1e-3
-    batch_size: int = 16
-    pretrain_epochs: int = 10
-    max_subgraph_atoms: int = 20  # N for pre-training pairs
-    pairs_per_molecule: int = 2
-    max_decode_steps: int = DEFAULT_MAX_STEPS
-    dist_samples: int = 20  # completions per rationale for the distribution
-    seed: int = 0
+    entropy_weight: float  # lambda in the rationale distribution
+    samples_per_rationale: int  # K
+    iterations: int  # L
+    kl_weight: float  # beta
+    learning_rate: float
+    batch_size: int
+    pretrain_epochs: int
+    max_subgraph_atoms: int  # N for pre-training pairs
+    pairs_per_molecule: int
+    max_decode_steps: int
+    dist_samples: int  # completions per rationale for the distribution
+    seed: int
 
     def __post_init__(self):
         if self.entropy_weight <= 0:
@@ -337,9 +336,9 @@ def rationale_distribution(
     vocab: RationaleVocab,
     props: list[PropertySpec],
     entropy_weight: float,
-    samples_per_rationale: int = 20,
+    samples_per_rationale: int,
+    max_steps: int,
     seed: int = 0,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> RationaleDistribution:
     """Estimate each rationale's expected indicator reward by sampling, then
     set P(S_k) proportional to exp(reward_k / entropy_weight)."""
@@ -370,7 +369,7 @@ def sample_molecules(
     dist: RationaleDistribution,
     n: int,
     rng: np.random.Generator,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    max_steps: int,
 ) -> list[tuple[MolGraph, str]]:
     """Draw rationale ~ P(S) then complete it; truncated completions are
     redrawn, with total attempts capped at 10n."""

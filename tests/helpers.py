@@ -29,7 +29,6 @@ from molrationale.extract import RationaleVocab
 from molrationale.forest import PropertySpec, _gini, positive_mask
 from molrationale.genmodel import (
     BOND_TYPES,
-    DEFAULT_MAX_STEPS,
     NO_BOND_IDX,
     DecoderState,
     GenModel,
@@ -472,7 +471,7 @@ def success_of_model(
     props: list[PropertySpec],
     n: int,
     seed: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    max_steps: int,
 ) -> float:
     """Positive fraction of n completions with rationales drawn uniformly."""
     if not vocab.entries:

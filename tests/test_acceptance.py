@@ -222,31 +222,33 @@ def test_criterion_4_finetuning_lift():
     )
     data_a = list(zip(mols, labels["a"]))
     data_b = list(zip(mols, labels["b"]))
-    prop_a = PropertySpec("a", train_forest(data_a, n_trees=40, max_depth=10, seed=1))
-    prop_b = PropertySpec("b", train_forest(data_b, n_trees=40, max_depth=10, seed=2))
+    forest_a = train_forest(data_a, n_trees=40, max_depth=10, seed=1)
+    forest_b = train_forest(data_b, n_trees=40, max_depth=10, seed=2)
+    prop_a = PropertySpec("a", forest_a, threshold=0.5)
+    prop_b = PropertySpec("b", forest_b, threshold=0.5)
     from molrationale.extract import build_vocab
 
     pos_a = [g for g, y in data_a if y and prop_a.score(g) >= 0.5][:25]
     pos_b = [g for g, y in data_b if y and prop_b.score(g) >= 0.5][:25]
-    va = build_vocab(pos_a, prop_a, iterations=20)
-    vb = build_vocab(pos_b, prop_b, iterations=20)
+    va = build_vocab(pos_a, prop_a, iterations=20, c_puct=10.0, max_atoms=20)
+    vb = build_vocab(pos_b, prop_b, iterations=20, c_puct=10.0, max_atoms=20)
     multi = build_multi_vocab([va, vb], [prop_a, prop_b], shortlist_size=6)
     assert len(multi) >= 1
 
     model = GenModel(atom_types_from_corpus(mols), hidden=32, latent=12, rounds=2, seed=5)
     cfg = TrainConfig(
-        samples_per_rationale=20, iterations=10, pretrain_epochs=3,
-        pairs_per_molecule=1, batch_size=16, learning_rate=2e-3,
-        max_subgraph_atoms=8, seed=9,
+        entropy_weight=0.02, samples_per_rationale=20, iterations=10, kl_weight=0.3,
+        pretrain_epochs=3, pairs_per_molecule=1, batch_size=16, learning_rate=2e-3,
+        max_subgraph_atoms=8, max_decode_steps=60, dist_samples=20, seed=9,
     )
     pairs = make_pretrain_pairs(
         mols, cfg.max_subgraph_atoms, cfg.pairs_per_molecule, np.random.default_rng(3)
     )
     pretrain(model, pairs, cfg)
     props = [prop_a, prop_b]
-    before = success_of_model(model, multi, props, 500, seed=33)
+    before = success_of_model(model, multi, props, 500, seed=33, max_steps=60)
     stats = finetune(model, multi, props, cfg)
-    after = success_of_model(model, multi, props, 500, seed=34)
+    after = success_of_model(model, multi, props, 500, seed=34, max_steps=60)
     elapsed = time.monotonic() - start
     ok = len(stats) == 10 and (after - before) >= 0.10 and elapsed < 900
     report(

@@ -1,8 +1,12 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -12,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molrationale import cli
+import molrationale
+from molrationale import cli, extract, forest, genmodel, merge, synthetic, train
 from molrationale.chemgraph import contains_subgraph, parse_smiles
 from molrationale.cli import (
     EXIT_CONFIG,
@@ -258,8 +263,7 @@ class TestStageTable:
                 assert writer.setdefault(pattern, i) == i, pattern
 
     def test_readme_stage_table_lists_each_stages_upstream_stages(self):
-        readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
-        table = readme.split("| stage | verifies the outputs it reads of |\n|---|---|\n")[1]
+        table = README.split("| stage | verifies the outputs it reads of |\n|---|---|\n")[1]
         documented = {}
         for row in table.split("\n\n")[0].splitlines():
             stages, upstream = row.strip("|").split("|")
@@ -269,10 +273,33 @@ class TestStageTable:
         assert documented == derived
 
 
-README_PROPERTIES = [
-    {"name": "amide", "motif": "NC(=O)c1ccccc1", "plant_prob": 0.2},
-    {"name": "phenol", "motif": "Oc1ccccc1", "plant_prob": 0.2},
-]
+README = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+# the README's minimal config, as written under "Minimal config:"
+README_CONFIG = json.loads(README.split("Minimal config:\n\n```json\n")[1].split("```")[0])
+README_PROPERTIES = README_CONFIG["properties"]
+
+
+class TestReadmeConfig:
+    def test_minimal_config_loads(self, tmp_path):
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps(README_CONFIG))
+        cfg = load_config(file)
+        assert cfg.seed == README_CONFIG["seed"]
+        assert [p["name"] for p in cfg.properties] == ["amide", "phenol"]
+
+    def test_paper_width_keys_load(self, tmp_path):
+        # the paragraph after the minimal config names the paper's widths and
+        # fine-tuning sizes as `"section": {...}` spans
+        paragraph = README.split("Minimal config:")[1].split("\n\n")[2]
+        spans = re.findall(r'`("\w+": \{[^`]*\})`', paragraph)
+        paper = json.loads("{" + ", ".join(spans) + "}")
+        assert set(paper) == {"model", "train"}
+        file = tmp_path / "cfg.json"
+        file.write_text(json.dumps({**README_CONFIG, **paper}))
+        cfg = load_config(file)
+        for section, values in paper.items():
+            for key, value in values.items():
+                assert cfg.section(section)[key] == value
 
 
 class TestLibraryErrors:
@@ -396,6 +423,15 @@ class TestConfigValidation:
         file.write_text(json.dumps({"properties": [{"name": "x", "motif": "C"}]}))
         assert main(["gen-synthetic", "--config", str(file)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", ["[]", "3", "null", '"x"'],
+                             ids=["list", "number", "null", "string"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, text):
+        file = tmp_path / "cfg.json"
+        file.write_text(text)
+        assert main(["gen-synthetic", "--config", str(file)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config {file} is not a JSON object\n"
+        assert list(tmp_path.iterdir()) == [file]
+
     def test_bad_train_section(self, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "run", train={"entropy_weight": 0})
         assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
@@ -451,6 +487,29 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"corpus": {"ring_prob": 7.0}},
+            {"corpus": {"ring_prob": float("nan")}},
+            {"corpus": {"decoy_prob": -0.5}},
+            {"train": {"learning_rate": -1}},
+            {"train": {"learning_rate": 0}},
+            {"train": {"kl_weight": -1}},
+            {"extract": {"c_puct": -5}},
+            {"train": {"entropy_weight": float("inf")}},
+        ],
+        ids=["ring-prob-above-1", "ring-prob-nan", "negative-decoy-prob", "negative-learning-rate",
+             "zero-learning-rate", "negative-kl-weight", "negative-c-puct", "infinite-entropy-weight"],
+    )
+    def test_out_of_range_float_rejected_before_writing(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path, tmp_path / "run", **section)
+        assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+        [(name, values)] = section.items()
+        [key] = values
+        assert capsys.readouterr().err.startswith(f"config error: {name}.{key} must be ")
+        assert not (tmp_path / "run").exists()
+
     def test_null_max_molecules_accepted(self, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "run", extract={"max_molecules": None})
         assert load_config(cfg).section("extract")["max_molecules"] is None
@@ -491,6 +550,50 @@ class TestConfigValidation:
         assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert not (tmp_path / "run").exists()
+
+
+# Each library parameter or field that stands for a run setting, which the
+# caller passes: cli._DEFAULTS (and the property defaults of
+# cli._check_properties) is the only place such a setting has a default.
+SETTING_PARAMETERS = [
+    (forest.train_forest, "n_trees"),
+    (forest.train_forest, "max_depth"),
+    (forest.PropertySpec, "threshold"),
+    *((entry, name) for entry in (extract.extract_rationales, extract.build_vocab)
+      for name in ("iterations", "c_puct", "max_atoms")),
+    (merge.build_multi_vocab, "shortlist_size"),
+    *((genmodel.GenModel, name) for name in ("hidden", "latent", "rounds")),
+    (genmodel.complete_with_trace, "max_steps"),
+    (train.rationale_distribution, "max_steps"),
+    (train.rationale_distribution, "samples_per_rationale"),
+    (train.sample_molecules, "max_steps"),
+    (synthetic.random_molecule, "ring_prob"),
+    *((cls, f.name) for cls in (train.TrainConfig, synthetic.CorpusSpec)
+      for f in dataclasses.fields(cls)),
+]
+
+
+class TestOneDefaultPerSetting:
+    @pytest.mark.parametrize(
+        "entry, name", SETTING_PARAMETERS,
+        ids=[f"{entry.__name__}.{name}" for entry, name in SETTING_PARAMETERS],
+    )
+    def test_library_setting_has_no_default(self, entry, name):
+        where = f"{entry.__module__}.{entry.__qualname__}({name}=...)"
+        default = inspect.signature(entry).parameters[name].default
+        assert default is inspect.Parameter.empty, f"{where} defaults to {default!r}"
+        if dataclasses.is_dataclass(entry):
+            field = {f.name: f for f in dataclasses.fields(entry)}[name]
+            assert field.default is field.default_factory is dataclasses.MISSING, where
+
+    def test_no_module_keeps_default_constants(self):
+        names = [
+            f"{info.name}.{attr}"
+            for info in pkgutil.iter_modules(molrationale.__path__) if info.name != "__main__"
+            for attr in vars(importlib.import_module(f"molrationale.{info.name}"))
+            if attr.startswith("DEFAULT_")
+        ]
+        assert names == []
 
 
 class TestArtifacts:

@@ -53,7 +53,9 @@ MOTIF = "NC(=O)c1ccc(O)cc1"
 
 
 def planted_setup(size=300, seed=17):
-    spec = CorpusSpec(size=size, atoms_min=10, atoms_max=14, ring_prob=0.25)
+    spec = CorpusSpec(
+        size=size, atoms_min=10, atoms_max=14, ring_prob=0.25, decoy_prob=0.25, unique=True
+    )
     motif = parse_smiles(MOTIF)
     mols, labels = generate_corpus(spec, {"tox": motif}, {"tox": 0.25}, seed=seed)
     data = list(zip(mols, labels["tox"]))
@@ -123,14 +125,14 @@ class TestExtractRationales:
     def test_root_qualifies_when_small_and_positive(self):
         g = parse_smiles("CC(=O)N")
         prop = ScoreSpec(lambda _: 0.9)
-        out = extract_rationales(g, prop, iterations=5)
+        out = extract_rationales(g, prop, iterations=5, c_puct=10.0, max_atoms=20)
         keys = {r.key for r in out}
         assert canonical_key(g) in keys
 
     def test_everything_below_threshold_gives_empty(self):
         g = parse_smiles("CCCCC")
         prop = ScoreSpec(lambda _: 0.1)
-        assert extract_rationales(g, prop, iterations=10) == []
+        assert extract_rationales(g, prop, iterations=10, c_puct=10.0, max_atoms=20) == []
 
     def test_planted_motif_recovered_as_subgraph(self):
         motif, prop, positives = planted_setup()
@@ -145,7 +147,7 @@ class TestExtractRationales:
     def test_returned_rationales_are_valid_subgraphs(self):
         motif, prop, positives = planted_setup(size=150, seed=29)
         for g in positives[:10]:
-            for r in extract_rationales(g, prop, iterations=20, max_atoms=20):
+            for r in extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20):
                 frag = r.fragments[0]
                 assert frag.n <= 20
                 assert is_connected(frag)
@@ -160,7 +162,7 @@ class TestExtractRationales:
     def test_peripheral_annotation_rule(self):
         motif, prop, positives = planted_setup(size=150, seed=31)
         g = positives[0]
-        for r in extract_rationales(g, prop, iterations=20):
+        for r in extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20):
             frag = r.fragments[0]
             _key, origin = r.sources[0]
             expected = tuple(
@@ -172,8 +174,8 @@ class TestExtractRationales:
 
     def test_determinism(self):
         motif, prop, positives = planted_setup(size=150, seed=37)
-        a = extract_rationales(positives[0], prop, iterations=20)
-        b = extract_rationales(positives[0], prop, iterations=20)
+        a = extract_rationales(positives[0], prop, iterations=20, c_puct=10.0, max_atoms=20)
+        b = extract_rationales(positives[0], prop, iterations=20, c_puct=10.0, max_atoms=20)
         assert [r.key for r in a] == [r.key for r in b]
 
     def test_stats_flow_conservation(self, monkeypatch):
@@ -188,7 +190,7 @@ class TestExtractRationales:
 
         monkeypatch.setattr(extract, "_Search", RecordedSearch)
         iterations = 40
-        extract_rationales(g, prop, iterations=iterations)
+        extract_rationales(g, prop, iterations=iterations, c_puct=10.0, max_atoms=20)
         (search,) = holder
         nodes = search.nodes
         inflow = {key: 0 for key in nodes}
@@ -206,11 +208,13 @@ class TestExtractRationales:
 
     def test_tiny_molecule_optimality_vs_enumeration(self):
         motif = parse_smiles("NC=O")
-        spec = CorpusSpec(size=250, atoms_min=6, atoms_max=9, ring_prob=0.3)
+        spec = CorpusSpec(
+            size=250, atoms_min=6, atoms_max=9, ring_prob=0.3, decoy_prob=0.25, unique=True
+        )
         mols, labels = generate_corpus(spec, {"p": motif}, {"p": 0.3}, seed=41)
         data = list(zip(mols, labels["p"]))
         model = train_forest(data, n_trees=20, max_depth=10, seed=9)
-        prop = PropertySpec("p", model)
+        prop = PropertySpec("p", model, threshold=0.5)
         positives = [g for g, y in data if y == 1 and prop.score(g) >= 0.5]
         checked = 0
         for g in positives:
@@ -243,7 +247,7 @@ class TestBuildVocab:
         prop = ScoreSpec(lambda _: 0.9)
         a = parse_smiles("CCO")
         b = parse_smiles("OCC")
-        vocab = build_vocab([a, b], prop, iterations=10)
+        vocab = build_vocab([a, b], prop, iterations=10, c_puct=10.0, max_atoms=20)
         keys = [r.key for r in vocab]
         assert len(keys) == len(set(keys))
         # both sources are recorded on the shared entries
@@ -252,7 +256,7 @@ class TestBuildVocab:
 
     def test_every_member_scores_above_threshold(self):
         motif, prop, positives = planted_setup(size=200, seed=43)
-        vocab = build_vocab(positives[:30], prop, iterations=20)
+        vocab = build_vocab(positives[:30], prop, iterations=20, c_puct=10.0, max_atoms=20)
         assert len(vocab) >= 1
         for r in vocab:
             assert prop.score(r.combined) >= prop.threshold
@@ -260,7 +264,7 @@ class TestBuildVocab:
     def test_empty_input_raises(self):
         prop = ScoreSpec(lambda _: 0.9)
         with pytest.raises(SearchError):
-            build_vocab([], prop)
+            build_vocab([], prop, iterations=20, c_puct=10.0, max_atoms=20)
 
     def test_non_positive_inputs_skipped(self, caplog):
         import logging
@@ -269,7 +273,7 @@ class TestBuildVocab:
         small = parse_smiles("CCO")
         big = parse_smiles("CCCCCCC")
         with caplog.at_level(logging.WARNING):
-            vocab = build_vocab([small, big], prop, iterations=5)
+            vocab = build_vocab([small, big], prop, iterations=5, c_puct=10.0, max_atoms=20)
         assert "skipped 1" in caplog.text
         assert all(r.sources[0][0] == canonical_key(small) for r in vocab)
 
@@ -277,7 +281,7 @@ class TestBuildVocab:
 class TestVocabSerialization:
     def test_json_roundtrip_preserves_keys_and_peripheral(self):
         motif, prop, positives = planted_setup(size=150, seed=47)
-        vocab = build_vocab(positives[:10], prop, iterations=20)
+        vocab = build_vocab(positives[:10], prop, iterations=20, c_puct=10.0, max_atoms=20)
         text = vocab.to_json()
         back = RationaleVocab.from_json(text)
         assert {r.key for r in back} == {r.key for r in vocab}

@@ -22,7 +22,9 @@ MOTIF = "NC(=O)c1ccc(O)cc1"
 
 
 def planted_dataset(size=400, seed=5):
-    spec = CorpusSpec(size=size, atoms_min=9, atoms_max=14, ring_prob=0.25)
+    spec = CorpusSpec(
+        size=size, atoms_min=9, atoms_max=14, ring_prob=0.25, decoy_prob=0.25, unique=True
+    )
     motif = parse_smiles(MOTIF)
     mols, labels = generate_corpus(spec, {"tox": motif}, {"tox": 0.2}, seed=seed)
     return [(g, y) for g, y in zip(mols, labels["tox"])]
@@ -41,11 +43,11 @@ class TestTrainForest:
     def test_single_class_raises(self):
         data = [(parse_smiles("C"), 1), (parse_smiles("CC"), 1)]
         with pytest.raises(ForestError):
-            train_forest(data, n_trees=1, seed=0)
+            train_forest(data, n_trees=1, max_depth=12, seed=0)
 
     def test_too_small_raises(self):
         with pytest.raises(ForestError):
-            train_forest([(parse_smiles("C"), 1)], seed=0)
+            train_forest([(parse_smiles("C"), 1)], n_trees=100, max_depth=12, seed=0)
 
     def test_determinism_bytes(self):
         data = planted_dataset(size=80, seed=9)
@@ -70,7 +72,10 @@ class TestTrainForest:
         [(80, 9, 14, 1), (200, 9, 13, 2), (120, 20, 28, 3), (60, 4, 8, 4)],
     )
     def test_counted_trees_equal_row_copy_oracle(self, size, atoms_min, atoms_max, seed):
-        spec = CorpusSpec(size=size, atoms_min=atoms_min, atoms_max=atoms_max, ring_prob=0.25)
+        spec = CorpusSpec(
+            size=size, atoms_min=atoms_min, atoms_max=atoms_max, ring_prob=0.25,
+            decoy_prob=0.25, unique=True,
+        )
         motifs = {"amide": parse_smiles("NC(=O)c1ccccc1"), "phenol": parse_smiles("Oc1ccccc1")}
         mols, labels = generate_corpus(spec, motifs, {"amide": 0.2, "phenol": 0.2}, seed=seed)
         for name in motifs:

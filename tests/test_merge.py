@@ -223,16 +223,20 @@ def two_property_setup(seed=19, size=400):
     # the motifs share a benzene core, so superpositions can succeed
     motif_a = parse_smiles("NC(=O)c1ccccc1")
     motif_b = parse_smiles("Oc1ccccc1")
-    spec = CorpusSpec(size=size, atoms_min=10, atoms_max=15, ring_prob=0.25)
+    spec = CorpusSpec(
+        size=size, atoms_min=10, atoms_max=15, ring_prob=0.25, decoy_prob=0.25, unique=True
+    )
     mols, labels = generate_corpus(
         spec, {"a": motif_a, "b": motif_b}, {"a": 0.18, "b": 0.18}, seed=seed
     )
     data = list(zip(mols, labels["a"], labels["b"]))
     prop_a = PropertySpec(
-        "a", train_forest([(g, ya) for g, ya, _ in data], n_trees=30, max_depth=12, seed=1)
+        "a", train_forest([(g, ya) for g, ya, _ in data], n_trees=30, max_depth=12, seed=1),
+        threshold=0.5,
     )
     prop_b = PropertySpec(
-        "b", train_forest([(g, yb) for g, _, yb in data], n_trees=30, max_depth=12, seed=2)
+        "b", train_forest([(g, yb) for g, _, yb in data], n_trees=30, max_depth=12, seed=2),
+        threshold=0.5,
     )
     return motif_a, motif_b, prop_a, prop_b
 
@@ -261,8 +265,8 @@ class TestBuildMultiVocab:
         motif_a, motif_b, prop_a, prop_b = two_property_setup()
         mols_a = [g for g in _positives_for(prop_a, motif_a, seed=61)][:20]
         mols_b = [g for g in _positives_for(prop_b, motif_b, seed=62)][:20]
-        va = build_vocab(mols_a, prop_a, iterations=20)
-        vb = build_vocab(mols_b, prop_b, iterations=20)
+        va = build_vocab(mols_a, prop_a, iterations=20, c_puct=10.0, max_atoms=20)
+        vb = build_vocab(mols_b, prop_b, iterations=20, c_puct=10.0, max_atoms=20)
         out = build_multi_vocab([va, vb], [prop_a, prop_b], shortlist_size=6)
         assert len(out) >= 1
         for r in out:

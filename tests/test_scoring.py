@@ -58,7 +58,9 @@ def ringed_corpus():
 
 
 def planted_data(size=160, seed=8):
-    spec = CorpusSpec(size=size, atoms_min=9, atoms_max=14, ring_prob=0.25)
+    spec = CorpusSpec(
+        size=size, atoms_min=9, atoms_max=14, ring_prob=0.25, decoy_prob=0.25, unique=True
+    )
     motif = parse_smiles("NC(=O)c1ccccc1")
     mols, labels = generate_corpus(spec, {"p": motif}, {"p": 0.3}, seed=seed)
     return mols, labels["p"]
@@ -103,7 +105,7 @@ class TestFingerprintMatrix:
 class TestPredictScores:
     def test_equals_dict_walk_on_trained_forest(self):
         mols, labels = planted_data()
-        model = train_forest(list(zip(mols[:120], labels[:120])), n_trees=25, seed=4)
+        model = train_forest(list(zip(mols[:120], labels[:120])), n_trees=25, max_depth=12, seed=4)
         X = fingerprint_matrix(mols)
         got = predict_scores(model, X).tolist()
         want = [walk_score(model.trees, b) for b in rows_as_sets(X)]
@@ -133,7 +135,7 @@ class TestPredictScores:
 
     def test_property_scores_and_positive_mask(self):
         mols, labels = planted_data(size=100, seed=12)
-        model = train_forest(list(zip(mols, labels)), n_trees=15, seed=2)
+        model = train_forest(list(zip(mols, labels)), n_trees=15, max_depth=12, seed=2)
         a = PropertySpec("a", model, threshold=0.5)
         b = PropertySpec("b", model, threshold=0.8)
         assert a.scores(mols).tolist() == [a.score(g) for g in mols]
@@ -187,7 +189,7 @@ class TestMatrixMetrics:
 
     def test_evaluate_equals_loops(self):
         mols, labels = planted_data(size=90, seed=31)
-        model = train_forest(list(zip(mols, labels)), n_trees=15, seed=6)
+        model = train_forest(list(zip(mols, labels)), n_trees=15, max_depth=12, seed=6)
         prop = PropertySpec("p", model, threshold=0.5)
         samples, train = mols[:60], mols[60:]
         report = evaluate(samples, [prop], train)

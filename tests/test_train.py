@@ -486,7 +486,8 @@ class TestRationaleDistribution:
         model = toy_model(corpus, seed=15)
         vocab = small_vocab()
         dist = rationale_distribution(
-            model, vocab, [ConstSpec(1.0)], entropy_weight=0.02, samples_per_rationale=5, seed=2
+            model, vocab, [ConstSpec(1.0)], entropy_weight=0.02, samples_per_rationale=5, seed=2,
+            max_steps=60,
         )
         assert np.allclose(dist.reward_estimates, 1.0)
         assert np.allclose(dist.probabilities, 0.5)
@@ -496,7 +497,8 @@ class TestRationaleDistribution:
     def test_entropy_weight_validation(self):
         model = toy_model(toy_corpus())
         with pytest.raises(TrainingError):
-            rationale_distribution(model, small_vocab(), [ConstSpec(1.0)], entropy_weight=0.0)
+            rationale_distribution(model, small_vocab(), [ConstSpec(1.0)], entropy_weight=0.0,
+                                   samples_per_rationale=20, max_steps=60)
 
 
 def _softmax_probs(rewards, lam):
@@ -522,7 +524,7 @@ class TestSampleMolecules:
         vocab = small_vocab()
         dist = self._dist(model, vocab, [1.0, 0.0])
         rng = np.random.default_rng(3)
-        out = sample_molecules(model, dist, 20, rng)
+        out = sample_molecules(model, dist, 20, rng, max_steps=60)
         assert len(out) == 20
         assert all(key == vocab.entries[0].key for _, key in out)
 
@@ -530,7 +532,7 @@ class TestSampleMolecules:
         corpus = toy_corpus()
         model = toy_model(corpus)
         dist = self._dist(model, small_vocab(), [0.5, 0.5])
-        assert sample_molecules(model, dist, 0, np.random.default_rng(0)) == []
+        assert sample_molecules(model, dist, 0, np.random.default_rng(0), max_steps=60) == []
 
     def test_rationale_frequencies_multinomial(self):
         corpus = toy_corpus()
@@ -540,7 +542,7 @@ class TestSampleMolecules:
         dist = self._dist(model, vocab, probs)
         rng = np.random.default_rng(8)
         n = 10000
-        out = sample_molecules(model, dist, n, rng)
+        out = sample_molecules(model, dist, n, rng, max_steps=60)
         keys = [r.key for r in dist.rationales]
         counts = {k: 0 for k in keys}
         for _, key in out:
@@ -555,7 +557,7 @@ class TestSampleMolecules:
         vocab = small_vocab()
         dist = self._dist(model, vocab, [0.5, 0.5])
         by_key = {r.key: r for r in vocab.entries}
-        out = sample_molecules(model, dist, 50, np.random.default_rng(4))
+        out = sample_molecules(model, dist, 50, np.random.default_rng(4), max_steps=60)
         for g, key in out:
             for frag in by_key[key].fragments:
                 assert contains_subgraph(g, frag) is not None
@@ -565,5 +567,5 @@ class TestSuccessOfModel:
     def test_const_property(self):
         corpus = toy_corpus()
         model = toy_model(corpus)
-        assert success_of_model(model, small_vocab(), [ConstSpec(1.0)], 10, seed=0) == 1.0
-        assert success_of_model(model, small_vocab(), [ConstSpec(0.0)], 10, seed=0) == 0.0
+        assert success_of_model(model, small_vocab(), [ConstSpec(1.0)], 10, seed=0, max_steps=60) == 1.0
+        assert success_of_model(model, small_vocab(), [ConstSpec(0.0)], 10, seed=0, max_steps=60) == 0.0
