@@ -57,7 +57,7 @@ def decode(model, start):
     rng = np.random.default_rng(10)
     z = prior_latent(model, rng)
     try:
-        return len(complete_with_trace(model, RATIONALE, z, rng, 60, start=start)[1])
+        return len(complete_with_trace(model, RATIONALE, z, rng, max_steps=60, start=start)[1])
     except TruncationError:
         return -1
 
@@ -132,7 +132,7 @@ def test_policy_step(benchmark, desk):
         rng = np.random.default_rng([12, seed])
         z = prior_latent(model, rng)
         try:
-            sampled.append((complete_with_trace(model, RATIONALE, z, rng, 60)[1], z))
+            sampled.append((complete_with_trace(model, RATIONALE, z, rng, max_steps=60)[1], z))
         except TruncationError:
             continue
         if len(sampled) == 40:

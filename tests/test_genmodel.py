@@ -513,7 +513,8 @@ class TestComplete:
     def test_empty_peripheral_returns_rationale(self):
         model = small_model()
         r = rat("CC(=O)N", ())
-        out = complete_with_trace(model, r, np.zeros(model.latent), np.random.default_rng(0), 60)[0]
+        out = complete_with_trace(model, r, np.zeros(model.latent), np.random.default_rng(0),
+                                  max_steps=60)[0]
         assert canonical_key(out) == canonical_key(r.fragments[0])
 
     def test_every_sample_contains_fragments(self):
@@ -705,13 +706,13 @@ class TestPreparedStart:
         model = small_model(seed=43)
         rng = np.random.default_rng(0)
         r = rat("CC(=O)N", ())
-        g, trace = complete_with_trace(model, r, prior_latent(model, rng), rng, 60,
+        g, trace = complete_with_trace(model, r, prior_latent(model, rng), rng, max_steps=60,
                                        start=prepare_start(model, r))
         assert g == r.combined and trace == []
         # fluorine is saturated, so only the carbon is asked to expand
         model.params["expand_b2"].data = np.array([-50.0])
         r = rat("FC", (0, 1))
-        g, trace = complete_with_trace(model, r, prior_latent(model, rng), rng, 60,
+        g, trace = complete_with_trace(model, r, prior_latent(model, rng), rng, max_steps=60,
                                        start=prepare_start(model, r))
         assert g == r.combined and trace == [0]
 
@@ -720,16 +721,16 @@ class TestPreparedStart:
         r = rat("CCO", (0, 2))
         start = prepare_start(model, r)
         z = prior_latent(model, np.random.default_rng(1))
-        complete_with_trace(model, r, z, np.random.default_rng(2), 60, start=start)
+        complete_with_trace(model, r, z, np.random.default_rng(2), max_steps=60, start=start)
         grads = {k: np.full_like(t.data, 0.1) for k, t in model.params.items()}
         ns.adam_step(model.params, grads, {})
         with pytest.raises(GenModelError, match="stale"):
-            complete_with_trace(model, r, z, np.random.default_rng(2), 60, start=start)
+            complete_with_trace(model, r, z, np.random.default_rng(2), max_steps=60, start=start)
         fresh = prepare_start(model, r)
-        complete_with_trace(model, r, z, np.random.default_rng(2), 60, start=fresh)
+        complete_with_trace(model, r, z, np.random.default_rng(2), max_steps=60, start=fresh)
         with pytest.raises(GenModelError, match="another rationale"):
-            complete_with_trace(model, rat("CCN", (0,)), z, np.random.default_rng(2), 60,
-                                start=fresh)
+            complete_with_trace(model, rat("CCN", (0,)), z, np.random.default_rng(2),
+                                max_steps=60, start=fresh)
 
     def test_trace_log_likelihood_from_start_equals_no_start(self):
         model = small_model(seed=61, expand_bias=0.5)
@@ -774,7 +775,7 @@ class TestPreparedStart:
         r = rat("CCO", (0, 2))
         rng = np.random.default_rng(4)
         z = prior_latent(model, rng)
-        _g, trace = complete_with_trace(model, r, z, rng, 60)
+        _g, trace = complete_with_trace(model, r, z, rng, max_steps=60)
         start = prepare_start(model, r)
         trace_log_likelihood(model, r, trace, z, start=start)
         with pytest.raises(GenModelError, match="another rationale"):
@@ -849,7 +850,7 @@ class TestPreparedStart:
         model.params["expand_b2"].data = np.array([-50.0])
         r = rat("CC(=O)N", (0, 2, 3))
         _g, trace = complete_with_trace(model, r, np.zeros(model.latent), np.random.default_rng(0),
-                                        60)
+                                        max_steps=60)
         # the carbonyl oxygen is saturated: two expand decisions, both declined
         assert trace == [0, 0] and heads == ["expand"] * 2
         state = DecoderState.from_rationale(model, r)
@@ -926,6 +927,6 @@ class TestCheckpoint:
         r = rat("CC", (0,))
         z = np.full(model.latent, 0.2)
         for seed in range(20):
-            a = complete_with_trace(model, r, z, np.random.default_rng(seed), 60)
-            b = complete_with_trace(back, r, z, np.random.default_rng(seed), 60)
+            a = complete_with_trace(model, r, z, np.random.default_rng(seed), max_steps=60)
+            b = complete_with_trace(back, r, z, np.random.default_rng(seed), max_steps=60)
             assert a == b, seed
