@@ -45,14 +45,11 @@ ARTIFACTS = (
     "finetune.ckpt.json", "finetune.ckpt.bin",
 )
 
-# The README minimal config; every other key takes its desk default.
-CONFIG = {
-    "seed": 11,
-    "properties": [
-        {"name": "amide", "motif": "NC(=O)c1ccccc1", "plant_prob": 0.2},
-        {"name": "phenol", "motif": "Oc1ccccc1", "plant_prob": 0.2},
-    ],
-}
+# The README minimal config, as written under "Minimal config:", without its
+# run_dir; every other key takes its desk default.
+_README = (ROOT / "README.md").read_text()
+CONFIG = json.loads(_README.split("Minimal config:\n\n```json\n")[1].split("```")[0])
+del CONFIG["run_dir"]
 
 
 def run_stage(stage: str, cfg_path: Path, env: dict) -> tuple[float, float]:

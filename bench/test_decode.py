@@ -38,7 +38,7 @@ from molrationale.train import TrainConfig, _policy_step, make_pretrain_pairs
 
 # the two desk motifs superposed, grown from the amide N and the phenol O
 RATIONALE = Rationale(
-    fragments=(parse_smiles("NC(=O)c1ccc(O)cc1"),), scores={}, peripheral=(0, 7)
+    parse_smiles("NC(=O)c1ccc(O)cc1"), scores={}, peripheral=(0, 7)
 )
 
 

@@ -46,7 +46,7 @@ def desk(tmp_path_factory):
 def test_mcs_shortlist_pairs(benchmark, desk):
     vocabs, specs = desk
     shortlists = [_shortlist(v, s.name, 8) for v, s in zip(vocabs, specs)]
-    pairs = [(a.fragments[0], b.fragments[0]) for a, b in itertools.product(*shortlists)]
+    pairs = [(a.combined, b.combined) for a, b in itertools.product(*shortlists)]
 
     def run():
         return [max_common_substructure(a, b) for a, b in pairs]

@@ -202,6 +202,10 @@ def induced_subgraph(g: MolGraph, atom_ids: list[int] | tuple[int, ...]) -> MolG
 
 
 def disjoint_union(parts: list[MolGraph] | tuple[MolGraph, ...]) -> MolGraph:
+    """The parts side by side, each part's atoms after the previous part's;
+    a single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
     atoms: list[Atom] = []
     bonds: list[Bond] = []
     for part in parts:

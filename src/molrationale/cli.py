@@ -113,7 +113,6 @@ _DEFAULTS = {
 @dataclass
 class RunConfig:
     raw: dict
-    path: Path
 
     @property
     def run_dir(self) -> Path:
@@ -264,7 +263,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config must set run_dir")
     _check_numbers(merged)
     _check_properties(merged.get("properties"))
-    cfg = RunConfig(raw=merged, path=path)
+    cfg = RunConfig(raw=merged)
     cfg.train_config()  # rejects a bad train section before any stage writes
     return cfg
 
@@ -535,33 +534,20 @@ def _train_positives(
     ]
 
 
-def _load_distribution(path: Path, vocab: RationaleVocab) -> RationaleDistribution:
-    by_key = {r.key: r for r in vocab.entries}
-    entries = json.loads(path.read_text())["entries"]
-    if any(e["key"] not in by_key for e in entries):
-        raise ValueError("names a rationale missing from the merged vocabulary")
-    probs = np.array([e["probability"] for e in entries])
-    return RationaleDistribution(
-        rationales=tuple(by_key[e["key"]] for e in entries),
-        reward_estimates=np.array([e["reward"] for e in entries]),
-        probabilities=probs / probs.sum(),
-    )
-
-
 def _sample_smiles(g: MolGraph) -> str:
     comps = connected_components(g)
     return ".".join(write_smiles(induced_subgraph(g, list(comp))) for comp in comps)
 
 
 def _parse_sample_line(line: str) -> MolGraph:
-    parts = [parse_smiles(p) for p in line.split(".")]
-    return parts[0] if len(parts) == 1 else disjoint_union(parts)
+    return disjoint_union([parse_smiles(p) for p in line.split(".")])
 
 
 def _sample(cfg: RunConfig) -> None:
     vocab = _read(cfg.run_dir / "vocab_multi.json", RationaleVocab.load)
     model = _load_model(cfg, "finetune")
-    dist = _read(cfg.run_dir / "distribution.json", lambda p: _load_distribution(p, vocab))
+    dist = _read(cfg.run_dir / "distribution.json",
+                 lambda p: RationaleDistribution.from_json(p.read_text(), vocab))
     rng = np.random.default_rng([cfg.seed, 6700417])
     tcfg = cfg.train_config()
     samples = sample_molecules(model, dist, cfg.section("sample")["n"], rng,

@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .chemgraph import (
     MolGraph,
     apply_deletion_with_map,
     canonical_key,
+    connected_components,
     disjoint_union,
     embeddings,
     induced_subgraph,
@@ -66,19 +67,14 @@ class SearchNode:
 
 @dataclass
 class Rationale:
-    """One or more subgraph fragments with per-property scores and the
-    peripheral atoms where the generator may grow new neighbors."""
+    """A subgraph with per-property scores and the peripheral atoms where the
+    generator may grow new neighbors. A merged rationale may have several
+    connected components: the parts that share no atom."""
 
-    fragments: tuple[MolGraph, ...]
+    combined: MolGraph
     scores: dict[str, float]
     peripheral: tuple[int, ...]
     sources: tuple[tuple[str, tuple[int, ...]], ...] = ()
-
-    @cached_property
-    def combined(self) -> MolGraph:
-        if len(self.fragments) == 1:
-            return self.fragments[0]
-        return disjoint_union(self.fragments)
 
     @cached_property
     def key(self) -> str:
@@ -107,12 +103,7 @@ class RationaleVocab:
             merged_sources = kept.sources + tuple(
                 s for s in r.sources if s not in kept.sources
             )
-            self.entries[pos] = Rationale(
-                fragments=kept.fragments,
-                scores=kept.scores,
-                peripheral=kept.peripheral,
-                sources=merged_sources,
-            )
+            self.entries[pos] = replace(kept, sources=merged_sources)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -124,13 +115,13 @@ class RationaleVocab:
         items = []
         for r in self.entries:
             frag_smiles = []
-            # the combined-graph index of each atom in written order: each
-            # fragment's order, offset by the atoms of the fragments before it
+            # the graph index of each atom in written order, one connected
+            # component after another
             order: list[int] = []
-            for frag in r.fragments:
-                smiles, frag_order = write_smiles_with_order(frag)
+            for comp in connected_components(r.combined):
+                smiles, comp_order = write_smiles_with_order(induced_subgraph(r.combined, comp))
                 frag_smiles.append(smiles)
-                order += [len(order) + i for i in frag_order]
+                order += [comp[i] for i in comp_order]
             written = {old: new for new, old in enumerate(order)}
             items.append(
                 {
@@ -157,16 +148,12 @@ class RationaleVocab:
             raise ValueError(f"unsupported vocabulary version {doc.get('version')}")
         vocab = cls(tuple(doc["properties"]))
         for item in doc["rationales"]:
-            fragments = []
-            for smiles in item["fragments"]:
-                for piece in smiles.split("."):
-                    fragments.append(parse_smiles(piece))
             sources = tuple(
                 (s["molecule"], tuple(s["atoms"])) for s in item.get("sources", [])
             )
             vocab.add(
                 Rationale(
-                    fragments=tuple(fragments),
+                    combined=disjoint_union([parse_smiles(s) for s in item["fragments"]]),
                     scores=dict(item["scores"]),
                     peripheral=tuple(item["peripheral"]),
                     sources=sources,
@@ -306,7 +293,7 @@ def _make_rationale(
     node: SearchNode, source: MolGraph, source_key: str, prop_name: str
 ) -> Rationale:
     return Rationale(
-        fragments=(node.graph,),
+        node.graph,
         scores={prop_name: node.score},
         peripheral=peripheral_atoms(node.graph, source, node.origin),
         sources=((source_key, node.origin),),

@@ -5,13 +5,16 @@ maximum common substructure and keep unions that satisfy every threshold.
 from __future__ import annotations
 
 import logging
-from itertools import accumulate
+from dataclasses import replace
 
 from .chemgraph import (
     Bond,
     ChemError,
     MolGraph,
     ResourceLimitError,
+    connected_components,
+    induced_subgraph,
+    is_connected,
 )
 from .extract import Rationale, RationaleVocab
 from .forest import PropertySpec
@@ -98,111 +101,60 @@ def max_common_substructure(a: MolGraph, b: MolGraph) -> list[tuple[tuple[int, i
 
 
 def _superpose(
-    a: MolGraph, b: MolGraph, mapping: tuple[tuple[int, int], ...]
-) -> tuple[MolGraph, dict[int, int]] | None:
-    """Union of a and b with mapped atoms identified, and the map from b's
-    atoms to the union's; None when bond orders conflict or the union
-    violates valence."""
-    b_to_new = {bi: ai for ai, bi in mapping}
-    atoms = list(a.atoms)
-    for bi in range(b.n):
-        if bi not in b_to_new:
-            b_to_new[bi] = len(atoms)
-            atoms.append(b.atoms[bi])
+    a: MolGraph, b: MolGraph, mapping: tuple[tuple[int, int], ...], at: int
+) -> tuple[MolGraph, list[int], dict[int, int]] | None:
+    """Union of a and b with mapped atoms identified and b's other atoms
+    inserted before a's atom `at`, with the maps from a's and from b's atoms
+    to the union's; None when bond orders conflict or the union violates
+    valence."""
+    b_to_a = {bi: ai for ai, bi in mapping}
+    added = [bi for bi in range(b.n) if bi not in b_to_a]
+    a_to_new = [i + len(added) if i >= at else i for i in range(a.n)]
+    b_to_new = {bi: a_to_new[ai] for bi, ai in b_to_a.items()}
+    b_to_new.update((bi, at + k) for k, bi in enumerate(added))
+    atoms = a.atoms[:at] + tuple(b.atoms[bi] for bi in added) + a.atoms[at:]
     bonds: dict[tuple[int, int], str] = {}
-    for bond in a.bonds:
-        key = (min(bond.u, bond.v), max(bond.u, bond.v))
-        bonds[key] = bond.order
-    for bond in b.bonds:
-        u, v = b_to_new[bond.u], b_to_new[bond.v]
-        key = (min(u, v), max(u, v))
-        existing = bonds.get(key)
-        if existing is not None and existing != bond.order:
-            return None
-        bonds[key] = bond.order
+    for g, to_new in ((a, a_to_new), (b, b_to_new)):
+        for bond in g.bonds:
+            u, v = to_new[bond.u], to_new[bond.v]
+            key = (min(u, v), max(u, v))
+            if bonds.setdefault(key, bond.order) != bond.order:
+                return None
     try:
         union = MolGraph(atoms, [Bond(u, v, o) for (u, v), o in bonds.items()])
     except ChemError:
         return None
-    return union, b_to_new
+    return union, a_to_new, b_to_new
 
 
-def _merged_rationale(
-    fragments: tuple[MolGraph, ...], a: Rationale, b: Rationale, b_to_new: dict[int, int]
-) -> Rationale:
-    """Assemble the merged rationale with peripheral atoms carried over from
-    both inputs (b's indices translated to the merged atom indices)."""
-    peripheral = set(a.peripheral) | {b_to_new[p] for p in b.peripheral}
-    return Rationale(
-        fragments=fragments,
-        scores={},
-        peripheral=tuple(sorted(peripheral)),
-        sources=(),
-    )
+def merge_pair(acc: Rationale, nxt: Rationale) -> list[Rationale]:
+    """All distinct superpositions of a connected rationale nxt on acc, sorted
+    by key.
 
-
-def merge_pair(a: Rationale, b: Rationale) -> list[Rationale]:
-    """All distinct superpositions of two single-fragment rationales.
-
-    One union per maximum common substructure mapping, dropping candidates
-    with bond-order conflicts or valence violations; when the MCS is empty the
-    pair is kept as a single two-fragment rationale.
+    nxt is superposed on each connected component of acc with which it
+    shares a non-empty maximum common substructure, once per MCS mapping; its
+    other atoms follow the component's last atom. Candidates with bond-order
+    conflicts or valence violations are dropped. Only when nxt shares an MCS
+    with no component is it appended as a new component.
     """
-    if len(a.fragments) != 1 or len(b.fragments) != 1:
-        raise ValueError("merge_pair expects single-fragment rationales")
-    ga, gb = a.fragments[0], b.fragments[0]
-    mappings = max_common_substructure(ga, gb)
-    if not mappings:
-        return [_merged_rationale((ga, gb), a, b, {bi: ga.n + bi for bi in range(gb.n)})]
+    a, b = acc.combined, nxt.combined
+    if not is_connected(b):
+        raise ValueError("merge_pair expects a connected rationale to merge in")
+    placements = [
+        (tuple((comp[ai], bi) for ai, bi in m), comp[-1] + 1)
+        for comp in connected_components(a)
+        for m in max_common_substructure(induced_subgraph(a, comp), b)
+    ]
     out: dict[str, Rationale] = {}
-    for m in mappings:
-        superposed = _superpose(ga, gb, m)
+    for mapping, at in placements or [((), a.n)]:
+        superposed = _superpose(a, b, mapping, at)
         if superposed is None:
             continue
-        union, b_to_new = superposed
-        r = _merged_rationale((union,), a, b, b_to_new)
+        union, a_to_new, b_to_new = superposed
+        peripheral = {a_to_new[p] for p in acc.peripheral} | {b_to_new[p] for p in nxt.peripheral}
+        r = Rationale(union, scores={}, peripheral=tuple(sorted(peripheral)))
         out.setdefault(r.key, r)
     return [out[k] for k in sorted(out)]
-
-
-def _merge_into(acc: Rationale, nxt: Rationale) -> list[Rationale]:
-    """Merge a possibly multi-fragment accumulator with a single-fragment
-    rationale: superpose it on every fragment it shares a non-empty MCS with,
-    or, when it shares one with no fragment, append it as a trailing
-    fragment. The keys of the results do not depend on the fragment order."""
-    if len(acc.fragments) == 1:
-        return merge_pair(acc, nxt)
-    offsets = list(accumulate((f.n for f in acc.fragments), initial=0))
-    merged = [
-        merge_pair(
-            Rationale(
-                fragments=(frag,),
-                scores={},
-                peripheral=tuple(p - start for p in acc.peripheral if start <= p < end),
-            ),
-            nxt,
-        )
-        for frag, start, end in zip(acc.fragments, offsets, offsets[1:])
-    ]
-    # merge_pair returns one two-fragment rationale exactly when the MCS is empty
-    disjoint = all(len(ms) == 1 and len(ms[0].fragments) > 1 for ms in merged)
-    results: dict[str, Rationale] = {}
-    for fi, ms in enumerate(merged):
-        start, end = offsets[fi], offsets[fi + 1]
-        for m in ms:
-            if len(m.fragments) > 1 and not (disjoint and fi == len(merged) - 1):
-                continue  # append once, and only when no fragment overlaps nxt
-            new_fragments = acc.fragments[:fi] + m.fragments + acc.fragments[fi + 1 :]
-            delta = sum(f.n for f in m.fragments) - (end - start)
-            peripheral = {p if p < start else p + delta for p in acc.peripheral if not start <= p < end}
-            peripheral.update(p + start for p in m.peripheral)
-            r = Rationale(
-                fragments=new_fragments,
-                scores={},
-                peripheral=tuple(sorted(peripheral)),
-            )
-            results.setdefault(r.key, r)
-    return [results[k] for k in sorted(results)]
 
 
 def _shortlist(vocab: RationaleVocab, prop_name: str, size: int) -> list[Rationale]:
@@ -233,7 +185,7 @@ def build_multi_vocab(
         merged: dict[str, Rationale] = {}
         for acc in candidates:
             for nxt in nxt_list:
-                for r in _merge_into(acc, nxt):
+                for r in merge_pair(acc, nxt):
                     merged.setdefault(r.key, r)
         candidates = [merged[k] for k in sorted(merged)]
     out = RationaleVocab(names)
@@ -242,14 +194,7 @@ def build_multi_vocab(
     for i, r in enumerate(candidates):
         scores = {p.name: columns[p.name][i] for p in props}
         if all(scores[p.name] >= p.threshold for p in props):
-            out.add(
-                Rationale(
-                    fragments=r.fragments,
-                    scores=scores,
-                    peripheral=r.peripheral,
-                    sources=r.sources,
-                )
-            )
+            out.add(replace(r, scores=scores))
     if not out.entries:
         log.warning("build_multi_vocab: no merged rationale satisfies all thresholds")
     return out

@@ -29,6 +29,8 @@ from .genmodel import (
 
 log = logging.getLogger(__name__)
 
+_DISTRIBUTION_VERSION = 1
+
 
 class TrainingError(RuntimeError):
     pass
@@ -69,7 +71,7 @@ class RationaleDistribution:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "version": 1,
+                "version": _DISTRIBUTION_VERSION,
                 "entries": [
                     {"key": r.key, "reward": float(i), "probability": float(p)}
                     for r, i, p in zip(self.rationales, self.reward_estimates, self.probabilities)
@@ -77,6 +79,30 @@ class RationaleDistribution:
             },
             sort_keys=True,
             separators=(",", ":"),
+        )
+
+    @classmethod
+    def from_json(cls, text: str, vocab: RationaleVocab) -> "RationaleDistribution":
+        """Read to_json's document, whose keys name rationales of vocab, with
+        the probabilities renormalized to sum to 1."""
+        doc = json.loads(text)
+        if doc.get("version") != _DISTRIBUTION_VERSION:
+            raise ValueError(f"unsupported distribution version {doc.get('version')}")
+        entries = doc["entries"]
+        if not entries:
+            raise ValueError("has no entries")
+        by_key = {r.key: r for r in vocab.entries}
+        if any(e["key"] not in by_key for e in entries):
+            raise ValueError("names a rationale missing from the merged vocabulary")
+        probs = np.array([e["probability"] for e in entries], dtype=float)
+        if not np.all(np.isfinite(probs) & (probs >= 0)):
+            raise ValueError("has a probability that is negative or not finite")
+        if probs.sum() == 0:
+            raise ValueError("has probabilities that sum to zero")
+        return cls(
+            rationales=tuple(by_key[e["key"]] for e in entries),
+            reward_estimates=np.array([e["reward"] for e in entries]),
+            probabilities=probs / probs.sum(),
         )
 
 
@@ -119,7 +145,7 @@ def make_pretrain_pairs(
             pairs.append(
                 (
                     Rationale(
-                        fragments=(sub,),
+                        sub,
                         scores={},
                         peripheral=peripheral_atoms(sub, g, order),
                         sources=((key, tuple(order)),),

@@ -16,6 +16,7 @@ import pytest
 from molrationale.chemgraph import (
     canonical_key,
     contains_subgraph,
+    disjoint_union,
     parse_smiles,
     peripheral_deletions,
 )
@@ -123,9 +124,9 @@ def test_criterion_2_containment_invariant():
     corpus = [parse_smiles(s) for s in ["CCO", "CCN", "CC(=O)N", "c1ccccc1", "CC(C)O"]]
     model = GenModel(atom_types_from_corpus(corpus), hidden=16, latent=8, rounds=2, seed=3)
     model.params["expand_b2"].data = np.array([-1.0])
-    single = Rationale(fragments=(parse_smiles("CC(=O)N"),), scores={}, peripheral=(0, 3))
+    single = Rationale(parse_smiles("CC(=O)N"), scores={}, peripheral=(0, 3))
     double = Rationale(
-        fragments=(parse_smiles("CCO"), parse_smiles("c1ccccc1")),
+        disjoint_union([parse_smiles("CCO"), parse_smiles("c1ccccc1")]),
         scores={},
         peripheral=(0, 2, 4),
     )
@@ -137,9 +138,8 @@ def test_criterion_2_containment_invariant():
             z = prior_latent(model, rng)
             out = complete_with_trace(model, rationale, z, rng, max_steps=60)[0]
             checked += 1
-            for frag in rationale.fragments:
-                if contains_subgraph(out, frag) is None:
-                    failures += 1
+            if contains_subgraph(out, rationale.combined) is None:
+                failures += 1
     elapsed = time.monotonic() - start
     ok = checked == 1000 and failures == 0 and elapsed < 120
     report(
@@ -176,7 +176,7 @@ def test_criterion_3_closed_form_distribution():
     model = tiny_model()
     lam = 0.05
     rationales = [
-        Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,))
+        Rationale(parse_smiles(s), scores={}, peripheral=(0,))
         for s in ("O", "N", "C")
     ]
     z = np.full(model.latent, 0.2)
@@ -266,7 +266,7 @@ def test_criterion_5_gradient_integrity():
     model = GenModel(atom_types_from_corpus(corpus), hidden=6, latent=3, rounds=2, seed=12)
     g = parse_smiles("CCO")
     sub = Rationale(
-        fragments=(parse_smiles("C"),), scores={}, peripheral=(0,),
+        parse_smiles("C"), scores={}, peripheral=(0,),
         sources=((canonical_key(g), (0,)),),
     )
     z = np.full(model.latent, 0.1)
@@ -349,7 +349,7 @@ def test_criterion_6_metric_oracles():
 
 def test_criterion_7_sampler_likelihood_consistency():
     model = tiny_model()
-    r = Rationale(fragments=(parse_smiles("O"),), scores={}, peripheral=(0,))
+    r = Rationale(parse_smiles("O"), scores={}, peripheral=(0,))
     z = np.full(model.latent, 0.1)
     results = enumerate_completions(model, r, z)
     total_mass = sum(p for _, _, p in results)

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -375,19 +376,33 @@ class TestLibraryErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: doc["entries"][0].update(key="not-a-rationale"),
+             "names a rationale missing from the merged vocabulary"),
+            (lambda doc: doc.update(version=2), "unsupported distribution version 2"),
+            (lambda doc: doc.update(entries=[]), "has no entries"),
+            (lambda doc: [e.update(probability=0.0) for e in doc["entries"]],
+             "has probabilities that sum to zero"),
+            (lambda doc: doc["entries"][0].update(probability=-5.0),
+             "has a probability that is negative or not finite"),
+            (lambda doc: doc["entries"][0].update(probability=math.nan),
+             "has a probability that is negative or not finite"),
+        ],
+        ids=["missing-rationale", "version", "no-entries", "zero-sum", "negative", "nan"],
+    )
     def test_distribution_naming_a_missing_rationale_is_an_error_line(
-        self, pipeline, tmp_path, capsys
+        self, pipeline, tmp_path, capsys, edit, reason
     ):
         cfg, run = copy_pipeline(pipeline, tmp_path)
         path = run / "distribution.json"
         doc = json.loads(path.read_text())
-        doc["entries"][0]["key"] = "not-a-rationale"
+        edit(doc)
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["sample", "--config", cfg, "--force"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path}: names a rationale missing from the merged vocabulary\n"
-        )
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     @pytest.mark.parametrize("error", [ForestError, SearchError, MetricsError])
     def test_library_error_exits_1_with_one_line(self, monkeypatch, capsys, error):

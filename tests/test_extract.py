@@ -1,12 +1,16 @@
+import json
 import math
 
 import pytest
 
 from molrationale import extract
 from molrationale.chemgraph import (
+    ParseError,
     apply_deletion_with_map,
     canonical_key,
+    connected_components,
     contains_subgraph,
+    disjoint_union,
     induced_subgraph,
     is_connected,
     parse_smiles,
@@ -140,7 +144,7 @@ class TestExtractRationales:
         for g in positives[:15]:
             rationales = extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20)
             assert rationales, "positive molecule produced no rationale"
-            if any(contains_subgraph(r.fragments[0], motif) is not None for r in rationales):
+            if any(contains_subgraph(r.combined, motif) is not None for r in rationales):
                 hits += 1
         assert hits >= 12
 
@@ -148,7 +152,7 @@ class TestExtractRationales:
         motif, prop, positives = planted_setup(size=150, seed=29)
         for g in positives[:10]:
             for r in extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20):
-                frag = r.fragments[0]
+                frag = r.combined
                 assert frag.n <= 20
                 assert is_connected(frag)
                 assert r.scores[prop.name] >= prop.threshold
@@ -163,7 +167,7 @@ class TestExtractRationales:
         motif, prop, positives = planted_setup(size=150, seed=31)
         g = positives[0]
         for r in extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20):
-            frag = r.fragments[0]
+            frag = r.combined
             _key, origin = r.sources[0]
             expected = tuple(
                 i
@@ -288,34 +292,39 @@ class TestVocabSerialization:
         assert text == back.to_json()
         # peripheral markers survive the round trip as structural facts
         for r in back:
-            frag = r.fragments[0]
+            frag = r.combined
             assert all(0 <= p < frag.n for p in r.peripheral)
 
     def test_multi_fragment_entries(self):
         r = RationaleVocab(("a",))
         from molrationale.extract import Rationale
 
-        frag1, frag2 = parse_smiles("CCO"), parse_smiles("CN")
-        r.add(Rationale(fragments=(frag1, frag2), scores={"a": 0.8}, peripheral=(0, 3)))
+        frags = [parse_smiles("CCO"), parse_smiles("CN")]
+        r.add(Rationale(disjoint_union(frags), scores={"a": 0.8}, peripheral=(0, 3)))
         back = RationaleVocab.from_json(r.to_json())
-        assert len(back.entries[0].fragments) == 2
+        assert len(connected_components(back.entries[0].combined)) == 2
         assert back.entries[0].combined.n == 5
+
+    def test_dot_in_a_fragment_is_a_parse_error(self):
+        item = {"fragments": ["CCO.CN"], "scores": {"a": 0.8}, "peripheral": []}
+        doc = {"version": 1, "properties": ["a"], "rationales": [item]}
+        with pytest.raises(ParseError):
+            RationaleVocab.from_json(json.dumps(doc))
 
     def test_fragment_atoms_out_of_smiles_order_keep_their_marks(self, tmp_path):
         # both fragments store their atoms in an order the SMILES writer does
-        # not visit them in; each atom must keep its peripheral mark and its
-        # source atom through save and load
+        # not visit them in, and in the second graph the two components
+        # interleave; each atom must keep its peripheral mark and its source
+        # atom through save and load
         frag1 = induced_subgraph(parse_smiles("CCO"), [0, 2, 1])
         frag2 = induced_subgraph(parse_smiles("NCCS"), [0, 3, 1, 2])
         assert write_smiles_with_order(frag1)[1] != [0, 1, 2]
         assert write_smiles_with_order(frag2)[1] != [0, 1, 2, 3]
+        interleaved = induced_subgraph(
+            disjoint_union([parse_smiles("CCO"), parse_smiles("NCCS")]), [0, 3, 1, 4, 2, 5, 6]
+        )
+        assert connected_components(interleaved) == [(0, 2, 4), (1, 3, 5, 6)]
         source = (10, 11, 12, 20, 21, 22, 23)  # a distinct molecule atom per rationale atom
-        vocab = RationaleVocab(("a",))
-        vocab.add(Rationale(fragments=(frag1, frag2), scores={"a": 0.8}, peripheral=(1, 4, 6),
-                            sources=(("mol", source),)))
-        path = tmp_path / "vocab.json"
-        vocab.save(path)
-        back = RationaleVocab.load(path)
 
         def by_source_atom(r):
             g, (_key, atoms) = r.combined, r.sources[0]
@@ -323,13 +332,21 @@ class TestVocabSerialization:
             bonds = {(frozenset((atoms[b.u], atoms[b.v])), b.order) for b in g.bonds}
             return marks, bonds
 
-        assert by_source_atom(back.entries[0]) == by_source_atom(vocab.entries[0])
-        assert back.to_json() == vocab.to_json()
+        for graph, peripheral in ((disjoint_union([frag1, frag2]), (1, 4, 6)),
+                                  (interleaved, (0, 1, 6))):
+            vocab = RationaleVocab(("a",))
+            vocab.add(Rationale(graph, scores={"a": 0.8}, peripheral=peripheral,
+                                sources=(("mol", source),)))
+            path = tmp_path / "vocab.json"
+            vocab.save(path)
+            back = RationaleVocab.load(path)
+            assert by_source_atom(back.entries[0]) == by_source_atom(vocab.entries[0])
+            assert back.to_json() == vocab.to_json()
 
 
 def sourced(smiles, score, *sources):
     return Rationale(
-        fragments=(parse_smiles(smiles),), scores={"p": score}, peripheral=(), sources=sources
+        parse_smiles(smiles), scores={"p": score}, peripheral=(), sources=sources
     )
 
 

@@ -13,6 +13,7 @@ from molrationale.chemgraph import (
     canonical_key,
     canonical_ranks,
     contains_subgraph,
+    disjoint_union,
     is_connected,
     parse_smiles,
 )
@@ -54,7 +55,7 @@ from test_numsub import check_gradients
 
 def rat(smiles, peripheral):
     return Rationale(
-        fragments=(parse_smiles(smiles),), scores={}, peripheral=tuple(peripheral)
+        parse_smiles(smiles), scores={}, peripheral=tuple(peripheral)
     )
 
 
@@ -267,8 +268,6 @@ class TestMPN:
             assert np.allclose(h[old], hp[inv[old]], atol=1e-12)
 
     def test_fragment_independence(self):
-        from molrationale.chemgraph import disjoint_union
-
         model = small_model()
         a = parse_smiles("CCO")
         h_with_b = mpn_embed(model, disjoint_union([a, parse_smiles("CCN")]))
@@ -515,13 +514,13 @@ class TestComplete:
         r = rat("CC(=O)N", ())
         out = complete_with_trace(model, r, np.zeros(model.latent), np.random.default_rng(0),
                                   max_steps=60)[0]
-        assert canonical_key(out) == canonical_key(r.fragments[0])
+        assert canonical_key(out) == canonical_key(r.combined)
 
     def test_every_sample_contains_fragments(self):
         model = small_model(seed=11)
         single = rat("CCO", (0, 2))
         double = Rationale(
-            fragments=(parse_smiles("CCO"), parse_smiles("CN")),
+            disjoint_union([parse_smiles("CCO"), parse_smiles("CN")]),
             scores={},
             peripheral=(0, 3),
         )
@@ -535,8 +534,7 @@ class TestComplete:
                 except TruncationError:
                     continue
                 completed += 1
-                for frag in r.fragments:
-                    assert contains_subgraph(out, frag) is not None
+                assert contains_subgraph(out, r.combined) is not None
             assert completed >= 80
 
     def test_single_fragment_outputs_connected_and_valid(self):
@@ -577,7 +575,7 @@ class TestLogLikelihood:
     def test_g_equals_s_boundary(self):
         model = small_model(seed=23)
         g = parse_smiles("CC(=O)N")
-        r = Rationale(fragments=(g,), scores={}, peripheral=(0, 2, 3))
+        r = Rationale(g, scores={}, peripheral=(0, 2, 3))
         z = np.full(model.latent, 0.1)
         # oracle: walk the queue manually, summing decline log-probs
         state = DecoderState.from_rationale(model, r)
@@ -685,7 +683,7 @@ class TestPreparedStart:
         "chain": rat("CCO", (0, 2)),
         "saturated head": rat("FC", (0, 1)),
         "empty queue": rat("CC(=O)N", ()),
-        "two fragments": Rationale(fragments=(parse_smiles("CCO"), parse_smiles("CN")),
+        "two fragments": Rationale(disjoint_union([parse_smiles("CCO"), parse_smiles("CN")]),
                                    scores={}, peripheral=(0, 3)),
     }
 

@@ -6,14 +6,16 @@ import pytest
 from molrationale.chemgraph import (
     MolGraph,
     ResourceLimitError,
+    connected_components,
     contains_subgraph,
+    disjoint_union,
+    is_connected,
     parse_smiles,
 )
 from molrationale.cli import cmd_extract, cmd_gen_synthetic, cmd_train_predictor, load_config
 from molrationale.extract import Rationale, RationaleVocab
 from molrationale.forest import PropertySpec, train_forest
 from molrationale.merge import (
-    _merge_into,
     _shortlist,
     build_multi_vocab,
     max_common_substructure,
@@ -29,7 +31,7 @@ AMIDE, PHENOL = "NC(=O)c1ccccc1", "Oc1ccccc1"
 def rat(smiles: str, peripheral=(), scores=None) -> Rationale:
     g = parse_smiles(smiles)
     return Rationale(
-        fragments=(g,),
+        g,
         scores=scores or {},
         peripheral=tuple(peripheral),
         sources=(),
@@ -127,7 +129,7 @@ class TestMCS:
         ]
         assert [len(s) for s in shortlists] == [8, 8]
         for ra, rb in itertools.product(*shortlists):
-            a, b = ra.fragments[0], rb.fragments[0]
+            a, b = ra.combined, rb.combined
             assert max_common_substructure(a, b) == oracle_mcs_mappings(a, b), (a, b)
 
     def test_mapping_labels_agree(self):
@@ -148,7 +150,7 @@ class TestMergePair:
         a, b = rat("CC", peripheral=(0,)), rat("O", peripheral=(0,))
         out = merge_pair(a, b)
         assert len(out) == 1
-        assert len(out[0].fragments) == 2
+        assert len(connected_components(out[0].combined)) == 2
         assert out[0].combined.n == 3
         # peripheral union carried through with the offset
         assert out[0].peripheral == (0, 2)
@@ -164,7 +166,7 @@ class TestMergePair:
         # superpositions identifying only one F leave a carbon with 7 bonds:
         # the only valid unions overlay the carbon too
         for r in out:
-            assert len(r.fragments) == 1
+            assert is_connected(r.combined)
             carbons = [i for i, at in enumerate(r.combined.atoms) if at.element == "C"]
             assert len(carbons) == 1
 
@@ -187,34 +189,34 @@ class TestMergePair:
                 assert atom.element in {"C", "O"}
             assert r.combined.n <= a.combined.n + b.combined.n
 
-    def test_multi_fragment_inputs_rejected(self):
-        two = Rationale(
-            fragments=(parse_smiles("C"), parse_smiles("O")),
-            scores={},
-            peripheral=(),
-        )
+    def test_disconnected_nxt_rejected(self):
+        two = Rationale(disjoint_union([parse_smiles("C"), parse_smiles("O")]), {}, ())
         with pytest.raises(ValueError):
-            merge_pair(two, rat("C"))
+            merge_pair(rat("C"), two)
 
 
 class TestMergeInto:
+    """merge_pair with a multi-component accumulator."""
+
     @pytest.mark.parametrize(
         "fragments, nxt, sizes",
         [
             # CCO shares an MCS with CC and none with benzene: it is superposed
             # on CC and never appended
             (("CC", "c1ccccc1"), "CCO", [2]),
-            # O shares an MCS with neither fragment: it is appended once
+            # O shares an MCS with neither component: it is appended once
             (("N", "c1ccccc1"), "O", [3]),
+            # CN shares an MCS with both components: it is superposed on each
+            (("CC", "CO"), "CN", [2, 2]),
         ],
-        ids=["overlap", "disjoint"],
+        ids=["overlap", "disjoint", "overlap-both"],
     )
     def test_fragment_order_does_not_change_the_keys(self, fragments, nxt, sizes):
         keys = []
         for order in (fragments, fragments[::-1]):
-            acc = Rationale(fragments=tuple(map(parse_smiles, order)), scores={}, peripheral=())
-            out = _merge_into(acc, rat(nxt, (0,)))
-            assert sorted(len(r.fragments) for r in out) == sizes
+            acc = Rationale(disjoint_union([parse_smiles(s) for s in order]), {}, ())
+            out = merge_pair(acc, rat(nxt, (0,)))
+            assert sorted(len(connected_components(r.combined)) for r in out) == sizes
             keys.append({r.key for r in out})
         assert keys[0] == keys[1]
 
@@ -300,7 +302,7 @@ class TestBuildMultiVocab:
             shortlist_size=2,
         )
         assert len(out) == 1
-        assert all(len(r.fragments) == 2 for r in out)
+        assert all(len(connected_components(r.combined)) == 2 for r in out)
 
     def test_outputs_trace_to_inputs(self):
         _, _, prop_a, prop_b = two_property_setup()

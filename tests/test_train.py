@@ -84,7 +84,7 @@ class TestMakePretrainPairs:
         rng = np.random.default_rng(1)
         pairs = make_pretrain_pairs(toy_corpus(), 5, 4, rng)
         for r, g in pairs:
-            frag = r.fragments[0]
+            frag = r.combined
             assert is_connected(frag)
             _key, origin = r.sources[0]
             for i in range(frag.n):
@@ -97,7 +97,7 @@ class TestMakePretrainPairs:
         rng = np.random.default_rng(7)
         pairs = make_pretrain_pairs(toy_corpus(), 6, 4, rng)
         for r, g in pairs:
-            frag = r.fragments[0]
+            frag = r.combined
             _key, origin = r.sources[0]
             for i in range(frag.n):
                 for j in range(i + 1, frag.n):
@@ -150,7 +150,7 @@ class TestPretrain:
         # contradictory targets; the decoder can then drive the loss to ~0
         g = parse_smiles("CO")
         sub = Rationale(
-            fragments=(parse_smiles("C"),), scores={}, peripheral=(0,),
+            parse_smiles("C"), scores={}, peripheral=(0,),
             sources=((canonical_key(g), (0,)),),
         )
         model = toy_model([g], seed=8, hidden=12, latent=4)
@@ -179,8 +179,8 @@ class TestPretrain:
 
 def small_vocab():
     vocab = RationaleVocab(("const",))
-    vocab.add(Rationale(fragments=(parse_smiles("CCO"),), scores={"const": 1.0}, peripheral=(0,)))
-    vocab.add(Rationale(fragments=(parse_smiles("CCN"),), scores={"const": 1.0}, peripheral=(0,)))
+    vocab.add(Rationale(parse_smiles("CCO"), scores={"const": 1.0}, peripheral=(0,)))
+    vocab.add(Rationale(parse_smiles("CCN"), scores={"const": 1.0}, peripheral=(0,)))
     return vocab
 
 
@@ -205,8 +205,8 @@ class TestFinetune:
         model = toy_model(toy_corpus(), seed=5)
         model.params["expand_b2"].data = np.array([50.0])  # every open queue head expands
         vocab = RationaleVocab(("const",))
-        grows = Rationale(fragments=(parse_smiles("CCO"),), scores={"const": 1.0}, peripheral=(0,))
-        closed = Rationale(fragments=(parse_smiles("CC(=O)N"),), scores={"const": 1.0}, peripheral=())
+        grows = Rationale(parse_smiles("CCO"), scores={"const": 1.0}, peripheral=(0,))
+        closed = Rationale(parse_smiles("CC(=O)N"), scores={"const": 1.0}, peripheral=())
         vocab.add(grows)
         vocab.add(closed)
         # no atom may be added, so every completion of `grows` truncates
@@ -300,7 +300,7 @@ class TestFinetune:
                 return self.score(g) >= self.threshold
 
         vocab = RationaleVocab(("hasN",))
-        vocab.add(Rationale(fragments=(parse_smiles("CN"),), scores={"hasN": 1.0}, peripheral=(0,)))
+        vocab.add(Rationale(parse_smiles("CN"), scores={"hasN": 1.0}, peripheral=(0,)))
         stats = finetune(model, vocab, [NitrogenSpec()], quick_cfg(iterations=3, samples_per_rationale=8))
         assert len(stats) == 3
         assert stats[-1].success >= 0.99  # the rationale already contains N
@@ -310,7 +310,7 @@ def kept_trajectories(model, count):
     """Sampled (rationale, trace, latent) trajectories from a toy vocabulary,
     one per distinct trace length."""
     rationales = [
-        Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,))
+        Rationale(parse_smiles(s), scores={}, peripheral=(0,))
         for s in ("CCO", "CCN", "CN")
     ]
     by_length = {}
@@ -365,10 +365,10 @@ def interleave(*groups):
 def policy_step_cases(model):
     """Kept sets named by what they exercise in the shared-MPN replay."""
     chain = [
-        Rationale(fragments=(parse_smiles(s),), scores={}, peripheral=(0,))
+        Rationale(parse_smiles(s), scores={}, peripheral=(0,))
         for s in ("CCO", "CCN", "CN")
     ]
-    closed = Rationale(fragments=(parse_smiles("CC(=O)N"),), scores={}, peripheral=())
+    closed = Rationale(parse_smiles("CC(=O)N"), scores={}, peripheral=())
     grow = range(0, 13)
     return {
         # three rationales, none of whose trajectories are next to each other
@@ -559,8 +559,7 @@ class TestSampleMolecules:
         by_key = {r.key: r for r in vocab.entries}
         out = sample_molecules(model, dist, 50, np.random.default_rng(4), max_steps=60)
         for g, key in out:
-            for frag in by_key[key].fragments:
-                assert contains_subgraph(g, frag) is not None
+            assert contains_subgraph(g, by_key[key].combined) is not None
 
 
 class TestSuccessOfModel:
