@@ -1,17 +1,20 @@
 """Microbenchmarks of the decoder: one sampled completion, fresh and from a
 prepared start; one StepLogits step; the decoder MPN forward and backward on
 a desk molecule; one pretraining pair's teacher-forced likelihood with its
-backward pass; and one fine-tuning policy step over 40 kept completions of
-the rationale. The model has the desk widths (hidden 64, latent 16, three
-rounds) over the atom types of a README desk corpus (9-14 atoms, ring
-probability 0.25, amide and phenol motifs planted at 0.2), with its initial
-parameters and an expand bias of 1, so that the timed completion adds three
-atoms in 14 decisions.
+backward pass; one desk pre-training batch of 16 pairs, forward and
+backward, with the tape's tracemalloc peak; and one fine-tuning policy step
+over 40 kept completions of the rationale. The model has the desk widths
+(hidden 64, latent 16, three rounds) over the atom types of a README desk
+corpus (9-14 atoms, ring probability 0.25, amide and phenol motifs planted
+at 0.2), with its initial parameters and an expand bias of 1, so that the
+timed completion adds three atoms in 14 decisions.
 
 Not part of the test suite; run with
 
     PYTHONPATH=src python -m pytest bench --benchmark-only
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,11 +37,18 @@ from molrationale.genmodel import (
     prior_latent,
 )
 from molrationale.synthetic import CorpusSpec, generate_corpus
-from molrationale.train import TrainConfig, _policy_step, make_pretrain_pairs
+from molrationale.train import TrainConfig, _pair_loss, _policy_step, make_pretrain_pairs
 
 # the two desk motifs superposed, grown from the amide N and the phenol O
 RATIONALE = Rationale(
     parse_smiles("NC(=O)c1ccc(O)cc1"), scores={}, peripheral=(0, 7)
+)
+
+# the desk training settings, cli._DEFAULTS["train"]; the seed is not read here
+CFG = TrainConfig(
+    entropy_weight=0.02, samples_per_rationale=30, iterations=10, kl_weight=0.3,
+    learning_rate=1e-3, batch_size=16, pretrain_epochs=8, max_subgraph_atoms=20,
+    pairs_per_molecule=2, max_decode_steps=60, dist_samples=20, seed=0,
 )
 
 
@@ -121,6 +131,34 @@ def test_pair_likelihood_backward(benchmark, desk):
     assert model.params["bond_w2"].grad is not None
 
 
+def test_pretrain_batch(benchmark, desk):
+    """The loss of 16 desk pairs, as `train.pretrain` builds one batch's,
+    and its backward. extra_info["tape_peak_mb"] is tracemalloc's peak over
+    one untimed repetition: the most the batch's tape and its gradients held
+    at once."""
+    mols, model = desk
+    pairs = make_pretrain_pairs(mols, CFG.max_subgraph_atoms, CFG.pairs_per_molecule,
+                                np.random.default_rng(5))[:16]
+
+    def step():
+        ns.zero_grads(model.params)
+        rng = np.random.default_rng(7)
+        loss = ns.const(0.0)
+        for rationale, g in pairs:
+            loss = ns.add(loss, _pair_loss(model, rationale, g, CFG, rng))
+        ns.backward(ns.scale(loss, 1.0 / len(pairs)))
+
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tape_peak_mb"] = round(peak / 2**20, 2)
+    benchmark(step)
+    assert len(pairs) == 16 and model.params["bond_w2"].grad is not None
+
+
 def test_policy_step(benchmark, desk):
     """Prepare the rationale's start, replay and back-propagate 40 sampled
     completions of it, then take the Adam step, on a copy of the desk model.
@@ -137,17 +175,12 @@ def test_policy_step(benchmark, desk):
             continue
         if len(sampled) == 40:
             break
-    params = {k: ns.param(t.data.copy(), k) for k, t in model.params.items()}
-    copy = GenModel(model.atom_types, model.hidden, model.latent, model.rounds, params=params)
-    cfg = TrainConfig(
-        entropy_weight=0.02, samples_per_rationale=200, iterations=50, kl_weight=0.3,
-        learning_rate=1e-3, batch_size=16, pretrain_epochs=10, max_subgraph_atoms=20,
-        pairs_per_molecule=2, max_decode_steps=60, dist_samples=20, seed=0,
-    )
+    copy = GenModel(model.atom_types, model.hidden, model.latent, model.rounds)
+    copy.params = {k: ns.param(t.data.copy(), k) for k, t in model.params.items()}
 
     def step():
         start = prepare_start(copy, RATIONALE)
-        _policy_step(copy, [(start, trace_ids, z) for trace_ids, z in sampled], cfg, {}, 0)
+        _policy_step(copy, [(start, trace_ids, z) for trace_ids, z in sampled], CFG, {}, 0)
 
     benchmark(step)
     assert len(sampled) == 40 and copy.params["dec_u2"].grad is not None

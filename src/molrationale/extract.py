@@ -85,6 +85,13 @@ class Rationale:
         return self.combined.n
 
 
+def _atom_indices(values, what: str, n: float = math.inf) -> tuple[int, ...]:
+    """values, a JSON list of atom indices: integers (not bools) in [0, n)."""
+    if not isinstance(values, list) or not all(type(v) is int and 0 <= v < n for v in values):
+        raise ValueError(f"{what} {values!r} are not all integers in [0, {n})")
+    return tuple(values)
+
+
 class RationaleVocab:
     """Rationales deduplicated by canonical key, tagged with property names."""
 
@@ -148,14 +155,18 @@ class RationaleVocab:
             raise ValueError(f"unsupported vocabulary version {doc.get('version')}")
         vocab = cls(tuple(doc["properties"]))
         for item in doc["rationales"]:
+            combined = disjoint_union([parse_smiles(s) for s in item["fragments"]])
             sources = tuple(
-                (s["molecule"], tuple(s["atoms"])) for s in item.get("sources", [])
+                (s["molecule"], _atom_indices(s["atoms"], "source atoms"))
+                for s in item.get("sources", [])
             )
+            if any(len(atoms) != combined.n for _key, atoms in sources):
+                raise ValueError("a source does not list one atom per rationale atom")
             vocab.add(
                 Rationale(
-                    combined=disjoint_union([parse_smiles(s) for s in item["fragments"]]),
+                    combined=combined,
                     scores=dict(item["scores"]),
-                    peripheral=tuple(item["peripheral"]),
+                    peripheral=_atom_indices(item["peripheral"], "peripheral atoms", combined.n),
                     sources=sources,
                 )
             )

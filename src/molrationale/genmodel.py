@@ -84,7 +84,6 @@ class GenModel:
         latent: int,
         rounds: int,
         seed: int = 0,
-        params: dict[str, ns.Tensor] | None = None,
     ):
         self.atom_types = tuple(atom_types)
         self.type_index = {t: i for i, t in enumerate(self.atom_types)}
@@ -92,7 +91,7 @@ class GenModel:
         self.hidden = hidden
         self.latent = latent
         self.rounds = rounds
-        self.params = params if params is not None else self._init_params(seed)
+        self.params = self._init_params(seed)
 
     def _init_params(self, seed: int) -> dict[str, ns.Tensor]:
         rng = np.random.default_rng(seed)
@@ -143,36 +142,39 @@ class GenModel:
 
     @classmethod
     def load(cls, path_stem: str) -> "GenModel":
+        """The checkpoint's model; ValueError when its parameter names and
+        shapes are not those of a model with its stored widths and types."""
         arrays, extra = ns.load_params(path_stem)
         atom_types = tuple(Atom(e, c, ar) for e, c, ar in extra["atom_types"])
-        params = {k: ns.param(v, k) for k, v in arrays.items()}
-        return cls(
-            atom_types,
-            hidden=extra["hidden"],
-            latent=extra["latent"],
-            rounds=extra["rounds"],
-            params=params,
-        )
+        model = cls(atom_types, extra["hidden"], extra["latent"], extra["rounds"])
+        want = {k: t.shape for k, t in model.params.items()}
+        got = {k: v.shape for k, v in arrays.items()}
+        for name in sorted(want.keys() | got.keys()):
+            if got.get(name) != want.get(name):
+                raise ValueError(f"checkpoint parameter {name!r} is {got.get(name, 'absent')}, "
+                                 f"expected {want.get(name, 'absent')}")
+        model.params = {k: ns.param(v, k) for k, v in arrays.items()}
+        return model
 
 
 def _mlp_forward(model: GenModel, name: str, xd: np.ndarray):
     """A two-layer ReLU perceptron's forward pass over a (d,) vector or each
-    row of an (m, d) matrix: (pre-activation, hidden, output) arrays."""
+    row of an (m, d) matrix: (hidden, output) arrays."""
     p = model.params
-    pre = xd @ p[f"{name}_w1"].data + p[f"{name}_b1"].data
-    hid = np.maximum(pre, 0.0)
-    return pre, hid, hid @ p[f"{name}_w2"].data + p[f"{name}_b2"].data
+    hid = np.maximum(xd @ p[f"{name}_w1"].data + p[f"{name}_b1"].data, 0.0)
+    return hid, hid @ p[f"{name}_w2"].data + p[f"{name}_b2"].data
 
 
 def _mlp(model: GenModel, name: str, x: ns.Tensor) -> ns.Tensor:
-    """_mlp_forward recorded as one tape op."""
+    """_mlp_forward recorded as one tape op; the relu's gate is the sign of
+    the hidden array that the closure keeps for the w2 gradient."""
     p = model.params
     w1, b1, w2, b2 = (p[f"{name}_{k}"] for k in ("w1", "b1", "w2", "b2"))
     xd, w1d, w2d = x.data, w1.data, w2.data
-    pre, hid, out = _mlp_forward(model, name, xd)
+    hid, out = _mlp_forward(model, name, xd)
 
     def backward_fn(g):
-        d_pre = (g @ w2d.T) * (pre > 0)
+        d_pre = (g @ w2d.T) * (hid > 0)
         if xd.ndim == 1:
             return d_pre @ w1d.T, np.outer(xd, d_pre), d_pre, np.outer(hid, g), g
         return d_pre @ w1d.T, xd.T @ d_pre, d_pre.sum(axis=0), hid.T @ g, g.sum(axis=0)
@@ -213,7 +215,10 @@ def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
     directed edges u->v and v->u. The first message on u->v is
     relu(x_u W1 + x_uv W2); every later round adds, inside the relu, W3 times
     the sum of the messages into u less the message on v->u. An atom's vector
-    is relu(x_v U1 + (sum of the messages into v) U2).
+    is relu(x_v U1 + (sum of the messages into v) U2). The backward closure
+    keeps a boolean gate per message relu, the output (the atom relu's gate
+    is its sign), and what the W3 and U2 gradients read: each later round's
+    neighbour sums and agg.
     """
     p = model.params
     names = _mpn_names(prefix)
@@ -228,33 +233,34 @@ def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
     into_atoms = _row_scatter(dst, types.size)
     base = (emb_a @ w1)[types[src]] + (emb_b @ w2)[bts]
     msg = np.maximum(base, 0.0)
-    later = []  # (neighbour sum, pre-activation) of each round after the first
+    base_gate = base > 0
+    later = []  # (neighbour sum, gate) of each round after the first
     for _ in range(model.rounds - 1):
         nb = into_atoms(msg)[src] - msg[rev]
         pre = base + nb @ w3
-        later.append((nb, pre))
+        later.append((nb, pre > 0))
         msg = np.maximum(pre, 0.0)
     agg = into_atoms(msg)
-    out_pre = (emb_a @ u1)[types] + agg @ u2
+    out = np.maximum((emb_a @ u1)[types] + agg @ u2, 0.0)
 
     def backward_fn(g):
-        d_out = g * (out_pre > 0)
+        d_out = g * (out > 0)
         d_type_u1 = _row_scatter(types, emb_a.shape[0])(d_out)
         d_emb_a = d_type_u1 @ u1.T
         d_u1 = emb_a.T @ d_type_u1
         if not src.size:
             return d_emb_a, None, None, None, None, d_u1, None
         d_msg = (d_out @ u2.T)[dst]
-        d_base = np.zeros_like(base)
+        d_base = np.zeros((src.size, w1.shape[1]))
         d_w3 = np.zeros_like(w3) if later else None
-        for nb, pre in reversed(later):
-            d_pre = d_msg * (pre > 0)
+        for nb, gate in reversed(later):
+            d_pre = d_msg * gate
             d_base += d_pre
             d_w3 += nb.T @ d_pre
             # the reverse-edge map is an involution, so its adjoint is itself
             d_nb = (d_pre @ w3.T)[rev]
             d_msg = into_atoms(d_nb)[dst] - d_nb
-        d_base += d_msg * (base > 0)
+        d_base += d_msg * base_gate
         d_type_w1 = _row_scatter(types[src], emb_a.shape[0])(d_base)
         d_bond_w2 = _row_scatter(bts, emb_b.shape[0])(d_base)
         return (
@@ -267,15 +273,7 @@ def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
             agg.T @ d_out,
         )
 
-    return ns.track(np.maximum(out_pre, 0.0), tuple(p[k] for k in names), backward_fn)
-
-
-def mpn_embed(model: GenModel, g: MolGraph, which: str = "enc") -> np.ndarray:
-    """Per-atom embedding matrix of a molecule (evaluation only)."""
-    type_ids = [model.type_of_atom(a) for a in g.atoms]
-    edges = [(b.u, b.v, BOND_TYPES.index(b.order)) for b in g.bonds]
-    with ns.no_grad():
-        return _mpn(model, which, type_ids, edges).data
+    return ns.track(out, tuple(p[k] for k in names), backward_fn)
 
 
 def encode(model: GenModel, g: MolGraph) -> LatentParams:
@@ -448,7 +446,7 @@ class StepLogits:
         self.h = h
         self.hg = hg
         self._x = np.concatenate([h[self.queue[0]], hg, z])
-        self.expand_logit = float(_mlp_forward(model, "expand", self._x)[2][0])
+        self.expand_logit = float(_mlp_forward(model, "expand", self._x)[1][0])
         self.expand_prob = float(ns.sigmoid_array(self.expand_logit))
         self._atom_probs: np.ndarray | None = None
         self._gin: dict[tuple[int, int], np.ndarray] = {}  # by (queue position, bond type)
@@ -456,7 +454,7 @@ class StepLogits:
     @property
     def atom_probs(self) -> np.ndarray:
         if self._atom_probs is None:
-            self._atom_probs = ns.softmax_array(_mlp_forward(self.model, "atom", self._x)[2])
+            self._atom_probs = ns.softmax_array(_mlp_forward(self.model, "atom", self._x)[1])
         return self._atom_probs
 
     def bond_probs(self, new_type_idx: int, prior: list[int], mask: np.ndarray) -> np.ndarray:
@@ -473,12 +471,12 @@ class StepLogits:
         for j, b_idx in enumerate(prior):
             if (j, b_idx) not in self._gin:
                 pair = np.concatenate([self.h[self.queue[j]], p["emb_bond"].data[b_idx]])
-                self._gin[j, b_idx] = _mlp_forward(self.model, "gin", pair)[2]
+                self._gin[j, b_idx] = _mlp_forward(self.model, "gin", pair)[1]
             gsum = gsum + self._gin[j, b_idx]
         g_in = np.concatenate([p["emb_atom"].data[new_type_idx], gsum])
-        g_vec = _mlp_forward(self.model, "gout", g_in)[2]
+        g_vec = _mlp_forward(self.model, "gout", g_in)[1]
         x = np.concatenate([g_vec, self.h[self.queue[k]], self.hg, self.z])
-        logits = _mlp_forward(self.model, "bond", x)[2]
+        logits = _mlp_forward(self.model, "bond", x)[1]
         return ns.softmax_array(logits + mask)
 
 
@@ -744,8 +742,8 @@ def trace_log_likelihood(model: GenModel, rationale: Rationale, trace: list[int]
     """Log-probability of a recorded decision sequence (differentiable). The
     replay starts from a copy of the start's state and takes the rationale
     graph's MPN rows from start.h, so the gradient for those rows goes into
-    start.h; without a start it prepares one. A start must be prepared under
-    the current parameters."""
+    start.h, and one backward spends it; without a start it prepares one. A
+    start must be prepared under the current parameters."""
     start = _start_for(model, rationale, start)
     state = start.state.copy()
     walk = _walk(model, state, _TracePolicy(trace), max_steps=10**9)

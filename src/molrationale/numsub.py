@@ -3,6 +3,8 @@
 Tensors are rank <= 2 arrays of 64-bit floats. Batching is explicit through
 the row dimension; there is no broadcasting. A module-level switch disables
 tape recording for evaluation-only work (sampling).
+An op's backward closure keeps only the arrays its gradient reads, and a
+backward pass consumes the tape it walks, freeing each op as it goes.
 """
 
 from __future__ import annotations
@@ -102,9 +104,7 @@ def const(data) -> Tensor:
 def track(out_data, parents, backward_fn) -> Tensor:
     """Record one op on the tape. backward_fn maps the output gradient to a
     tuple with one gradient (or None, for no dependence) per parent."""
-    if _GRAD_ENABLED and any(
-        p.requires_grad or p._parents or p._backward for p in parents
-    ):
+    if _GRAD_ENABLED and any(p.requires_grad or p._backward for p in parents):
         return Tensor(out_data, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(out_data)
 
@@ -308,8 +308,16 @@ def gaussian_kl(mu: Tensor, log_sigma: Tensor) -> Tensor:
     return track(out, (mu, log_sigma), backward_fn)
 
 
+def _spent(g):
+    raise GradientError("backward through an op whose tape an earlier backward consumed")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse accumulation from a scalar loss; grads accumulate across calls."""
+    """Reverse accumulation from a scalar loss; grads accumulate across calls.
+
+    Once an op's gradient has gone to its parents, the op drops its closure
+    and parents, so what only the tape held is freed as the pass goes. The op
+    is spent: a later backward that brings it a gradient raises GradientError."""
     if loss.data.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -329,18 +337,20 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.array(1.0)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
+        if node.requires_grad and g is not None:
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
         if node._backward is None:
             continue
-        parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
+        parents, backward_fn = node._parents, node._backward
+        node._parents, node._backward = (), _spent
+        if g is None:
+            continue
+        for p, pg in zip(parents, backward_fn(g)):
             if pg is None:
                 continue
             acc = grads.get(id(p))

@@ -404,6 +404,73 @@ class TestLibraryErrors:
         assert main(["sample", "--config", cfg, "--force"]) == 1
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
+    @pytest.mark.parametrize("value", [99, -1, 1.5, "0", None, True])
+    def test_vocabulary_peripheral_that_is_not_an_atom_is_an_error_line(
+        self, pipeline, tmp_path, capsys, value
+    ):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / "vocab_multi.json"
+        doc = json.loads(path.read_text())
+        n = RationaleVocab.from_json(path.read_text()).entries[0].n_atoms
+        doc["rationales"][0]["peripheral"] = [value]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["sample", "--config", cfg, "--force"]) == 1
+        reason = f"peripheral atoms {[value]!r} are not all integers in [0, {n})"
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda atoms: atoms[:-1], "a source does not list one atom per rationale atom"),
+            (lambda atoms: [-1] + atoms[1:], r"source atoms \[-1, .* are not all integers in \[0, inf\)"),
+            (lambda atoms: [0.5] + atoms[1:], r"source atoms \[0.5, .* are not all integers in \[0, inf\)"),
+        ],
+        ids=["short", "negative", "float"],
+    )
+    def test_vocabulary_source_atoms_that_are_not_atoms_are_an_error_line(
+        self, pipeline, tmp_path, capsys, edit, reason
+    ):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / "vocab_amide.json"
+        doc = json.loads(path.read_text())
+        source = doc["rationales"][0]["sources"][0]
+        source["atoms"] = edit(source["atoms"])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["faithfulness", "--config", cfg, "--force"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(path))}: {reason}\n", err), err
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda by_name, entries: by_name["expand_w1"].update(name="expand_wx"),
+             "checkpoint parameter 'expand_w1' is absent, expected (56, 24)"),
+            # the sampler never reads the atom head, so only the reader can tell
+            (lambda by_name, entries: by_name["atom_b1"].update(name="atom_bx"),
+             "checkpoint parameter 'atom_b1' is absent, expected (24,)"),
+            (lambda by_name, entries: entries.remove(by_name["bond_w2"]),
+             "checkpoint parameter 'bond_w2' is absent, expected (24, 5)"),
+            (lambda by_name, entries: entries.append({**by_name["gin_b2"], "name": "zz"}),
+             "checkpoint parameter 'zz' is (24,), expected absent"),
+            (lambda by_name, entries: by_name["gin_b2"].update(shape=[1, 24]),
+             "checkpoint parameter 'gin_b2' is (1, 24), expected (24,)"),
+        ],
+        ids=["rename-expand", "rename-atom-head", "drop", "unknown", "reshape"],
+    )
+    def test_checkpoint_that_does_not_fit_its_model_is_an_error_line(
+        self, pipeline, tmp_path, capsys, edit, reason
+    ):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / "finetune.ckpt.json"
+        doc = json.loads(path.read_text())
+        edit({e["name"]: e for e in doc["params"]}, doc["params"])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["sample", "--config", cfg, "--force"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
     @pytest.mark.parametrize("error", [ForestError, SearchError, MetricsError])
     def test_library_error_exits_1_with_one_line(self, monkeypatch, capsys, error):
         def fail(path):

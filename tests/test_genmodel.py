@@ -32,7 +32,6 @@ from molrationale.genmodel import (
     complete_with_trace,
     encode,
     log_likelihood_tensor,
-    mpn_embed,
     prepare_start,
     prior_latent,
     sample_latent,
@@ -163,6 +162,12 @@ def graph_inputs(model, g):
     )
 
 
+def enc_vectors(model, g):
+    """The encoder MPN's per-atom vectors of a molecule, forward only."""
+    with ns.no_grad():
+        return _mpn(model, "enc", *graph_inputs(model, g)).data
+
+
 def stepwise_log_prob(model, rationale, z, decide):
     """Oracle: walk the decoder one step_logits call per step and sum the log
     of the probability of each decision that decide(kind, ...) takes; returns
@@ -243,7 +248,7 @@ class TestMPN:
     def test_single_atom_depends_only_on_embedding(self):
         model = small_model()
         g = parse_smiles("O")
-        h = mpn_embed(model, g)
+        h = enc_vectors(model, g)
         t = model.type_of_atom(g.atoms[0])
         expected = np.maximum(
             model.params["emb_atom"].data[t] @ model.params["enc_u1"].data, 0.0
@@ -262,16 +267,16 @@ class TestMPN:
             [g.atoms[p] for p in perm],
             [Bond(inv[b.u], inv[b.v], b.order) for b in g.bonds],
         )
-        h = mpn_embed(model, g)
-        hp = mpn_embed(model, permuted)
+        h = enc_vectors(model, g)
+        hp = enc_vectors(model, permuted)
         for old in range(g.n):
             assert np.allclose(h[old], hp[inv[old]], atol=1e-12)
 
     def test_fragment_independence(self):
         model = small_model()
         a = parse_smiles("CCO")
-        h_with_b = mpn_embed(model, disjoint_union([a, parse_smiles("CCN")]))
-        h_with_c = mpn_embed(model, disjoint_union([a, parse_smiles("c1ccccc1")]))
+        h_with_b = enc_vectors(model, disjoint_union([a, parse_smiles("CCN")]))
+        h_with_c = enc_vectors(model, disjoint_union([a, parse_smiles("c1ccccc1")]))
         assert np.allclose(h_with_b[: a.n], h_with_c[: a.n], atol=1e-12)
 
     @pytest.mark.parametrize("smiles", ["CC(=O)Nc1ccccc1O", "C1CC1C", "O", "OC1CC(N)C1=O", "CCCCCC"])
@@ -315,7 +320,7 @@ class TestMPN:
         model = small_model()
         g = parse_smiles("CP")  # P is not in the small corpus
         assert model.type_of_atom(g.atoms[1]) == model.unknown_index
-        h = mpn_embed(model, g)
+        h = enc_vectors(model, g)
         assert h.shape == (2, model.hidden)
 
 

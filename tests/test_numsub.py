@@ -146,6 +146,16 @@ class TestBackward:
         ns.backward(ns.mul(x, x))
         assert x.grad == pytest.approx(2 * first)
 
+    def test_second_backward_through_a_spent_op_raises(self):
+        x = ns.param(2.0)
+        y = ns.mul(x, x)
+        ns.backward(y)
+        assert y._parents == ()
+        with pytest.raises(ns.GradientError, match="consumed"):
+            ns.backward(y)
+        with pytest.raises(ns.GradientError, match="consumed"):
+            ns.backward(ns.add(y, ns.const(1.0)))
+
     def test_two_layer_relu_network_gradcheck(self):
         rng = np.random.default_rng(12)
         params = {

@@ -27,6 +27,7 @@ from molrationale.train import (
 )
 
 from helpers import StubProperty, single_tape_policy_loss, success_of_model, tape_size
+from test_numsub import check_gradients
 
 
 def toy_corpus():
@@ -144,6 +145,27 @@ class TestPretrain:
         lp = encode(model, g)
         kl = float(ns.gaussian_kl(lp.mu, lp.log_std).data)
         assert lossb - loss0 == pytest.approx(0.5 * kl, rel=1e-9)
+
+    def test_ring_pair_loss_gradcheck(self):
+        """The whole pair loss at three rounds, from a one-atom rationale of a
+        five-ring: the walk feeds earlier bond decisions through gin, and the
+        last atom's second bond closes the ring."""
+        from molrationale.genmodel import NO_BOND_IDX, DecoderState, _TeacherPolicy, _walk
+        from molrationale.train import _pair_loss
+
+        g = parse_smiles("C1CCNC1")
+        sub = Rationale(
+            parse_smiles("C"), scores={}, peripheral=(0,),
+            sources=((canonical_key(g), (0,)),),
+        )
+        model = GenModel(atom_types_from_corpus([g]), hidden=4, latent=2, rounds=3, seed=3)
+        walk = _walk(model, DecoderState.from_rationale(model, sub),
+                     _TeacherPolicy(model, g, {0: 0}), max_steps=10)
+        fed = [b for prev, b in zip(walk.bonds, walk.bonds[1:]) if b[0] == prev[0]]
+        assert fed and any(b_idx != NO_BOND_IDX for _blk, _q, b_idx in fed)
+        cfg = quick_cfg(kl_weight=0.5)
+        check_gradients(lambda: _pair_loss(model, sub, g, cfg, np.random.default_rng(4)),
+                        model.params)
 
     def test_memorizes_single_pair(self):
         # the pair is chosen so no two frontier atoms are automorphic with
