@@ -1,0 +1,76 @@
+"""Microbenchmark of the canonical form on one desk extract (the README
+minimal config, seed 11): `canonical_key` over every graph the extract stage
+keys, in call order, the memo emptied before each repetition, so repeated
+search states are memo hits and the rest are misses. `extra_info` stores the
+call and entry counts, and tracemalloc's KB per memo entry that stays
+allocated once the keyed graphs are dropped.
+
+Not part of the test suite; run with
+
+    PYTHONPATH=src python -m pytest bench --benchmark-only
+"""
+
+import gc
+import json
+import tracemalloc
+
+import pytest
+
+from molrationale import chemgraph, extract
+from molrationale.chemgraph import Bond, MolGraph, canonical_key
+from molrationale.cli import cmd_extract, cmd_gen_synthetic, cmd_train_predictor, load_config
+
+
+@pytest.fixture(scope="module")
+def states(tmp_path_factory):
+    """The graphs one desk extract passes to `canonical_key`, in call order."""
+    root = tmp_path_factory.mktemp("desk")
+    cfg_file = root / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "run_dir": str(root / "run"),
+        "seed": 11,
+        "properties": [
+            {"name": "amide", "motif": "NC(=O)c1ccccc1", "plant_prob": 0.2},
+            {"name": "phenol", "motif": "Oc1ccccc1", "plant_prob": 0.2},
+        ],
+    }))
+    cfg = load_config(cfg_file)
+    cmd_gen_synthetic(cfg, False)
+    cmd_train_predictor(cfg, False)
+    seen: list[MolGraph] = []
+
+    def recording_key(g):
+        seen.append(g)
+        return canonical_key(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extract, "canonical_key", recording_key)
+        cmd_extract(cfg, False)
+    return seen
+
+
+def retained_kb_per_entry(graphs: list[MolGraph]) -> float:
+    """KB that stays allocated per memo entry after keying fresh copies of
+    the graphs (new atom tuples and bonds, as a search builds them) and
+    dropping the copies."""
+    chemgraph._memo.clear()
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for g in graphs:
+        canonical_key(MolGraph(list(g.atoms), [Bond(b.u, b.v, b.order) for b in g.bonds]))
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    return retained / 1024 / len(chemgraph._memo)
+
+
+def test_canonical_keys_of_desk_extract(benchmark, states):
+    per_entry = retained_kb_per_entry(states)
+    keys = benchmark.pedantic(
+        lambda: [canonical_key(g) for g in states], setup=chemgraph._memo.clear, rounds=20
+    )
+    assert len(keys) == len(states)
+    benchmark.extra_info.update(
+        calls=len(states), entries=len(chemgraph._memo), retained_kb_per_entry=round(per_entry, 3)
+    )

@@ -3,6 +3,12 @@ valence rules, peripheral deletions and subgraph matching.
 
 Atoms carry (element, formal charge, aromatic flag) only; hydrogens are
 implicit and never stored. All graphs are immutable after construction.
+
+`canonical_key` and `canonical_ranks` read one process-wide memo, keyed by a
+graph's content (its atoms, and its bonds as one flat tuple of ints). An
+entry holds the ranks and the key string, not the graph, so a search's
+graphs are freed when the search drops them. The memo is emptied when it
+reaches 200,000 entries.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 ELEMENTS = ("C", "N", "O", "S", "P", "F", "Cl", "Br", "I")
 AROMATIC_ELEMENTS = {"C", "N", "O", "S", "P"}
@@ -601,22 +607,36 @@ def _canonical_perm(g: MolGraph) -> list[int]:
     return best[1]  # type: ignore[return-value]
 
 
-@lru_cache(maxsize=200000)
-def _canonical_parts(g: MolGraph) -> tuple[tuple[int, ...], tuple]:
-    """The canonical permutation of g and the encoding it gives, computed
-    once per graph; both are tuples, so no caller can change the cache."""
-    perm = tuple(_canonical_perm(g))
-    return perm, _encode(g, perm)
+# The canonical-form memo (see the module docstring): content -> (ranks, key).
+_MEMO_BOUND = 200000
+_memo: dict[tuple, tuple[tuple[int, ...], str]] = {}
+
+
+def _canonical_parts(g: MolGraph) -> tuple[tuple[int, ...], str]:
+    """The canonical positions of g's atoms and its canonical key, computed
+    once per distinct graph; the positions are a tuple, so no caller can
+    change the memo."""
+    flat: list[int] = []
+    for b in g.bonds:
+        flat += (b.u, b.v, _ORDER_CODE[b.order])
+    content = (g.atoms, tuple(flat))
+    parts = _memo.get(content)
+    if parts is None:
+        perm = tuple(_canonical_perm(g))
+        atoms, edges = _encode(g, perm)
+        atom_str = ".".join(
+            f"{el}{'~' if ar else ''}{'' if q == 0 else f'{q:+d}'}" for el, q, ar in atoms
+        )
+        edge_str = ",".join(f"{u}-{v}:{o}" for u, v, o in edges)
+        if len(_memo) >= _MEMO_BOUND:
+            _memo.clear()
+        parts = _memo[content] = (perm, f"{len(atoms)}|{atom_str}|{edge_str}")
+    return parts
 
 
 def canonical_key(g: MolGraph) -> str:
     """Canonical string key: equal exactly for isomorphic graphs."""
-    _perm, (atoms, edges) = _canonical_parts(g)
-    atom_str = ".".join(
-        f"{el}{'~' if ar else ''}{'' if q == 0 else f'{q:+d}'}" for el, q, ar in atoms
-    )
-    edge_str = ",".join(f"{u}-{v}:{o}" for u, v, o in edges)
-    return f"{len(atoms)}|{atom_str}|{edge_str}"
+    return _canonical_parts(g)[1]
 
 
 def canonical_ranks(g: MolGraph) -> tuple[int, ...]:

@@ -382,7 +382,7 @@ class _Stage:
 
 def _load_corpus(cfg: RunConfig) -> tuple[list[MolGraph], dict[str, list[int]]]:
     """The corpus molecules and their labels by property, from properties.csv."""
-    names, smiles, rows = read_property_csv(cfg.run_dir / "properties.csv")
+    names, smiles, rows = _read(cfg.run_dir / "properties.csv", read_property_csv)
     labels = {name: [row[i] for row in rows] for i, name in enumerate(names)}
     return [parse_smiles(text) for text in smiles], labels
 

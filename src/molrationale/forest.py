@@ -44,6 +44,9 @@ class ForestModel:
         doc = json.loads(text)
         if doc.get("version") != _MODEL_VERSION:
             raise ForestError(f"unsupported model version {doc.get('version')}")
+        if not isinstance(doc["trees"], list) or not doc["trees"]:
+            raise ForestError("trees must be a non-empty list")
+        _check_nodes(doc["trees"])
         return cls(
             trees=doc["trees"],
             n_trees=doc["n_trees"],
@@ -65,6 +68,26 @@ class ForestModel:
     def load(cls, path) -> "ForestModel":
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+def _check_nodes(trees: list) -> None:
+    """Every node is a split, an integer bit in [0, WIDTH) with both
+    children, or a leaf, a number in [0, 1]."""
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        keys = set(node) if isinstance(node, dict) else None
+        if keys == {"bit", "left", "right"}:
+            bit = node["bit"]
+            if type(bit) is not int or not 0 <= bit < WIDTH:
+                raise ForestError(f"split bit {bit!r} is not an integer in [0, {WIDTH})")
+            stack += (node["left"], node["right"])
+        elif keys == {"leaf"}:
+            leaf = node["leaf"]
+            if type(leaf) not in (int, float) or not 0.0 <= leaf <= 1.0:
+                raise ForestError(f"leaf {leaf!r} is not a number in [0, 1]")
+        else:
+            raise ForestError(f"tree node {node!r:.80} is neither a split nor a leaf")
 
 
 @dataclass
@@ -276,21 +299,26 @@ def auroc(m: ForestModel, data: list[tuple[MolGraph, int]]) -> float:
 
 
 def read_property_csv(path) -> tuple[list[str], list[str], list[list[int]]]:
-    """Read a 'smiles,label[,label2...]' CSV; returns (property names, smiles, labels)."""
+    """Read a 'smiles,label[,label2...]' CSV whose labels are 0 or 1; returns
+    (property names, smiles, labels). An error names the line, not the path."""
     import csv
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if not header or header[0].strip().lower() != "smiles":
-            raise ForestError(f"{path}: first CSV column must be 'smiles'")
+            raise ForestError("first CSV column must be 'smiles'")
         names = [h.strip() for h in header[1:]]
         smiles, labels = [], []
         for line_no, row_data in enumerate(reader, start=2):
             if not row_data:
                 continue
             if len(row_data) != len(header):
-                raise ForestError(f"{path}:{line_no}: expected {len(header)} columns")
+                raise ForestError(f"line {line_no}: expected {len(header)} columns")
             smiles.append(row_data[0].strip())
-            labels.append([int(x) for x in row_data[1:]])
+            row = [x.strip() for x in row_data[1:]]
+            for name, x in zip(names, row):
+                if x not in ("0", "1"):
+                    raise ForestError(f"line {line_no}: {name} label {x!r} is not 0 or 1")
+            labels.append([int(x) for x in row])
     return names, smiles, labels

@@ -384,8 +384,11 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient for parameter {name!r}")
         p = params[name]
-        m = m_store.setdefault(name, np.zeros_like(p.data))
-        v = v_store.setdefault(name, np.zeros_like(p.data))
+        if name not in m_store:
+            m_store[name] = np.zeros_like(p.data)
+            v_store[name] = np.zeros_like(p.data)
+        m = m_store[name]
+        v = v_store[name]
         m *= beta1
         m += (1 - beta1) * g
         v *= beta2

@@ -1,7 +1,10 @@
+import gc
 import random
+import sys
 
 import pytest
 
+from molrationale import chemgraph
 from molrationale.chemgraph import (
     _canonical_perm,
     AROMATIC,
@@ -170,7 +173,7 @@ class TestCanonicalKey:
 
     def test_ranks_match_an_uncached_recomputation(self):
         for g in random_corpus(40, seed=29, atoms_min=4, atoms_max=12, ring_prob=0.5):
-            canonical_key(g)  # the key and the ranks share one cache entry
+            canonical_key(g)  # the key and the ranks share one memo entry
             assert canonical_ranks(g) == tuple(_canonical_perm(g))
             assert canonical_ranks(g) is canonical_ranks(g)
 
@@ -180,6 +183,58 @@ class TestCanonicalKey:
         with pytest.raises(TypeError):
             ranks[0] = ranks[1]
         assert canonical_ranks(g) == tuple(_canonical_perm(g))
+
+
+def permuted(g: MolGraph, order: list[int]) -> MolGraph:
+    """g with atom order[i] moved to position i, and its bonds reversed."""
+    pos = {old: new for new, old in enumerate(order)}
+    return MolGraph(
+        [g.atoms[i] for i in order],
+        [Bond(pos[b.v], pos[b.u], b.order) for b in reversed(g.bonds)],
+    )
+
+
+class TestCanonicalMemo:
+    def test_the_memo_keeps_no_graph(self):
+        g = parse_smiles("OC1CCC(N)CC1C(=O)N")
+        before = sys.getrefcount(g)
+        canonical_key(g)
+        canonical_ranks(g)
+        gc.collect()
+        assert sys.getrefcount(g) == before
+
+    def test_drug_sized_parts_match_a_recomputation(self, monkeypatch):
+        corpus = random_corpus(30, seed=31, atoms_min=20, atoms_max=28, ring_prob=0.5)
+        assert all(sssr(g) for g in corpus)
+        first = [(canonical_key(g), canonical_ranks(g)) for g in corpus]
+        # a graph of equal content is a hit, and returns the same parts
+        for g, (key, ranks) in zip(corpus, first):
+            copy = MolGraph(g.atoms, g.bonds)
+            assert canonical_key(copy) == key and canonical_ranks(copy) is ranks
+        monkeypatch.setattr(chemgraph, "_memo", {})
+        for g, (key, ranks) in zip(corpus, first):
+            assert canonical_key(g) == key
+            assert canonical_ranks(g) == ranks == tuple(_canonical_perm(g))
+
+    def test_atom_orders_of_one_molecule_share_a_key(self):
+        for g in random_corpus(20, seed=37, atoms_min=6, atoms_max=24, ring_prob=0.5):
+            order = list(range(g.n))
+            random.Random(g.n).shuffle(order)
+            other = permuted(g, order)
+            assert other.atoms != g.atoms or other.bonds != g.bonds
+            assert canonical_key(other) == canonical_key(g)
+
+    def test_emptying_the_memo_at_its_bound_changes_no_key(self, monkeypatch):
+        corpus = random_corpus(25, seed=41, atoms_min=4, atoms_max=16, ring_prob=0.5)
+        monkeypatch.setattr(chemgraph, "_memo", {})
+        want = [canonical_key(g) for g in corpus]
+        monkeypatch.setattr(chemgraph, "_memo", {})
+        monkeypatch.setattr(chemgraph, "_MEMO_BOUND", 4)
+        for _ in range(2):
+            for g, key in zip(corpus, want):
+                assert canonical_key(g) == key
+                assert canonical_ranks(g) == tuple(_canonical_perm(g))
+                assert len(chemgraph._memo) <= 4
 
 
 class TestPeripheralDeletions:

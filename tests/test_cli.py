@@ -35,6 +35,10 @@ from molrationale.metrics import MetricsError
 from helpers import same_outcome, walk_and_oracle_masks
 
 
+# a forest leaf, for trees written by hand
+LEAF = {"leaf": 0.5}
+
+
 def write_config(path: Path, run_dir: Path, **overrides) -> Path:
     cfg = {
         "run_dir": str(run_dir),
@@ -402,6 +406,55 @@ class TestLibraryErrors:
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["sample", "--config", cfg, "--force"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize("label", ["", "2", "-1", "x"], ids=["blank", "2", "-1", "x"])
+    def test_corpus_label_that_is_not_0_or_1_is_an_error_line(
+        self, pipeline, tmp_path, capsys, label
+    ):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / "properties.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["smiles", "amide", "phenol"]
+        rows[3][1] = label
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(["train-predictor", "--config", cfg, "--force"]) == 1
+        reason = f"line 4: amide label {label!r} is not 0 or 1"
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "tree, reason",
+        [
+            ({"bit": 99999, "left": LEAF, "right": LEAF}, "split bit 99999 is not an integer in [0, 2048)"),
+            ({"bit": -1, "left": LEAF, "right": LEAF}, "split bit -1 is not an integer in [0, 2048)"),
+            ({"bit": True, "left": LEAF, "right": LEAF}, "split bit True is not an integer in [0, 2048)"),
+            ({"bit": 3.0, "left": LEAF, "right": LEAF}, "split bit 3.0 is not an integer in [0, 2048)"),
+            ({"bit": 5, "left": LEAF, "right": {"leaf": "x"}}, "leaf 'x' is not a number in [0, 1]"),
+            ({"bit": 5, "left": LEAF, "right": {"leaf": -1e300}}, "leaf -1e+300 is not a number in [0, 1]"),
+            ({"bit": 5, "left": LEAF, "right": {"leaf": 1.5}}, "leaf 1.5 is not a number in [0, 1]"),
+            ({"bit": 5, "left": LEAF, "right": {"leaf": math.nan}}, "leaf nan is not a number in [0, 1]"),
+            ({"bit": 5, "left": LEAF, "right": {"leaf": None}}, "leaf None is not a number in [0, 1]"),
+            ({"bit": 5, "left": LEAF}, "tree node {'bit': 5, 'left': {'leaf': 0.5}} is neither a split nor a leaf"),
+            ({"bit": 5, "left": LEAF, "right": 3}, "tree node 3 is neither a split nor a leaf"),
+            ({**LEAF, "bit": 5}, "tree node {'leaf': 0.5, 'bit': 5} is neither a split nor a leaf"),
+        ],
+        ids=["bit-high", "bit-negative", "bit-bool", "bit-float", "leaf-text", "leaf-huge",
+             "leaf-above-1", "leaf-nan", "leaf-null", "one-child", "child-not-a-node",
+             "leaf-with-bit"],
+    )
+    def test_forest_node_that_is_not_well_formed_is_an_error_line(
+        self, pipeline, tmp_path, capsys, tree, reason
+    ):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / "forest_amide.json"
+        doc = json.loads(path.read_text())
+        doc["trees"][-1] = tree
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--force"]) == 1
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     @pytest.mark.parametrize("value", [99, -1, 1.5, "0", None, True])

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -164,6 +165,12 @@ class TestSerialization:
         with pytest.raises(ForestError):
             ForestModel.from_json('{"version": 99}')
 
+    @pytest.mark.parametrize("trees", [[], {}, None])
+    def test_trees_must_be_a_nonempty_list(self, trees):
+        doc = {"version": 2, "n_trees": 1, "max_depth": 1, "seed": 0, "trees": trees}
+        with pytest.raises(ForestError, match="trees must be a non-empty list"):
+            ForestModel.from_json(json.dumps(doc))
+
 
 class TestPropertySpec:
     def test_threshold_validation(self):
@@ -194,4 +201,10 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("mol,label\nCCO,1\n")
         with pytest.raises(ForestError):
+            read_property_csv(p)
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(ForestError, match="first CSV column must be 'smiles'"):
             read_property_csv(p)

@@ -314,6 +314,19 @@ class TestAdam:
 
         assert run() == run()
 
+    def test_absent_gradient_leaves_the_parameter_and_its_moments(self):
+        p = {"a": ns.param([1.0]), "b": ns.param([2.0])}
+        state = {}
+        ns.adam_step(p, {"a": np.array([1.0])}, state, lr=0.1)
+        assert p["b"].data.tolist() == [2.0]
+        assert set(state["m"]) == set(state["v"]) == {"a"}
+        m_a, v_a = state["m"]["a"].copy(), state["v"]["a"].copy()
+        ns.adam_step(p, {"b": np.array([1.0])}, state, lr=0.1)
+        assert state["m"]["a"] == m_a and state["v"]["a"] == v_a
+        # b's moments start at zero on its first gradient, at step 2
+        assert state["m"]["b"].tolist() == pytest.approx([0.1])
+        assert state["v"]["b"].tolist() == pytest.approx([0.001])
+
     def test_nan_gradient_named(self):
         p = {"weird": ns.param(1.0)}
         with pytest.raises(ns.GradientError, match="weird"):
