@@ -38,11 +38,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from molrationale.cli import _STAGES  # noqa: E402
 
 # The run's byte-compared artifacts: the samples, the metrics, the rationale
-# distribution, the fine-tuning record and both checkpoints.
+# distribution, the fine-tuning record, both checkpoints and the rationale
+# vocabularies that extract and merge write.
 ARTIFACTS = (
     "samples.smi", "samples.jsonl", "evaluation.csv", "faithfulness.json",
     "distribution.json", "finetune_stats.csv", "pretrain.ckpt.json", "pretrain.ckpt.bin",
     "finetune.ckpt.json", "finetune.ckpt.bin",
+    "vocab_amide.json", "vocab_phenol.json", "vocab_multi.json",
 )
 
 # The README minimal config, as written under "Minimal config:", without its

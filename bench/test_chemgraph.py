@@ -1,9 +1,14 @@
-"""Microbenchmark of the canonical form on one desk extract (the README
-minimal config, seed 11): `canonical_key` over every graph the extract stage
-keys, in call order, the memo emptied before each repetition, so repeated
-search states are memo hits and the rest are misses. `extra_info` stores the
-call and entry counts, and tracemalloc's KB per memo entry that stays
-allocated once the keyed graphs are dropped.
+"""Microbenchmarks of the search-state analysis on one desk extract (the
+README minimal config, seed 11).
+
+- `canonical_key` over every graph the extract stage keys, in call order,
+  the memo emptied before each repetition, so repeated search states are
+  memo hits and the rest are misses. `extra_info` stores the call and entry
+  counts, and tracemalloc's KB per memo entry that stays allocated once the
+  keyed graphs are dropped.
+- `peripheral_deletions` (ring perception by `sssr` included) over every
+  state the extract stage expands, in call order.
+- `apply_deletion_with_map` over every deletion of those states.
 
 Not part of the test suite; run with
 
@@ -17,13 +22,20 @@ import tracemalloc
 import pytest
 
 from molrationale import chemgraph, extract
-from molrationale.chemgraph import Bond, MolGraph, canonical_key
+from molrationale.chemgraph import (
+    Bond,
+    MolGraph,
+    apply_deletion_with_map,
+    canonical_key,
+    peripheral_deletions,
+)
 from molrationale.cli import cmd_extract, cmd_gen_synthetic, cmd_train_predictor, load_config
 
 
 @pytest.fixture(scope="module")
-def states(tmp_path_factory):
-    """The graphs one desk extract passes to `canonical_key`, in call order."""
+def desk_extract(tmp_path_factory):
+    """The graphs one desk extract passes to `canonical_key`, and the states
+    it expands, each in call order."""
     root = tmp_path_factory.mktemp("desk")
     cfg_file = root / "cfg.json"
     cfg_file.write_text(json.dumps({
@@ -37,16 +49,22 @@ def states(tmp_path_factory):
     cfg = load_config(cfg_file)
     cmd_gen_synthetic(cfg, False)
     cmd_train_predictor(cfg, False)
-    seen: list[MolGraph] = []
+    keyed: list[MolGraph] = []
+    expanded: list[MolGraph] = []
 
     def recording_key(g):
-        seen.append(g)
+        keyed.append(g)
         return canonical_key(g)
+
+    def recording_deletions(g):
+        expanded.append(g)
+        return peripheral_deletions(g)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extract, "canonical_key", recording_key)
+        mp.setattr(extract, "peripheral_deletions", recording_deletions)
         cmd_extract(cfg, False)
-    return seen
+    return keyed, expanded
 
 
 def retained_kb_per_entry(graphs: list[MolGraph]) -> float:
@@ -65,7 +83,8 @@ def retained_kb_per_entry(graphs: list[MolGraph]) -> float:
     return retained / 1024 / len(chemgraph._memo)
 
 
-def test_canonical_keys_of_desk_extract(benchmark, states):
+def test_canonical_keys_of_desk_extract(benchmark, desk_extract):
+    states, _ = desk_extract
     per_entry = retained_kb_per_entry(states)
     keys = benchmark.pedantic(
         lambda: [canonical_key(g) for g in states], setup=chemgraph._memo.clear, rounds=20
@@ -74,3 +93,19 @@ def test_canonical_keys_of_desk_extract(benchmark, states):
     benchmark.extra_info.update(
         calls=len(states), entries=len(chemgraph._memo), retained_kb_per_entry=round(per_entry, 3)
     )
+
+
+def test_peripheral_deletions_of_desk_extract(benchmark, desk_extract):
+    _, expanded = desk_extract
+    dels = benchmark.pedantic(lambda: [peripheral_deletions(g) for g in expanded], rounds=20)
+    benchmark.extra_info.update(calls=len(expanded), deletions=sum(map(len, dels)))
+
+
+def test_apply_deletions_of_desk_extract(benchmark, desk_extract):
+    _, expanded = desk_extract
+    pairs = [(g, d) for g in expanded for d in peripheral_deletions(g)]
+    children = benchmark.pedantic(
+        lambda: [apply_deletion_with_map(g, d) for g, d in pairs], rounds=20
+    )
+    assert len(children) == len(pairs)
+    benchmark.extra_info.update(calls=len(pairs))

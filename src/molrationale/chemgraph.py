@@ -101,6 +101,15 @@ class MolGraph:
         self.bonds = tuple(bonds)
         self._validate()
 
+    @classmethod
+    def _derived(cls, atoms, bonds) -> MolGraph:
+        """A graph built from a valid one by dropping atoms and their bonds, or
+        by reindexing distinct atoms: valid by construction, so not checked."""
+        g = cls.__new__(cls)
+        g.atoms = tuple(atoms)
+        g.bonds = tuple(bonds)
+        return g
+
     def _validate(self) -> None:
         n = len(self.atoms)
         for a in self.atoms:
@@ -198,13 +207,15 @@ def induced_subgraph(g: MolGraph, atom_ids: list[int] | tuple[int, ...]) -> MolG
     """Subgraph on the given atoms with all bonds among them, reindexed densely."""
     order = list(atom_ids)
     remap = {old: new for new, old in enumerate(order)}
+    if len(remap) != len(order) or not all(0 <= i < g.n for i in order):
+        raise GraphError(f"induced subgraph atoms {order} are not distinct atoms of the graph")
     atoms = [g.atoms[i] for i in order]
     bonds = [
         Bond(remap[b.u], remap[b.v], b.order)
         for b in g.bonds
         if b.u in remap and b.v in remap
     ]
-    return MolGraph(atoms, bonds)
+    return MolGraph._derived(atoms, bonds)
 
 
 def disjoint_union(parts: list[MolGraph] | tuple[MolGraph, ...]) -> MolGraph:
@@ -530,81 +541,63 @@ def write_smiles_with_order(
 # ---------------------------------------------------------------------------
 # Canonical form
 
-def _initial_colors(g: MolGraph) -> list[tuple]:
-    return [
-        (a.element, a.charge, a.aromatic, g.degree(i)) for i, a in enumerate(g.atoms)
-    ]
-
-
-def _refine(g: MolGraph, colors: list[int]) -> list[int]:
+def _refine(nbrs: list[list[tuple[int, int]]], colors: list[int]) -> list[int]:
+    """Colour refinement to a stable partition; nbrs[i] lists atom i's
+    (order code * n, neighbour) pairs, so each signature entry code * n +
+    colour sorts as the pair (code, colour) would, every colour being a rank
+    below n."""
     while True:
-        sigs = []
-        for i in range(g.n):
-            nb = sorted(
-                (_ORDER_CODE[g.bond_between(i, j).order], colors[j])
-                for j in g.neighbors(i)
-            )
-            sigs.append((colors[i], tuple(nb)))
+        sigs = [
+            (c, tuple(sorted([cn + colors[j] for cn, j in nb]))) for c, nb in zip(colors, nbrs)
+        ]
         ranking = {s: k for k, s in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
+        # a discrete partition is stable, and another pass would return it
+        if new == colors or len(ranking) == len(new):
+            return new
         colors = new
 
 
-def _encode(g: MolGraph, perm: list[int]) -> tuple:
-    # perm[i] = canonical position of atom i
-    atoms = [None] * g.n
-    for i, p in enumerate(perm):
-        a = g.atoms[i]
-        atoms[p] = (a.element, a.charge, a.aromatic)
-    edges = sorted(
-        (min(perm[b.u], perm[b.v]), max(perm[b.u], perm[b.v]), _ORDER_CODE[b.order])
-        for b in g.bonds
-    )
-    return (tuple(atoms), tuple(edges))
-
-
-def _canonical_perm(g: MolGraph) -> list[int]:
+def _canonical_form(g: MolGraph) -> tuple[list[int], tuple]:
     """Canonical atom positions via iterative refinement with individualization
-    backtracking; exact (isomorphic graphs get equal encodings)."""
-    init = _initial_colors(g)
+    backtracking, and the least encoding (atom labels and sorted coded bonds
+    in canonical positions) they give; exact (isomorphic graphs get equal
+    encodings)."""
+    n = g.n
+    labels = [(a.element, a.charge, a.aromatic) for a in g.atoms]
+    coded = [(b.u, b.v, _ORDER_CODE[b.order]) for b in g.bonds]
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, code in coded:
+        nbrs[u].append((code * n, v))
+        nbrs[v].append((code * n, u))
+    init = [(*label, len(nb)) for label, nb in zip(labels, nbrs)]
     ranking = {c: k for k, c in enumerate(sorted(set(init)))}
-    base = _refine(g, [ranking[c] for c in init])
+    best: list = [None, None]
 
-    best: list[tuple | None] = [None, None]
-
-    def cells_of(colors: list[int]) -> dict[int, list[int]]:
+    def rec(colors: list[int]) -> None:
+        # colours are dense ranks; the first cell of several atoms is split
         cells: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
             cells.setdefault(c, []).append(i)
-        return cells
-
-    def rec(colors: list[int]) -> None:
-        cells = cells_of(colors)
-        split = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                split = c
-                break
+        split = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
         if split is None:
-            perm = [0] * g.n
-            for i, c in enumerate(colors):
-                perm[i] = c
-            # colors are dense 0..n-1 when discrete
-            enc = _encode(g, perm)
+            atoms = [None] * n
+            for i, p in enumerate(colors):
+                atoms[p] = labels[i]
+            edges = sorted((min(colors[u], colors[v]), max(colors[u], colors[v]), code)
+                           for u, v, code in coded)
+            enc = (tuple(atoms), tuple(edges))
             if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best[1] = perm
+                best[:] = enc, colors
             return
         for atom in cells[split]:
-            branched = [c * 2 + (1 if (i == atom and c == split) else 0) if c == split else c * 2 for i, c in enumerate(colors)]
-            # re-rank to dense ints, individualized atom gets a unique color
-            rank = {c: k for k, c in enumerate(sorted(set(branched)))}
-            rec(_refine(g, [rank[c] for c in branched]))
+            # the individualized atom ranks just above the rest of its cell
+            branched = [c + (c > split) for c in colors]
+            branched[atom] = split + 1
+            rec(_refine(nbrs, branched))
 
-    rec(base)
-    return best[1]  # type: ignore[return-value]
+    rec(_refine(nbrs, [ranking[c] for c in init]))
+    return best[1], best[0]
 
 
 # The canonical-form memo (see the module docstring): content -> (ranks, key).
@@ -622,15 +615,14 @@ def _canonical_parts(g: MolGraph) -> tuple[tuple[int, ...], str]:
     content = (g.atoms, tuple(flat))
     parts = _memo.get(content)
     if parts is None:
-        perm = tuple(_canonical_perm(g))
-        atoms, edges = _encode(g, perm)
+        perm, (atoms, edges) = _canonical_form(g)
         atom_str = ".".join(
             f"{el}{'~' if ar else ''}{'' if q == 0 else f'{q:+d}'}" for el, q, ar in atoms
         )
         edge_str = ",".join(f"{u}-{v}:{o}" for u, v, o in edges)
         if len(_memo) >= _MEMO_BOUND:
             _memo.clear()
-        parts = _memo[content] = (perm, f"{len(atoms)}|{atom_str}|{edge_str}")
+        parts = _memo[content] = (tuple(perm), f"{len(atoms)}|{atom_str}|{edge_str}")
     return parts
 
 
@@ -647,18 +639,23 @@ def canonical_ranks(g: MolGraph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Ring perception
 
-def _bridges(g: MolGraph) -> set[int]:
-    """Bond indices whose removal disconnects their endpoints."""
+def _bridges(g: MolGraph) -> tuple[set[int], int]:
+    """Bond indices whose removal disconnects their endpoints, and the number
+    of connected components (the depth-first search's roots)."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for bi, b in enumerate(g.bonds):
+        incident[b.u].append((b.v, bi))
+        incident[b.v].append((b.u, bi))
     low = [0] * g.n
     disc = [-1] * g.n
     out: set[int] = set()
-    timer = [0]
+    timer = 0
 
     def dfs(u: int, parent_bond: int) -> None:
-        disc[u] = low[u] = timer[0]
-        timer[0] += 1
-        for v in g.neighbors(u):
-            bi = g._bond_index[(u, v)]
+        nonlocal timer
+        disc[u] = low[u] = timer
+        timer += 1
+        for v, bi in incident[u]:
             if bi == parent_bond:
                 continue
             if disc[v] == -1:
@@ -669,27 +666,32 @@ def _bridges(g: MolGraph) -> set[int]:
             else:
                 low[u] = min(low[u], disc[v])
 
+    n_comp = 0
     for s in range(g.n):
         if disc[s] == -1:
+            n_comp += 1
             dfs(s, -1)
-    return out
+    return out, n_comp
 
 
-def sssr(g: MolGraph) -> list[tuple[int, ...]]:
+def sssr(g: MolGraph, bridges: tuple[set[int], int]) -> list[tuple[int, ...]]:
     """Smallest set of smallest rings, capped at size MAX_RING_SIZE, each an
-    ordered atom cycle."""
-    n_comp = len(connected_components(g)) if g.n else 0
+    ordered atom cycle; `bridges` is `_bridges(g)`."""
+    bridge_set, n_comp = bridges
     rank = len(g.bonds) - g.n + n_comp
     if rank <= 0:
         return []
-    bridges = _bridges(g)
+    # no cycle holds a bridge, so the cycle searches walk the other bonds only
+    ring_adj = [
+        [y for y in g.neighbors(x) if g._bond_index[(x, y)] not in bridge_set] for x in range(g.n)
+    ]
     candidates: list[tuple[int, tuple[int, ...], int]] = []  # (len, cycle, mask)
     seen_masks: set[int] = set()
     for bi, b in enumerate(g.bonds):
-        if bi in bridges:
+        if bi in bridge_set:
             continue
         # a bond that is not a bridge closes a cycle of existing bonds
-        cycle = _shortest_cycle_through(g, b)
+        cycle = _shortest_cycle_through(ring_adj, b)
         if len(cycle) > MAX_RING_SIZE:
             continue
         mask = 0
@@ -715,15 +717,12 @@ def sssr(g: MolGraph) -> list[tuple[int, ...]]:
     return rings
 
 
-def _shortest_cycle_through(g: MolGraph, b: Bond) -> tuple[int, ...]:
-    # BFS from b.u to b.v avoiding bond b, which is no bridge, so the search
-    # reaches b.v; path + b closes the smallest cycle
-    from collections import deque
-
+def _shortest_cycle_through(adj: list[list[int]], b: Bond) -> tuple[int, ...]:
+    # BFS from b.u to b.v over adj avoiding bond b, which is no bridge, so
+    # the search reaches b.v; path + b closes the smallest cycle
     prev = {b.u: None}
-    q = deque([b.u])
-    while True:
-        x = q.popleft()
+    queue = [b.u]
+    for x in queue:
         if x == b.v:
             path = []
             cur: int | None = x
@@ -731,12 +730,10 @@ def _shortest_cycle_through(g: MolGraph, b: Bond) -> tuple[int, ...]:
                 path.append(cur)
                 cur = prev[cur]
             return tuple(reversed(path))
-        for y in g.neighbors(x):
-            if (x, y) == (b.u, b.v) or (x, y) == (b.v, b.u):
-                continue
-            if y not in prev:
+        for y in adj[x]:
+            if y not in prev and (x, y) != (b.u, b.v):
                 prev[y] = x
-                q.append(y)
+                queue.append(y)
 
 
 # ---------------------------------------------------------------------------
@@ -750,32 +747,37 @@ def peripheral_deletions(g: MolGraph) -> list[Deletion]:
     ring is an SSSR ring whose removal (all ring atoms plus every incident
     bond) leaves a non-empty connected graph.
     """
-    if not is_connected(g):
+    bridges = _bridges(g)
+    bridge_set, n_comp = bridges
+    if n_comp != 1:
         raise GraphError("peripheral_deletions requires a connected graph")
     out: list[Deletion] = []
-    bridges = _bridges(g)
     for bi, b in enumerate(g.bonds):
-        if b.order == AROMATIC or bi not in bridges:
+        if b.order == AROMATIC or bi not in bridge_set:
             continue
         du, dv = g.degree(b.u), g.degree(b.v)
         if (du == 1) == (dv == 1):
             continue
         endpoint = b.u if du == 1 else b.v
         out.append(Deletion((endpoint,), (bi,)))
-    for ring in sssr(g):
+    for ring in sssr(g, bridges):
         ring_atoms = set(ring)
         if len(ring_atoms) >= g.n:
             continue
-        keep = [i for i in range(g.n) if i not in ring_atoms]
-        removed_bonds = tuple(
-            sorted(
-                bi
-                for bi, b in enumerate(g.bonds)
-                if b.u in ring_atoms or b.v in ring_atoms
+        # the rest is connected when a search that never enters the ring
+        # reaches every other atom
+        start = next(i for i in range(g.n) if i not in ring_atoms)
+        seen = ring_atoms | {start}
+        stack = [start]
+        while stack:
+            for v in g.neighbors(stack.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) == g.n:
+            removed_bonds = tuple(
+                bi for bi, b in enumerate(g.bonds) if b.u in ring_atoms or b.v in ring_atoms
             )
-        )
-        rest = induced_subgraph(g, keep)
-        if is_connected(rest):
             out.append(Deletion(tuple(sorted(ring_atoms)), removed_bonds))
     return out
 
@@ -788,21 +790,18 @@ def apply_deletion_with_map(g: MolGraph, d: Deletion) -> tuple[MolGraph, dict[in
         raise GraphError("stale deletion: indices out of range")
     removed_atoms = set(d.atoms)
     removed_bonds = set(d.bonds)
-    for bi, b in enumerate(g.bonds):
-        incident = b.u in removed_atoms or b.v in removed_atoms
-        if incident and bi not in removed_bonds:
-            raise GraphError("stale deletion: bond incident to a removed atom not listed")
     keep = [i for i in range(g.n) if i not in removed_atoms]
+    remap = {old: new for new, old in enumerate(keep)}
+    bonds = []
+    for bi, b in enumerate(g.bonds):
+        if bi in removed_bonds:
+            continue
+        if b.u in removed_atoms or b.v in removed_atoms:
+            raise GraphError("stale deletion: bond incident to a removed atom not listed")
+        bonds.append(Bond(remap[b.u], remap[b.v], b.order))
     if not keep:
         raise GraphError("deletion would empty the graph")
-    remap = {old: new for new, old in enumerate(keep)}
-    atoms = [g.atoms[i] for i in keep]
-    bonds = [
-        Bond(remap[b.u], remap[b.v], b.order)
-        for bi, b in enumerate(g.bonds)
-        if bi not in removed_bonds
-    ]
-    return MolGraph(atoms, bonds), remap
+    return MolGraph._derived([g.atoms[i] for i in keep], bonds), remap
 
 
 # ---------------------------------------------------------------------------

@@ -382,9 +382,9 @@ class _Stage:
 
 def _load_corpus(cfg: RunConfig) -> tuple[list[MolGraph], dict[str, list[int]]]:
     """The corpus molecules and their labels by property, from properties.csv."""
-    names, smiles, rows = _read(cfg.run_dir / "properties.csv", read_property_csv)
+    names, mols, rows = _read(cfg.run_dir / "properties.csv", read_property_csv)
     labels = {name: [row[i] for row in rows] for i, name in enumerate(names)}
-    return [parse_smiles(text) for text in smiles], labels
+    return mols, labels
 
 
 def _searched_positives(cfg: RunConfig, mols: list[MolGraph], labels: list[int]) -> list[MolGraph]:

@@ -162,6 +162,8 @@ class RationaleVocab:
             )
             if any(len(atoms) != combined.n for _key, atoms in sources):
                 raise ValueError("a source does not list one atom per rationale atom")
+            if any(len(set(atoms)) != len(atoms) for _key, atoms in sources):
+                raise ValueError("a source lists an atom twice")
             vocab.add(
                 Rationale(
                     combined=combined,
@@ -281,9 +283,8 @@ class _Search:
         children = []
         for d in peripheral_deletions(node.graph):
             child_graph, remap = apply_deletion_with_map(node.graph, d)
-            child_origin = tuple(
-                node.origin[old] for old in sorted(remap, key=remap.get)
-            )
+            # remap lists the kept atoms in their new order
+            child_origin = tuple(node.origin[old] for old in remap)
             children.append((canonical_key(child_graph), child_graph, child_origin))
         self._score_new([(key, g) for key, g, _ in children])
         for key, child_graph, child_origin in children:

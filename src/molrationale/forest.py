@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chemgraph import MolGraph
+from .chemgraph import ChemError, MolGraph, parse_smiles
 from .fingerprint import WIDTH, fingerprint_matrix
 
 _MODEL_VERSION = 2
@@ -298,9 +298,10 @@ def auroc(m: ForestModel, data: list[tuple[MolGraph, int]]) -> float:
     return auroc_from_scores(predict_scores(m, X), [label for _, label in data])
 
 
-def read_property_csv(path) -> tuple[list[str], list[str], list[list[int]]]:
+def read_property_csv(path) -> tuple[list[str], list[MolGraph], list[list[int]]]:
     """Read a 'smiles,label[,label2...]' CSV whose labels are 0 or 1; returns
-    (property names, smiles, labels). An error names the line, not the path."""
+    (property names, the parsed molecules, labels). An error, a SMILES that
+    does not parse included, names the line, not the path."""
     import csv
 
     with open(path, newline="") as fh:
@@ -309,16 +310,19 @@ def read_property_csv(path) -> tuple[list[str], list[str], list[list[int]]]:
         if not header or header[0].strip().lower() != "smiles":
             raise ForestError("first CSV column must be 'smiles'")
         names = [h.strip() for h in header[1:]]
-        smiles, labels = [], []
+        mols, labels = [], []
         for line_no, row_data in enumerate(reader, start=2):
             if not row_data:
                 continue
             if len(row_data) != len(header):
                 raise ForestError(f"line {line_no}: expected {len(header)} columns")
-            smiles.append(row_data[0].strip())
+            try:
+                mols.append(parse_smiles(row_data[0].strip()))
+            except ChemError as exc:
+                raise ForestError(f"line {line_no}: {exc}") from exc
             row = [x.strip() for x in row_data[1:]]
             for name, x in zip(names, row):
                 if x not in ("0", "1"):
                     raise ForestError(f"line {line_no}: {name} label {x!r} is not 0 or 1")
             labels.append([int(x) for x in row])
-    return names, smiles, labels
+    return names, mols, labels

@@ -19,10 +19,13 @@ from molrationale.chemgraph import (
     _ORDER_CODE,
     AROMATIC,
     HALF_UNITS,
+    SINGLE,
     Atom,
+    Bond,
     MolGraph,
     ResourceLimitError,
     canonical_key,
+    free_valence,
 )
 from molrationale import numsub as ns
 from molrationale.extract import RationaleVocab
@@ -55,11 +58,13 @@ def to_nx(g: MolGraph) -> nx.Graph:
     return gr
 
 
-def oracle_peripheral_removals(g: MolGraph, max_ring: int = 8) -> set[tuple]:
+def oracle_peripheral_removals(g: MolGraph, max_ring: int = 8, rings=None) -> set[tuple]:
     """Brute-force legality check of every candidate bond/ring removal.
 
     Returns a set of ('bond', removed_atoms, removed_bond_indices) and
-    ('ring', removed_atoms, removed_bond_indices) tuples.
+    ('ring', removed_atoms, removed_bond_indices) tuples. The ring candidates
+    are networkx's minimum cycle basis, or `rings` when given: where cycles
+    of equal length tie, a graph has more than one minimum basis.
     """
     gr = to_nx(g)
     out: set[tuple] = set()
@@ -77,7 +82,7 @@ def oracle_peripheral_removals(g: MolGraph, max_ring: int = 8) -> set[tuple]:
             out.add(("bond", (endpoint,), (bi,)))
     # ring candidates: minimum cycle basis members; removal takes the whole
     # ring and every incident bond
-    for cycle in nx.minimum_cycle_basis(gr):
+    for cycle in nx.minimum_cycle_basis(gr) if rings is None else rings:
         if len(cycle) > max_ring:
             continue
         atoms = tuple(sorted(cycle))
@@ -94,6 +99,31 @@ def oracle_peripheral_removals(g: MolGraph, max_ring: int = 8) -> set[tuple]:
         )
         out.add(("ring", atoms, bonds))
     return out
+
+
+def oracle_is_minimum_ring_basis(g: MolGraph, rings, max_ring: int = 8) -> bool:
+    """Whether rings are simple cycles of g, independent over GF(2), with the
+    lengths of networkx's minimum cycle basis cut at max_ring atoms: that is,
+    whether they are a minimum cycle basis of g's rings of up to max_ring
+    atoms."""
+    gr = to_nx(g)
+    edge_bit = {frozenset(e): k for k, e in enumerate(gr.edges)}
+    pivots: dict[int, int] = {}
+    for ring in rings:
+        steps = [frozenset((a, b)) for a, b in zip(ring, ring[1:] + ring[:1])]
+        if len(set(ring)) != len(ring) or not all(e in edge_bit for e in steps):
+            return False
+        mask = sum(1 << edge_bit[e] for e in steps)
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = mask
+                break
+            mask ^= pivots[top]
+        else:
+            return False
+    want = sorted(len(c) for c in nx.minimum_cycle_basis(gr) if len(c) <= max_ring)
+    return sorted(map(len, rings)) == want
 
 
 def oracle_is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
@@ -264,6 +294,125 @@ def random_corpus(n: int, seed: int, atoms_min: int = 4, atoms_max: int = 14,
         random_molecule(rng, rng.randint(atoms_min, atoms_max), ring_prob)
         for _ in range(n)
     ]
+
+
+def with_ring_closures(g: MolGraph, rng: random.Random, closures: int) -> MolGraph:
+    """g with up to `closures` more single bonds, each between two atoms with
+    a free valence at distance 2 to 6: new rings of 3 to 7 atoms, fused or
+    bridged to the rings already there."""
+    atoms, bonds = list(g.atoms), list(g.bonds)
+    for _ in range(closures):
+        gr = to_nx(MolGraph(atoms, bonds))
+        half = [0] * len(atoms)
+        for b in bonds:
+            half[b.u] += HALF_UNITS[b.order]
+            half[b.v] += HALF_UNITS[b.order]
+        open_atoms = [i for i, a in enumerate(atoms) if free_valence(a.element, half[i]) >= 1]
+        dist = dict(nx.all_pairs_shortest_path_length(gr, cutoff=6))
+        pairs = [(i, j) for i in open_atoms for j in open_atoms
+                 if i < j and 2 <= dist[i].get(j, 0)]
+        if not pairs:
+            break
+        bonds.append(Bond(*pairs[rng.randrange(len(pairs))], SINGLE))
+    return MolGraph(atoms, bonds)
+
+
+def fused_corpus(n: int, seed: int, atoms_min: int = 20, atoms_max: int = 28) -> list[MolGraph]:
+    """Drug-sized random molecules, each with three ring closures added."""
+    rng = random.Random(seed)
+    return [with_ring_closures(g, rng, 3)
+            for g in random_corpus(n, seed, atoms_min, atoms_max, ring_prob=0.5)]
+
+
+def ring_systems(g: MolGraph) -> tuple[bool, bool]:
+    """Whether two rings of networkx's minimum cycle basis share two atoms,
+    as fused rings do, and whether two share more, as bridged rings do."""
+    cycles = [set(c) for c in nx.minimum_cycle_basis(to_nx(g))]
+    shared = [len(a & b) for i, a in enumerate(cycles) for b in cycles[i + 1:]]
+    return 2 in shared, any(s > 2 for s in shared)
+
+
+# ---------------------------------------------------------------------------
+# Canonical-form oracle: the refinement that looks every neighbour's bond up
+# through `bond_between` and sorts (order code, colour) pairs, with the
+# individualization search and the key format of `chemgraph.canonical_key`.
+
+
+def _oracle_refine(g: MolGraph, colors: list[int]) -> list[int]:
+    while True:
+        sigs = []
+        for i in range(g.n):
+            nb = sorted(
+                (_ORDER_CODE[g.bond_between(i, j).order], colors[j])
+                for j in g.neighbors(i)
+            )
+            sigs.append((colors[i], tuple(nb)))
+        ranking = {s: k for k, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _oracle_encode(g: MolGraph, perm: list[int]) -> tuple:
+    # perm[i] = canonical position of atom i
+    atoms = [None] * g.n
+    for i, p in enumerate(perm):
+        a = g.atoms[i]
+        atoms[p] = (a.element, a.charge, a.aromatic)
+    edges = sorted(
+        (min(perm[b.u], perm[b.v]), max(perm[b.u], perm[b.v]), _ORDER_CODE[b.order])
+        for b in g.bonds
+    )
+    return (tuple(atoms), tuple(edges))
+
+
+def oracle_canonical_perm(g: MolGraph) -> list[int]:
+    """Canonical atom positions via iterative refinement with individualization
+    backtracking; exact (isomorphic graphs get equal encodings)."""
+    init = [(a.element, a.charge, a.aromatic, g.degree(i)) for i, a in enumerate(g.atoms)]
+    ranking = {c: k for k, c in enumerate(sorted(set(init)))}
+    base = _oracle_refine(g, [ranking[c] for c in init])
+
+    best: list[tuple | None] = [None, None]
+
+    def rec(colors: list[int]) -> None:
+        cells: dict[int, list[int]] = {}
+        for i, c in enumerate(colors):
+            cells.setdefault(c, []).append(i)
+        split = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                split = c
+                break
+        if split is None:
+            # colors are dense 0..n-1 when discrete
+            perm = list(colors)
+            enc = _oracle_encode(g, perm)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+                best[1] = perm
+            return
+        for atom in cells[split]:
+            branched = [
+                c * 2 + (1 if (i == atom and c == split) else 0) if c == split else c * 2
+                for i, c in enumerate(colors)
+            ]
+            # re-rank to dense ints, individualized atom gets a unique color
+            rank = {c: k for k, c in enumerate(sorted(set(branched)))}
+            rec(_oracle_refine(g, [rank[c] for c in branched]))
+
+    rec(base)
+    return best[1]  # type: ignore[return-value]
+
+
+def oracle_canonical_key(g: MolGraph) -> str:
+    atoms, edges = _oracle_encode(g, oracle_canonical_perm(g))
+    atom_str = ".".join(
+        f"{el}{'~' if ar else ''}{'' if q == 0 else f'{q:+d}'}" for el, q, ar in atoms
+    )
+    edge_str = ",".join(f"{u}-{v}:{o}" for u, v, o in edges)
+    return f"{len(atoms)}|{atom_str}|{edge_str}"
 
 
 def dedupe_by_key(mols: list[MolGraph]) -> list[MolGraph]:

@@ -1,12 +1,12 @@
 import gc
+import json
 import random
 import sys
 
 import pytest
 
-from molrationale import chemgraph
+from molrationale import chemgraph, extract
 from molrationale.chemgraph import (
-    _canonical_perm,
     AROMATIC,
     SINGLE,
     Atom,
@@ -16,6 +16,7 @@ from molrationale.chemgraph import (
     ParseError,
     ResourceLimitError,
     ValenceError,
+    _bridges,
     apply_deletion_with_map,
     canonical_key,
     canonical_ranks,
@@ -29,12 +30,18 @@ from molrationale.chemgraph import (
     sssr,
     write_smiles,
 )
+from molrationale.cli import cmd_extract, cmd_gen_synthetic, cmd_train_predictor, load_config
 
 from helpers import (
+    fused_corpus,
+    oracle_canonical_key,
+    oracle_canonical_perm,
     oracle_embeddings,
     oracle_is_isomorphic,
+    oracle_is_minimum_ring_basis,
     oracle_peripheral_removals,
     random_corpus,
+    ring_systems,
 )
 
 
@@ -49,7 +56,7 @@ class TestParse:
         g = parse_smiles("C1CC1")
         assert g.n == 3
         assert len(g.bonds) == 3
-        assert len(sssr(g)) == 1
+        assert len(sssr(g, _bridges(g))) == 1
 
     def test_unclosed_ring_is_error(self):
         with pytest.raises(ParseError, match="unclosed ring closure 1"):
@@ -119,7 +126,7 @@ class TestWrite:
     def test_cyclopropane_roundtrip(self):
         g = parse_smiles("C1CC1")
         back = parse_smiles(write_smiles(g))
-        assert back.n == 3 and len(sssr(back)) == 1
+        assert back.n == 3 and len(sssr(back, _bridges(back))) == 1
 
     def test_benzene_roundtrip(self):
         back = parse_smiles(write_smiles(parse_smiles("c1ccccc1")))
@@ -139,6 +146,35 @@ class TestWrite:
     def test_charge_roundtrip(self):
         g = parse_smiles("[N+](C)(C)C")
         assert canonical_key(parse_smiles(write_smiles(g))) == canonical_key(g)
+
+
+@pytest.fixture(scope="module")
+def desk_extract_states(tmp_path_factory):
+    """The distinct graphs one desk extract (the README minimal config) keys,
+    in first-keyed order."""
+    root = tmp_path_factory.mktemp("desk")
+    cfg_file = root / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "run_dir": str(root / "run"),
+        "seed": 11,
+        "properties": [
+            {"name": "amide", "motif": "NC(=O)c1ccccc1", "plant_prob": 0.2},
+            {"name": "phenol", "motif": "Oc1ccccc1", "plant_prob": 0.2},
+        ],
+    }))
+    cfg = load_config(cfg_file)
+    cmd_gen_synthetic(cfg, False)
+    cmd_train_predictor(cfg, False)
+    seen: dict[MolGraph, None] = {}
+
+    def recording_key(g):
+        seen.setdefault(g)
+        return canonical_key(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extract, "canonical_key", recording_key)
+        cmd_extract(cfg, False)
+    return list(seen)
 
 
 class TestCanonicalKey:
@@ -166,6 +202,19 @@ class TestCanonicalKey:
             for b in corpus[i + 1 :]:
                 assert (canonical_key(a) == canonical_key(b)) == oracle_is_isomorphic(a, b)
 
+    def test_desk_extract_states_match_the_oracle(self, desk_extract_states):
+        assert len(desk_extract_states) > 500
+        for g in desk_extract_states:
+            assert canonical_key(g) == oracle_canonical_key(g)
+            assert canonical_ranks(g) == tuple(oracle_canonical_perm(g))
+
+    def test_fused_drug_sized_graphs_match_the_oracle(self):
+        corpus = fused_corpus(20, seed=47)
+        assert all(ring_systems(g)[0] for g in corpus)
+        for g in corpus:
+            assert canonical_key(g) == oracle_canonical_key(g)
+            assert canonical_ranks(g) == tuple(oracle_canonical_perm(g))
+
     def test_ranks_are_a_permutation(self):
         g = parse_smiles("CC(=O)Nc1ccccc1")
         ranks = canonical_ranks(g)
@@ -174,7 +223,7 @@ class TestCanonicalKey:
     def test_ranks_match_an_uncached_recomputation(self):
         for g in random_corpus(40, seed=29, atoms_min=4, atoms_max=12, ring_prob=0.5):
             canonical_key(g)  # the key and the ranks share one memo entry
-            assert canonical_ranks(g) == tuple(_canonical_perm(g))
+            assert canonical_ranks(g) == tuple(oracle_canonical_perm(g))
             assert canonical_ranks(g) is canonical_ranks(g)
 
     def test_returned_ranks_cannot_change_the_cache(self):
@@ -182,7 +231,7 @@ class TestCanonicalKey:
         ranks = canonical_ranks(g)
         with pytest.raises(TypeError):
             ranks[0] = ranks[1]
-        assert canonical_ranks(g) == tuple(_canonical_perm(g))
+        assert canonical_ranks(g) == tuple(oracle_canonical_perm(g))
 
 
 def permuted(g: MolGraph, order: list[int]) -> MolGraph:
@@ -205,7 +254,7 @@ class TestCanonicalMemo:
 
     def test_drug_sized_parts_match_a_recomputation(self, monkeypatch):
         corpus = random_corpus(30, seed=31, atoms_min=20, atoms_max=28, ring_prob=0.5)
-        assert all(sssr(g) for g in corpus)
+        assert all(sssr(g, _bridges(g)) for g in corpus)
         first = [(canonical_key(g), canonical_ranks(g)) for g in corpus]
         # a graph of equal content is a hit, and returns the same parts
         for g, (key, ranks) in zip(corpus, first):
@@ -214,7 +263,7 @@ class TestCanonicalMemo:
         monkeypatch.setattr(chemgraph, "_memo", {})
         for g, (key, ranks) in zip(corpus, first):
             assert canonical_key(g) == key
-            assert canonical_ranks(g) == ranks == tuple(_canonical_perm(g))
+            assert canonical_ranks(g) == ranks == tuple(oracle_canonical_perm(g))
 
     def test_atom_orders_of_one_molecule_share_a_key(self):
         for g in random_corpus(20, seed=37, atoms_min=6, atoms_max=24, ring_prob=0.5):
@@ -233,7 +282,7 @@ class TestCanonicalMemo:
         for _ in range(2):
             for g, key in zip(corpus, want):
                 assert canonical_key(g) == key
-                assert canonical_ranks(g) == tuple(_canonical_perm(g))
+                assert canonical_ranks(g) == tuple(oracle_canonical_perm(g))
                 assert len(chemgraph._memo) <= 4
 
 
@@ -298,8 +347,25 @@ class TestPeripheralDeletions:
                 assert out.n > 0
                 assert out.n < g.n
                 assert is_connected(out)
+                assert out == MolGraph(out.atoms, out.bonds)  # passes full validation
                 checked += 1
         assert checked > 500
+
+    def test_oracle_agrees_on_drug_sized_fused_and_bridged_rings(self):
+        corpus = fused_corpus(40, seed=43)
+        systems = [ring_systems(g) for g in corpus]
+        assert all(fused for fused, _ in systems) and sum(b for _, b in systems) >= 20
+        for g in corpus:
+            rings = sssr(g, _bridges(g))
+            assert oracle_is_minimum_ring_basis(g, rings)
+            dels = peripheral_deletions(g)
+            got = {("bond" if len(d.atoms) == 1 else "ring", d.atoms, d.bonds) for d in dels}
+            # where rings of equal length tie, networkx may pick another
+            # minimum basis, so the oracle judges the rings sssr picked
+            assert got == oracle_peripheral_removals(g, rings=rings)
+            for d in dels:
+                child = apply_deletion_with_map(g, d)[0]
+                assert child == MolGraph(child.atoms, child.bonds) and is_connected(child)
 
 
 class TestApplyDeletion:
@@ -332,6 +398,24 @@ class TestApplyDeletion:
 
         with pytest.raises(GraphError):
             apply_deletion_with_map(ring, Deletion((1, 2, 3), (1, 2)))
+
+
+class TestInducedSubgraph:
+    def test_results_pass_full_validation(self):
+        rng = random.Random(53)
+        for g in fused_corpus(10, seed=53):
+            for _ in range(10):
+                atoms = rng.sample(range(g.n), rng.randint(1, g.n))
+                sub = induced_subgraph(g, atoms)
+                assert sub == MolGraph(sub.atoms, sub.bonds)
+                assert sub.atoms == tuple(g.atoms[i] for i in atoms)
+                assert len(sub.bonds) == sum(b.u in atoms and b.v in atoms for b in g.bonds)
+
+    def test_repeated_or_out_of_range_atoms_are_refused(self):
+        g = parse_smiles("CCO")
+        for atoms in ([0, 0], [1, 2, 1], [0, 3], [-1, 0]):
+            with pytest.raises(GraphError):
+                induced_subgraph(g, atoms)
 
 
 class TestContainsSubgraph:

@@ -86,21 +86,20 @@ def pipeline(tmp_path_factory):
 class TestGenSynthetic:
     def test_positive_rows_contain_motif(self, pipeline):
         _cfg, run_dir = pipeline
-        names, smiles, labels = read_property_csv(run_dir / "properties.csv")
+        names, mols, labels = read_property_csv(run_dir / "properties.csv")
         motifs = {
             "amide": parse_smiles("NC(=O)c1ccccc1"),
             "phenol": parse_smiles("Oc1ccccc1"),
         }
         assert set(names) == {"amide", "phenol"}
-        for text, row in zip(smiles, labels):
-            g = parse_smiles(text)
+        for g, row in zip(mols, labels):
             for name, value in zip(names, row):
                 has = contains_subgraph(g, motifs[name]) is not None
                 assert has == bool(value)
 
     def test_two_label_columns(self, pipeline):
         _cfg, run_dir = pipeline
-        names, _smiles, labels = read_property_csv(run_dir / "properties.csv")
+        names, _mols, labels = read_property_csv(run_dir / "properties.csv")
         assert len(names) == 2
         assert all(len(row) == 2 for row in labels)
 
@@ -425,6 +424,19 @@ class TestLibraryErrors:
         reason = f"line 4: amide label {label!r} is not 0 or 1"
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
+    def test_corpus_smiles_that_does_not_parse_is_an_error_line(self, pipeline, tmp_path, capsys):
+        cfg, run = copy_pipeline(pipeline, tmp_path)
+        path = run / "properties.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][0] = "C(C"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(["train-predictor", "--config", cfg, "--force"]) == 1
+        reason = "line 3: unbalanced parenthesis: branch never closed (at position 3)"
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
     @pytest.mark.parametrize(
         "tree, reason",
         [
@@ -478,8 +490,9 @@ class TestLibraryErrors:
             (lambda atoms: atoms[:-1], "a source does not list one atom per rationale atom"),
             (lambda atoms: [-1] + atoms[1:], r"source atoms \[-1, .* are not all integers in \[0, inf\)"),
             (lambda atoms: [0.5] + atoms[1:], r"source atoms \[0.5, .* are not all integers in \[0, inf\)"),
+            (lambda atoms: atoms[:1] + atoms[:-1], "a source lists an atom twice"),
         ],
-        ids=["short", "negative", "float"],
+        ids=["short", "negative", "float", "repeated"],
     )
     def test_vocabulary_source_atoms_that_are_not_atoms_are_an_error_line(
         self, pipeline, tmp_path, capsys, edit, reason

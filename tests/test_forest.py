@@ -188,8 +188,8 @@ class TestCsv:
     def test_single_and_multi_label(self, tmp_path):
         p = tmp_path / "props.csv"
         p.write_text("smiles,label\nCCO,1\nCC,0\n")
-        names, smiles, labels = read_property_csv(p)
-        assert names == ["label"] and smiles == ["CCO", "CC"]
+        names, mols, labels = read_property_csv(p)
+        assert names == ["label"] and mols == [parse_smiles("CCO"), parse_smiles("CC")]
         assert labels == [[1], [0]]
         p2 = tmp_path / "multi.csv"
         p2.write_text("smiles,alpha,beta\nCCO,1,0\nCC,0,1\n")
