@@ -182,5 +182,7 @@ def test_policy_step(benchmark, desk):
         start = prepare_start(copy, RATIONALE)
         _policy_step(copy, [(start, trace_ids, z) for trace_ids, z in sampled], CFG, {}, 0)
 
+    before = copy.params["dec_u2"].data.copy()
     benchmark(step)
-    assert len(sampled) == 40 and copy.params["dec_u2"].grad is not None
+    # the step drops its gradients after the Adam update, so check the update
+    assert len(sampled) == 40 and not np.array_equal(copy.params["dec_u2"].data, before)

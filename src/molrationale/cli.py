@@ -588,10 +588,14 @@ def _evaluate(cfg: RunConfig) -> None:
 def _faithfulness(cfg: RunConfig) -> None:
     mols, labels = _load_corpus(cfg)
     report: dict[str, dict] = {}
-    for p, vocab in zip(cfg.properties, _load_vocabs(cfg)):
+    paths = _paths(cfg, ["vocab_{name}.json"])
+    for p, path, vocab in zip(cfg.properties, paths, _load_vocabs(cfg)):
         name = p["name"]
         positives = _searched_positives(cfg, mols, labels[name])
-        report[name] = faithfulness(vocab, positives, parse_smiles(p["motif"]), name)
+        try:
+            report[name] = faithfulness(vocab, positives, parse_smiles(p["motif"]), name)
+        except ValueError as exc:  # a source that does not fit its molecule
+            raise ArtifactError(f"{path}: {exc}") from exc
         print(
             f"property {name}: exact match {report[name]['exact_match_rate']:.3f}, "
             f"coverage {report[name]['coverage']:.3f} over {report[name]['evaluated']} positives"

@@ -195,7 +195,8 @@ def faithfulness(
     atom order. exact_match_rate is the share of positives whose best
     rationale is the motif; coverage is the mean share of the motif's atoms
     that the best rationale covers under the motif's best embedding (0 for a
-    positive without a rationale)."""
+    positive without a rationale). A source with an atom past the end of the
+    molecule its key names raises ValueError."""
     by_source: dict[str, list[tuple[Rationale, tuple[int, ...]]]] = {}
     for entry in vocab.entries:
         for mol_key, atoms in entry.sources:
@@ -204,8 +205,11 @@ def faithfulness(
     exact = 0
     coverage = 0.0
     for g in positives:
+        matched = by_source.get(canonical_key(g), [])
+        for _entry, atoms in matched:
+            _atom_indices(list(atoms), "source atoms", g.n)
         cands = sorted(
-            by_source.get(canonical_key(g), []),
+            matched,
             key=lambda c: (c[0].n_atoms, -c[0].scores.get(prop_name, 0.0), c[0].key),
         )
         best = next(

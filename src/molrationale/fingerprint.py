@@ -4,7 +4,8 @@ Hashing uses a fixed 64-bit mixing function so fingerprints are bit-exact
 across platforms and runs. Every fingerprint has one geometry: environments
 up to radius `RADIUS`, folded into `WIDTH` bits. `fingerprint_matrix` hashes
 every atom of a batch of molecules at once; `morgan_fingerprint` and
-`tanimoto` are its one-row views.
+`tanimoto` are its one-row views. `tanimoto_blocks` yields Tanimoto
+similarities a block of rows at a time, so no reader holds the whole matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .chemgraph import ELEMENTS, MolGraph, _ORDER_CODE
 
 RADIUS = 2
 WIDTH = 2048
+# rows of a similarity block: fewer hold less, more repack the other operand
+# less often (README, "How molecules are scored", has the measurements)
+BLOCK_ROWS = 128
 
 _SEED = np.uint64(0x9E3779B97F4A7C15)
 _OFFSET = np.uint64(0x165667B19E3779F9)
@@ -133,21 +137,30 @@ def morgan_fingerprint(g: MolGraph) -> BitFingerprint:
     return BitFingerprint(frozenset(np.flatnonzero(row).tolist()))
 
 
-def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) Tanimoto similarities |a_i & b_j| / |a_i | b_j| between the rows
-    of two 0/1 fingerprint matrices; 1.0 where both rows are empty.
+def tanimoto_blocks(a: np.ndarray, b: np.ndarray):
+    """The (n, m) Tanimoto similarities |a_i & b_j| / |a_i | b_j| between the
+    rows of two 0/1 fingerprint matrices, as blocks of at most BLOCK_ROWS
+    consecutive rows of a (at least one block); 1.0 where both rows are empty.
 
-    The intersection counts are one float32 product of the 0/1 matrices:
-    every partial sum is an integer no larger than the width, well below
-    2**24, so the counts are exact in any summation order."""
+    The intersection counts are one float32 product of the 0/1 matrices over
+    the columns set in either: every partial sum is an integer no larger than
+    the width, well below 2**24, so the counts are exact in any order."""
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"fingerprint width mismatch: {a.shape[1]} vs {b.shape[1]}")
-    fa = a.astype(np.float32)
-    fb = fa if b is a else b.astype(np.float32)
-    inter = (fa @ fb.T).astype(np.float64)
-    union = fa.sum(axis=1, dtype=np.float64)[:, None] + fb.sum(axis=1, dtype=np.float64)[None, :]
-    union -= inter
-    return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+    cols = np.flatnonzero(a.any(axis=0) | b.any(axis=0))
+    fb = b[:, cols].astype(np.float32)
+    b_count = fb.sum(axis=1, dtype=np.float64)
+    for start in range(0, max(len(a), 1), BLOCK_ROWS):
+        fa = a[start : start + BLOCK_ROWS, cols].astype(np.float32)
+        inter = (fa @ fb.T).astype(np.float64)
+        union = fa.sum(axis=1, dtype=np.float64)[:, None] + b_count[None, :]
+        union -= inter
+        yield np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+
+
+def tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The whole (n, m) similarity matrix: tanimoto_blocks stacked."""
+    return np.concatenate(list(tanimoto_blocks(a, b)))
 
 
 def tanimoto(a: BitFingerprint, b: BitFingerprint) -> float:

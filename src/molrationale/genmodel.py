@@ -218,11 +218,14 @@ def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
     is relu(x_v U1 + (sum of the messages into v) U2). The backward closure
     keeps a boolean gate per message relu, the output (the atom relu's gate
     is its sign), and what the W3 and U2 gradients read: each later round's
-    neighbour sums and agg.
+    neighbour sums and agg. When the op will not be recorded (under no_grad),
+    the gates and neighbour sums are not kept.
     """
     p = model.params
     names = _mpn_names(prefix)
-    emb_a, emb_b, w1, w2, w3, u1, u2 = (p[k].data for k in names)
+    parents = tuple(p[k] for k in names)
+    recorded = ns.recording(parents)
+    emb_a, emb_b, w1, w2, w3, u1, u2 = (t.data for t in parents)
     types = np.asarray(type_ids, dtype=np.int64)
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
     # directed edge 2k is u->v of bond k and 2k + 1 is v->u, so i ^ 1 reverses i
@@ -233,12 +236,13 @@ def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
     into_atoms = _row_scatter(dst, types.size)
     base = (emb_a @ w1)[types[src]] + (emb_b @ w2)[bts]
     msg = np.maximum(base, 0.0)
-    base_gate = base > 0
+    base_gate = base > 0 if recorded else None
     later = []  # (neighbour sum, gate) of each round after the first
     for _ in range(model.rounds - 1):
         nb = into_atoms(msg)[src] - msg[rev]
         pre = base + nb @ w3
-        later.append((nb, pre > 0))
+        if recorded:
+            later.append((nb, pre > 0))
         msg = np.maximum(pre, 0.0)
     agg = into_atoms(msg)
     out = np.maximum((emb_a @ u1)[types] + agg @ u2, 0.0)
@@ -273,7 +277,7 @@ def _mpn(model: GenModel, prefix: str, type_ids: list[int], edges) -> ns.Tensor:
             agg.T @ d_out,
         )
 
-    return ns.track(out, tuple(p[k] for k in names), backward_fn)
+    return ns.track(out, parents, backward_fn)
 
 
 def encode(model: GenModel, g: MolGraph) -> LatentParams:

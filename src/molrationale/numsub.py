@@ -19,6 +19,7 @@ __all__ = [
     "param",
     "const",
     "no_grad",
+    "recording",
     "track",
     "matmul",
     "add",
@@ -101,10 +102,16 @@ def const(data) -> Tensor:
     return Tensor(data)
 
 
+def recording(parents) -> bool:
+    """Whether track would record an op on these parents: gradients are
+    enabled and some parent is a parameter or itself on the tape."""
+    return _GRAD_ENABLED and any(p.requires_grad or p._backward for p in parents)
+
+
 def track(out_data, parents, backward_fn) -> Tensor:
     """Record one op on the tape. backward_fn maps the output gradient to a
     tuple with one gradient (or None, for no dependence) per parent."""
-    if _GRAD_ENABLED and any(p.requires_grad or p._backward for p in parents):
+    if recording(parents):
         return Tensor(out_data, _parents=tuple(parents), _backward=backward_fn)
     return Tensor(out_data)
 
@@ -405,20 +412,23 @@ _CKPT_VERSION = 1
 
 
 def save_params(path_stem: str, arrays: dict[str, np.ndarray], extra: dict | None = None) -> None:
+    """<path_stem>.json names each array with its shape and byte offset, and
+    <path_stem>.bin holds them in name order, each written straight in."""
+    names = sorted(arrays)
     entries = []
-    blob = bytearray()
-    for name in sorted(arrays):
-        src = np.asarray(arrays[name], dtype=np.float64)
-        arr = np.ascontiguousarray(src, dtype="<f8")
-        entries.append({"name": name, "shape": list(src.shape), "offset": len(blob)})
-        blob.extend(arr.tobytes())
+    offset = 0
+    for name in names:
+        shape = np.shape(arrays[name])
+        entries.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * int(np.prod(shape))
     manifest = {"version": _CKPT_VERSION, "dtype": "<f8", "params": entries}
     if extra:
         manifest["extra"] = extra
     with open(f"{path_stem}.json", "w") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
     with open(f"{path_stem}.bin", "wb") as fh:
-        fh.write(bytes(blob))
+        for name in names:
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").data)
 
 
 def load_params(path_stem: str) -> tuple[dict[str, np.ndarray], dict]:
@@ -435,5 +445,6 @@ def load_params(path_stem: str) -> tuple[dict[str, np.ndarray], dict]:
         arr = np.frombuffer(
             blob, dtype="<f8", count=count, offset=entry["offset"]
         ).reshape(shape)
-        out[entry["name"]] = arr.astype(np.float64).copy()
+        # astype copies, so the array owns its memory and is writeable
+        out[entry["name"]] = arr.astype(np.float64)
     return out, manifest.get("extra", {})

@@ -12,7 +12,7 @@ import numpy as np
 from . import numsub as ns
 from .chemgraph import MolGraph, canonical_key, induced_subgraph
 from .extract import Rationale, RationaleVocab, peripheral_atoms
-from .fingerprint import fingerprint_matrix, tanimoto_matrix
+from .fingerprint import fingerprint_matrix
 from .forest import PropertySpec, positive_mask
 from .genmodel import (
     DecodeStart,
@@ -180,13 +180,13 @@ def pretrain(
     rng = np.random.default_rng(cfg.seed)
     adam_state: dict = {}
     trace: list[float] = []
+    ns.zero_grads(model.params)
     order = np.arange(len(pairs))
     for epoch in range(cfg.pretrain_epochs):
         rng.shuffle(order)
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            ns.zero_grads(model.params)
             batch_loss = ns.const(0.0)
             for i in batch:
                 rationale, g = pairs[i]
@@ -197,8 +197,7 @@ def pretrain(
                     f"non-finite loss at epoch {epoch} batch {start // cfg.batch_size}"
                 )
             ns.backward(batch_loss)
-            grads = {k: t.grad for k, t in model.params.items() if t.grad is not None}
-            ns.adam_step(model.params, grads, adam_state, lr=cfg.learning_rate)
+            _adam_update(model, adam_state, cfg.learning_rate)
             epoch_losses.append(float(batch_loss.data))
         trace.append(float(np.mean(epoch_losses)))
     return trace
@@ -265,9 +264,9 @@ def _decode_and_score(
     if positives:
         fps = fingerprint_matrix(positives)
         if len(positives) >= 2:
-            div = diversity_fn(tanimoto_matrix(fps, fps))
+            div = diversity_fn(fps)
         if ref is not None:
-            nov = novelty_fn(tanimoto_matrix(fps, ref))
+            nov = novelty_fn(fps, ref)
     success = len(kept) / (len(drawn) + truncated)
     added = np.array([d[1].n - d[0].rationale.n_atoms for d in drawn])
     added_mean = float(added.mean()) if drawn else None
@@ -342,8 +341,15 @@ def _policy_step(
             ns.backward(ns.scale(ll, weight))
         if leaf.grad is not None:  # None when no walk made a decision
             ns.backward(ns.sum_all(ns.mul(start.h, ns.const(leaf.grad))))
-    grads = {k: t.grad for k, t in model.params.items() if t.grad is not None}
-    ns.adam_step(model.params, grads, adam_state, lr=cfg.learning_rate)
+    _adam_update(model, adam_state, cfg.learning_rate)
+
+
+def _adam_update(model: GenModel, adam_state: dict, lr: float) -> None:
+    """One Adam step on the parameters' gradients, which are then dropped, so
+    that none lives through the next tape or the next decoding."""
+    ns.adam_step(model.params, {k: t.grad for k, t in model.params.items() if t.grad is not None},
+                 adam_state, lr=lr)
+    ns.zero_grads(model.params)
 
 
 def closed_form_distribution(rewards, entropy_weight: float) -> np.ndarray:

@@ -8,6 +8,7 @@ through exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -517,12 +518,48 @@ def loop_novelty(fps: list[frozenset], ref: list[frozenset], cutoff: float = 0.4
     return sum(1 for f in fps if max(set_tanimoto(f, r) for r in ref) < cutoff) / len(fps)
 
 
-def similarity(mols: list[MolGraph], ref: list[MolGraph] | None = None) -> np.ndarray:
-    """Tanimoto matrix of the molecules among themselves or to a reference."""
-    from molrationale.fingerprint import fingerprint_matrix, tanimoto_matrix
+# ---------------------------------------------------------------------------
+# Full-matrix metric oracles: every Tanimoto similarity over the full width in
+# one product, and diversity and novelty read from the whole matrix.
 
-    fps = fingerprint_matrix(mols)
-    return tanimoto_matrix(fps, fps if ref is None else fingerprint_matrix(ref))
+
+def full_tanimoto_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    fa = a.astype(np.float32)
+    fb = b.astype(np.float32)
+    inter = (fa @ fb.T).astype(np.float64)
+    union = fa.sum(axis=1, dtype=np.float64)[:, None] + fb.sum(axis=1, dtype=np.float64)[None, :]
+    union -= inter
+    return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+
+
+def full_matrix_diversity(fps: np.ndarray) -> float:
+    n = len(fps)
+    sim = full_tanimoto_matrix(fps, fps)
+    return 1.0 - (2.0 / (n * (n - 1))) * float(np.cumsum(sim[np.triu_indices(n, 1)])[-1])
+
+
+def full_matrix_novelty(fps: np.ndarray, ref: np.ndarray, cutoff: float = 0.4) -> float:
+    return int((full_tanimoto_matrix(fps, ref).max(axis=1) < cutoff).sum()) / len(fps)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint oracle: the files as written when the whole .bin was assembled in
+# one bytearray first.
+
+
+def bytearray_checkpoint(arrays: dict[str, np.ndarray], extra: dict | None = None) -> tuple[str, bytes]:
+    """The (.json text, .bin bytes) of a checkpoint of the arrays."""
+    entries = []
+    blob = bytearray()
+    for name in sorted(arrays):
+        src = np.asarray(arrays[name], dtype=np.float64)
+        arr = np.ascontiguousarray(src, dtype="<f8")
+        entries.append({"name": name, "shape": list(src.shape), "offset": len(blob)})
+        blob.extend(arr.tobytes())
+    manifest = {"version": 1, "dtype": "<f8", "params": entries}
+    if extra:
+        manifest["extra"] = extra
+    return json.dumps(manifest, sort_keys=True, separators=(",", ":")), bytes(blob)
 
 
 # ---------------------------------------------------------------------------

@@ -491,8 +491,10 @@ class TestLibraryErrors:
             (lambda atoms: [-1] + atoms[1:], r"source atoms \[-1, .* are not all integers in \[0, inf\)"),
             (lambda atoms: [0.5] + atoms[1:], r"source atoms \[0.5, .* are not all integers in \[0, inf\)"),
             (lambda atoms: atoms[:1] + atoms[:-1], "a source lists an atom twice"),
+            # only faithfulness, which matches a source to its molecule, can tell
+            (lambda atoms: [99] + atoms[1:], r"source atoms \[99, .* are not all integers in \[0, \d+\)"),
         ],
-        ids=["short", "negative", "float", "repeated"],
+        ids=["short", "negative", "float", "repeated", "past-the-end"],
     )
     def test_vocabulary_source_atoms_that_are_not_atoms_are_an_error_line(
         self, pipeline, tmp_path, capsys, edit, reason

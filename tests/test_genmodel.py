@@ -306,6 +306,18 @@ class TestMPN:
 
         check_gradients(loss_fn, params)
 
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_no_grad_output_is_bit_identical(self, rounds):
+        model = small_model(seed=6)
+        model.rounds = rounds
+        for smiles in ["CC(=O)Nc1ccccc1O", "O", "OC1CC(N)C1=O"]:
+            type_ids, edges = graph_inputs(model, parse_smiles(smiles))
+            recorded = _mpn(model, "dec", type_ids, edges)
+            with ns.no_grad():
+                forward_only = _mpn(model, "dec", type_ids, edges)
+            assert recorded._backward is not None and forward_only._backward is None
+            assert recorded.data.tobytes() == forward_only.data.tobytes(), smiles
+
     def test_unused_weights_get_no_gradient(self):
         model = small_model()
         model.rounds = 1

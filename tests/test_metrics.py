@@ -1,11 +1,19 @@
 import itertools
+import tracemalloc
 from dataclasses import astuple, fields
 
+import numpy as np
 import pytest
 
 from molrationale import cli
 from molrationale.chemgraph import parse_smiles
-from molrationale.fingerprint import morgan_fingerprint, tanimoto
+from molrationale.fingerprint import (
+    WIDTH,
+    BitFingerprint,
+    fingerprint_matrix,
+    morgan_fingerprint,
+    tanimoto,
+)
 from molrationale.metrics import (
     MetricsError,
     diversity,
@@ -13,7 +21,7 @@ from molrationale.metrics import (
     novelty,
 )
 
-from helpers import StubProperty, random_corpus, similarity
+from helpers import StubProperty, full_matrix_diversity, full_matrix_novelty, random_corpus
 
 
 class StubSpec(StubProperty):
@@ -56,19 +64,19 @@ class TestSuccessRate:
 class TestDiversity:
     def test_identical_molecules_zero(self):
         mols = [parse_smiles("CCO")] * 5
-        assert diversity(similarity(mols)) == pytest.approx(0.0)
+        assert diversity(fingerprint_matrix(mols)) == pytest.approx(0.0)
 
     def test_two_molecules(self):
         a, b = parse_smiles("CCO"), parse_smiles("CCN")
         sim = tanimoto(morgan_fingerprint(a), morgan_fingerprint(b))
-        assert diversity(similarity([a, b])) == pytest.approx(1.0 - sim)
+        assert diversity(fingerprint_matrix([a, b])) == pytest.approx(1.0 - sim)
 
     def test_three_molecule_formula(self):
         mols = [parse_smiles(s) for s in ["CCO", "CCN", "c1ccccc1"]]
         fps = [morgan_fingerprint(g) for g in mols]
         sims = [tanimoto(a, b) for a, b in itertools.combinations(fps, 2)]
         expected = 1.0 - (2.0 / (3 * 2)) * sum(sims)
-        assert diversity(similarity(mols)) == pytest.approx(expected)
+        assert diversity(fingerprint_matrix(mols)) == pytest.approx(expected)
 
     def test_brute_force_equality_on_set(self):
         mols = random_corpus(20, seed=3)
@@ -78,54 +86,88 @@ class TestDiversity:
             tanimoto(fps[i], fps[j]) for i in range(n) for j in range(i + 1, n)
         )
         expected = 1.0 - total / (n * (n - 1) / 2)
-        assert diversity(similarity(mols)) == pytest.approx(expected, abs=1e-12)
+        assert diversity(fingerprint_matrix(mols)) == pytest.approx(expected, abs=1e-12)
 
     def test_order_invariance(self):
         mols = random_corpus(10, seed=9)
-        assert diversity(similarity(mols)) == pytest.approx(
-            diversity(similarity(list(reversed(mols))))
+        assert diversity(fingerprint_matrix(mols)) == pytest.approx(
+            diversity(fingerprint_matrix(list(reversed(mols))))
         )
 
     def test_single_molecule_undefined(self):
         with pytest.raises(MetricsError):
-            diversity(similarity([parse_smiles("C")]))
+            diversity(fingerprint_matrix([parse_smiles("C")]))
 
 
 class TestNovelty:
     def test_exact_training_copies_not_novel(self):
         train = [parse_smiles("CCO"), parse_smiles("CCN")]
-        assert novelty(similarity(list(train), train)) == 0.0
+        assert novelty(fingerprint_matrix(list(train)), fingerprint_matrix(train)) == 0.0
 
     def test_disjoint_reference_fully_novel(self):
         gen = [parse_smiles("c1ccccc1")]
         train = [parse_smiles("III"[0:1])]  # single iodine atom
-        assert novelty(similarity(gen, train)) == 1.0
+        assert novelty(fingerprint_matrix(gen), fingerprint_matrix(train)) == 1.0
 
     def test_boundary_similarity_is_not_novel(self):
-        # construct a pair whose Tanimoto is exactly 0.4, then shift around it
-        from molrationale.fingerprint import BitFingerprint
-        from molrationale import metrics as m
-
-        a = BitFingerprint(frozenset({1, 2}))
-        b = BitFingerprint(frozenset({1, 2, 3, 4, 5}))
-        assert tanimoto(a, b) == pytest.approx(0.4)
-
-        class FP:
-            pass
-
-        # strict inequality at the cutoff counts as not novel
-        sims = [0.4]
-        count = sum(1 for s in sims if s < m.NOVELTY_CUTOFF)
-        assert count == 0
+        # {1, 2} against {1, ..., 5} is exactly 0.4: a tie at the cutoff
+        tie, ref = BitFingerprint(frozenset({1, 2})), BitFingerprint(frozenset({1, 2, 3, 4, 5}))
+        assert tanimoto(tie, ref) == 0.4
+        assert novelty(tie.row()[None], ref.row()[None]) == 0.0
+        # 39 bits shared of 98 is 0.398, just below the cutoff
+        below, wide = BitFingerprint(frozenset(range(39))), BitFingerprint(frozenset(range(98)))
+        assert 0.39 < tanimoto(below, wide) < 0.4
+        assert novelty(below.row()[None], wide.row()[None]) == 1.0
 
     def test_order_invariance(self):
         gen = random_corpus(8, seed=21)
         train = random_corpus(8, seed=22)
-        assert novelty(similarity(gen, train)) == novelty(similarity(list(reversed(gen)), train))
+        ref = fingerprint_matrix(train)
+        assert novelty(fingerprint_matrix(gen), ref) == novelty(
+            fingerprint_matrix(list(reversed(gen))), ref
+        )
 
     def test_empty_reference_raises(self):
         with pytest.raises(MetricsError):
-            novelty(similarity([parse_smiles("C")], []))
+            novelty(fingerprint_matrix([parse_smiles("C")]), fingerprint_matrix([]))
+
+
+def traced_peak_mb(fn, *args):
+    """fn(*args) and tracemalloc's peak over the call, in MB."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+class TestBoundedMemory:
+    """Diversity and novelty of 2,000 rows read the similarities one block of
+    rows at a time; the whole (2,000 x 2,000) float64 matrix alone is 32 MB."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(24)
+        fps = rng.random((2000, WIDTH)) < 0.02
+        # references that keep about half of every 20th row's bits, plus noise,
+        # so that nearest similarities fall on both sides of the cutoff
+        ref = (fps[::20] & (rng.random((100, WIDTH)) < 0.5)) | (rng.random((100, WIDTH)) < 0.005)
+        return fps, ref
+
+    def test_diversity_equals_the_full_matrix_under_40_mb(self, rows):
+        fps, _ = rows
+        got, peak = traced_peak_mb(diversity, fps)
+        assert got == full_matrix_diversity(fps)
+        assert peak < 40, peak
+
+    def test_novelty_equals_the_full_matrix_under_40_mb(self, rows):
+        fps, ref = rows
+        got, peak = traced_peak_mb(novelty, fps, ref)
+        assert got == full_matrix_novelty(fps, ref)
+        assert 0.9 < got < 1.0
+        assert peak < 40, peak
 
 
 class TestEvaluate:
@@ -143,8 +185,10 @@ class TestEvaluate:
         positives = [g for g in mols if spec.is_positive(g)]
         assert report.n == 3
         assert report.success == pytest.approx(2 / 3)
-        assert report.diversity == pytest.approx(diversity(similarity(positives)))
-        assert report.novelty == pytest.approx(novelty(similarity(positives, train)))
+        assert report.diversity == pytest.approx(diversity(fingerprint_matrix(positives)))
+        assert report.novelty == pytest.approx(
+            novelty(fingerprint_matrix(positives), fingerprint_matrix(train))
+        )
         assert report.per_property == {"size": pytest.approx(2 / 3)}
 
     def test_csv_row_written(self, tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 from molrationale import numsub as ns
 
+from helpers import bytearray_checkpoint
+
 
 def finite_difference(loss_fn, params: dict[str, ns.Tensor], eps: float = 1e-5):
     """Central-difference gradient of a scalar loss over every parameter."""
@@ -356,8 +358,45 @@ class TestCheckpoint:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
+    def test_bytes_equal_the_one_buffer_layout(self, tmp_path):
+        rng = np.random.default_rng(9)
+        arrays = {
+            "w": rng.normal(size=(5, 3)),
+            "b": rng.normal(size=4),
+            "s": np.array(-1.25),
+            "t": rng.normal(size=(3, 5)).T,  # not C-contiguous
+            "e": np.zeros((0, 2)),
+            "i": np.arange(3),  # integers are written as float64
+        }
+        stem = str(tmp_path / "ckpt")
+        ns.save_params(stem, arrays, extra={"epochs": 2})
+        text, blob = bytearray_checkpoint(arrays, extra={"epochs": 2})
+        assert (tmp_path / "ckpt.json").read_text() == text
+        assert (tmp_path / "ckpt.bin").read_bytes() == blob
+
+    def test_loaded_arrays_are_writeable_and_own_their_memory(self, tmp_path):
+        arrays = {"a": np.arange(6, dtype=np.float64).reshape(2, 3), "c": np.array(2.5)}
+        stem = str(tmp_path / "ckpt")
+        ns.save_params(stem, arrays)
+        back, _ = ns.load_params(stem)
+        for k, arr in back.items():
+            assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata, k
+            assert arr.base is None, k
+            arr += 1.0
+            assert np.array_equal(arr, arrays[k] + 1.0), k
+
 
 class TestNoGrad:
+    def test_recording_is_what_track_records(self):
+        x, c = ns.param(1.0), ns.const(2.0)
+        assert ns.recording((c, x)) and not ns.recording((c,))
+        y = ns.mul(x, c)
+        assert ns.recording((y,)) and ns.mul(y, c)._backward is not None
+        with ns.no_grad():
+            assert not ns.recording((x,)) and not ns.recording((y,))
+            assert ns.mul(x, c)._backward is None
+        assert ns.mul(c, c)._backward is None
+
     def test_no_tape_inside_block(self):
         x = ns.param(1.0)
         with ns.no_grad():

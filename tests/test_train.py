@@ -198,6 +198,36 @@ class TestPretrain:
         with pytest.raises(TrainingError):
             pretrain(model, [], quick_cfg())
 
+    def test_non_finite_batch_loss_names_its_batch_and_takes_no_step(self, monkeypatch):
+        corpus = toy_corpus()
+        model = toy_model(corpus, seed=2)
+        pairs = make_pretrain_pairs(corpus, 5, 2, np.random.default_rng(6))
+        cfg = quick_cfg(pretrain_epochs=3)
+        assert len(pairs) > cfg.batch_size + 1
+        initial = {k: t.data.copy() for k, t in model.params.items()}
+        # the second pair of epoch 1's batch 1
+        poisoned_call = len(pairs) + cfg.batch_size + 2
+        real = train._pair_loss
+        calls = []
+        before = {}
+
+        def poisoned(model_, *args):
+            calls.append(1)
+            loss = real(model_, *args)
+            if len(calls) != poisoned_call:
+                return loss
+            before.update({k: t.data.copy() for k, t in model_.params.items()})
+            return ns.scale(loss, np.nan)
+
+        monkeypatch.setattr(train, "_pair_loss", poisoned)
+        with pytest.raises(TrainingError, match=r"^non-finite loss at epoch 1 batch 1$"):
+            pretrain(model, pairs, cfg)
+        # the whole batch is scored, and the raise comes before its backward
+        assert len(calls) == len(pairs) + min(2 * cfg.batch_size, len(pairs))
+        assert any(not np.array_equal(before[k], initial[k]) for k in initial)
+        for name, data in before.items():
+            assert np.array_equal(model.params[name].data, data), name
+
 
 def small_vocab():
     vocab = RationaleVocab(("const",))
