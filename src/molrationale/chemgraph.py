@@ -13,7 +13,6 @@ reaches 200,000 entries.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -437,19 +436,13 @@ def _parse_bracket(body: str, pos: int) -> Atom:
 # ---------------------------------------------------------------------------
 # SMILES writing
 
-def write_smiles(g: MolGraph, rng: random.Random | None = None) -> str:
-    """Render a connected MolGraph as SMILES; re-parsing yields an isomorphic graph.
-
-    A seeded ``rng`` shuffles the traversal to produce alternative renderings
-    of the same molecule.
-    """
-    smiles, _ = write_smiles_with_order(g, rng)
+def write_smiles(g: MolGraph) -> str:
+    """Render a connected MolGraph as SMILES; re-parsing yields an isomorphic graph."""
+    smiles, _ = write_smiles_with_order(g)
     return smiles
 
 
-def write_smiles_with_order(
-    g: MolGraph, rng: random.Random | None = None
-) -> tuple[str, list[int]]:
+def write_smiles_with_order(g: MolGraph) -> tuple[str, list[int]]:
     """Like write_smiles but also returns the atom visit order (original indices
     in output order), which is the atom order of the re-parsed graph."""
     if g.n == 0:
@@ -457,7 +450,6 @@ def write_smiles_with_order(
     if not is_connected(g):
         raise GraphError("write_smiles requires a connected graph")
 
-    start = rng.randrange(g.n) if rng is not None else 0
     order: list[int] = []
     ring_bonds: dict[tuple[int, int], int] = {}
     free_digits = list(range(1, 100))
@@ -495,9 +487,6 @@ def write_smiles_with_order(
         seen[i] = True
         onstack[i] = True
         nbrs = [v for v in g.neighbors(i) if v != parent]
-        if rng is not None:
-            nbrs = list(nbrs)
-            rng.shuffle(nbrs)
         for v in nbrs:
             if not seen[v]:
                 tree_children[i].append(v)
@@ -506,7 +495,7 @@ def write_smiles_with_order(
                 back_edges.append((i, v))
         onstack[i] = False
 
-    prewalk(start, None)
+    prewalk(0, None)
     for u, v in back_edges:
         digit = free_digits.pop(0)
         ring_bonds[(u, v)] = digit
@@ -534,7 +523,7 @@ def write_smiles_with_order(
             if not last:
                 pieces.append(")")
 
-    render(start)
+    render(0)
     return "".join(pieces), order
 
 
@@ -807,10 +796,10 @@ def apply_deletion_with_map(g: MolGraph, d: Deletion) -> tuple[MolGraph, dict[in
 # ---------------------------------------------------------------------------
 # Subgraph matching
 
-def embeddings(g: MolGraph, s: MolGraph, *, induced: bool = False) -> Iterator[dict[int, int]]:
+def embeddings(g: MolGraph, s: MolGraph) -> Iterator[dict[int, int]]:
     """Yield every injective atom map s -> g that preserves atom labels and
     s's bonds with their orders, each once and in a fixed order. g may have
-    extra bonds between mapped atoms unless `induced` is set.
+    extra bonds between mapped atoms.
 
     Backtracking in the VF2 style (Cordella et al., 2004): s's components
     are matched in turn, each in breadth-first order, so every atom after a
@@ -856,8 +845,6 @@ def embeddings(g: MolGraph, s: MolGraph, *, induced: bool = False) -> Iterator[d
                 (gb := g.bond_between(mapping[w], v)) is None or gb.order != bond_order
                 for w, bond_order in back[k]
             ):
-                continue
-            if induced and sum(x in used for x in g.neighbors(v)) != len(back[k]):
                 continue
             mapping[si] = v
             used.add(v)

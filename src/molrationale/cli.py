@@ -136,10 +136,7 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
     def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(**self.section("train"), seed=self.seed)
-        except ValueError as exc:
-            raise ConfigError(f"train section: {exc}") from exc
+        return TrainConfig(**self.section("train"), seed=self.seed)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -169,10 +166,11 @@ def _check_keys(user: dict) -> None:
 
 
 # The range of each float setting that has one, as (test, wording); every
-# other float need only be finite. train.entropy_weight > 0 is TrainConfig's.
+# other float need only be finite.
 _FLOAT_RANGES = {
     ("corpus", "ring_prob"): (lambda x: 0 <= x <= 1, "in [0, 1]"),
     ("corpus", "decoy_prob"): (lambda x: 0 <= x <= 1, "in [0, 1]"),
+    ("train", "entropy_weight"): (lambda x: x > 0, "finite and > 0"),
     ("train", "learning_rate"): (lambda x: x > 0, "finite and > 0"),
     ("train", "kl_weight"): (lambda x: x >= 0, "finite and >= 0"),
     ("extract", "c_puct"): (lambda x: x >= 0, "finite and >= 0"),
@@ -183,9 +181,8 @@ def _check_numbers(merged: dict) -> None:
     """Each numeric value of a section must have its default's type (an
     integer where the default is one, else any number), and
     extract.max_molecules is null or an integer. Every integer is a count of
-    at least 1, except sample.n, which may be 0; every float is finite and in
-    its _FLOAT_RANGES range; corpus.atoms_min may not exceed
-    corpus.atoms_max."""
+    at least 1; every float is finite and in its _FLOAT_RANGES range;
+    corpus.atoms_min may not exceed corpus.atoms_max."""
     for section in ("corpus", "forest", "extract", "merge", "model", "train", "sample"):
         values = merged[section]
         if not isinstance(values, dict):
@@ -198,9 +195,8 @@ def _check_numbers(merged: dict) -> None:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 kind = {float: "a number", int: "an integer"}.get(type(default), "null or an integer")
                 raise ConfigError(f"{section}.{key} must be {kind}, got {value!r}")
-            least = 0 if (section, key) == ("sample", "n") else 1
-            if kinds is int and value < least:
-                raise ConfigError(f"{section}.{key} must be >= {least}, got {value!r}")
+            if kinds is int and value < 1:
+                raise ConfigError(f"{section}.{key} must be >= 1, got {value!r}")
             within, wording = _FLOAT_RANGES.get((section, key), (math.isfinite, "finite"))
             if kinds is not int and not (math.isfinite(value) and within(value)):
                 raise ConfigError(f"{section}.{key} must be {wording}, got {value!r}")
@@ -263,9 +259,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config must set run_dir")
     _check_numbers(merged)
     _check_properties(merged.get("properties"))
-    cfg = RunConfig(raw=merged)
-    cfg.train_config()  # rejects a bad train section before any stage writes
-    return cfg
+    return RunConfig(raw=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +405,11 @@ def _load_model(cfg: RunConfig, stage: str) -> GenModel:
     return _read(path, lambda p: GenModel.load(str(p.with_suffix(""))))
 
 
-def _split_indices(n: int, seed: int, holdout: float = 0.2) -> tuple[list[int], list[int]]:
+def _split_indices(n: int, seed: int) -> tuple[list[int], list[int]]:
+    """A seeded 80/20 split of n corpus indices: (training, held out)."""
     rng = np.random.default_rng([seed, 524287])
     order = rng.permutation(n)
-    cut = int(n * (1.0 - holdout))
+    cut = int(n * 0.8)
     return list(order[:cut]), list(order[cut:])
 
 

@@ -258,10 +258,10 @@ def backup(path: list[tuple[SearchNode, int]], leaf_reward: float) -> None:
 class _Search:
     """Search state for one molecule: transposition-shared nodes by key."""
 
-    def __init__(self, root: MolGraph, prop: PropertySpec, score_cache: dict | None):
+    def __init__(self, root: MolGraph, prop: PropertySpec, score_cache: dict):
         self.prop = prop
         self.nodes: dict[str, SearchNode] = {}
-        self.score_cache = score_cache if score_cache is not None else {}
+        self.score_cache = score_cache
         key = canonical_key(root)
         self._score_new([(key, root)])
         self.root = self._node(root, tuple(range(root.n)), key)
@@ -322,10 +322,12 @@ def extract_rationales(
     iterations: int,
     c_puct: float,
     max_atoms: int,
-    score_cache: dict | None = None,
+    score_cache: dict,
 ) -> list[Rationale]:
     """Run the deletion search on one molecule and return all distinct visited
-    states within the size bound whose score clears the property threshold."""
+    states within the size bound whose score clears the property threshold.
+    score_cache maps canonical keys to the property's scores; the search
+    reads and extends it, so the molecules of one vocabulary share it."""
     search = _Search(g, prop, score_cache)
     root = search.root
     root.visited = True

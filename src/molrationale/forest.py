@@ -98,10 +98,6 @@ class PropertySpec:
     model: ForestModel
     threshold: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ForestError(f"threshold must be in [0, 1], got {self.threshold}")
-
     def scores(self, mols: list[MolGraph]) -> np.ndarray:
         """Predicted score of every molecule of a batch."""
         return predict_scores(self.model, fingerprint_matrix(mols))
@@ -177,7 +173,7 @@ def train_forest(
     data: list[tuple[MolGraph, int]],
     n_trees: int,
     max_depth: int,
-    seed: int = 0,
+    seed: int,
 ) -> ForestModel:
     """Bootstrap-sampled trees with Gini splits over a sqrt(WIDTH) random bit
     subset per node. Class balance is handled by a stratified bootstrap. The

@@ -33,7 +33,6 @@ from .chemgraph import (
     Bond,
     MolGraph,
     canonical_ranks,
-    embeddings,
     free_valence,
 )
 from .extract import Rationale
@@ -759,18 +758,12 @@ def log_likelihood_tensor(
     g: MolGraph,
     rationale: Rationale,
     z,
-    mapping: dict[int, int] | None = None,
+    mapping: dict[int, int],
 ) -> ns.Tensor:
-    """Teacher-forced log P(g | rationale, z) (differentiable); rationale atoms
-    come first in stored order, the rest in breadth-first order from the
-    peripheral queue."""
-    combined = rationale.combined
-    if mapping is None:
-        # the queue decomposition can only reproduce g when the rationale is an
-        # induced subgraph: bonds of g between mapped atoms must exist in it
-        mapping = next(embeddings(g, combined, induced=True), None)
-        if mapping is None:
-            raise LikelihoodError("molecule does not contain the rationale as an induced subgraph")
+    """Teacher-forced log P(g | rationale, z) (differentiable), mapping[i]
+    being the atom of g that rationale atom i is; rationale atoms come first
+    in stored order, the rest in breadth-first order from the peripheral
+    queue."""
     state = DecoderState.from_rationale(model, rationale)
     teacher = _TeacherPolicy(model, g, mapping)
     walk = _walk(model, state, teacher, max_steps=10**9)

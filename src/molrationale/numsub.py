@@ -122,27 +122,17 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError("matmul requires rank >= 1 operands")
+    """A vector or a matrix times a matrix."""
+    if a.data.ndim == 0 or b.data.ndim != 2:
+        raise ShapeError("matmul takes a rank >= 1 left operand and a matrix right operand")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ {a.shape} vs {b.shape}")
     out = a.data @ b.data
 
     def backward_fn(g):
         ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 2:
-            ga = g @ bd.T
-            gb = np.outer(ad, g)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            ga = np.outer(g, bd)
-            gb = ad.T @ g
-        elif ad.ndim == 1 and bd.ndim == 1:
-            ga = g * bd
-            gb = g * ad
-        else:
-            ga = g @ bd.T
-            gb = ad.T @ g
-        return ga, gb
+        gb = np.outer(ad, g) if ad.ndim == 1 else ad.T @ g
+        return g @ bd.T, gb
 
     return track(out, (a, b), backward_fn)
 
@@ -369,14 +359,17 @@ def zero_grads(params: dict[str, Tensor]) -> None:
         t.grad = None
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 def adam_step(
     params: dict[str, Tensor],
     grads: dict[str, np.ndarray],
     state: dict,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    lr: float,
 ) -> None:
     """In-place Adam update with bias correction; deterministic."""
     state.setdefault("t", 0)
@@ -396,13 +389,13 @@ def adam_step(
             v_store[name] = np.zeros_like(p.data)
         m = m_store[name]
         v = v_store[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +404,10 @@ def adam_step(
 _CKPT_VERSION = 1
 
 
-def save_params(path_stem: str, arrays: dict[str, np.ndarray], extra: dict | None = None) -> None:
-    """<path_stem>.json names each array with its shape and byte offset, and
-    <path_stem>.bin holds them in name order, each written straight in."""
+def save_params(path_stem: str, arrays: dict[str, np.ndarray], extra: dict) -> None:
+    """<path_stem>.json names each array with its shape and byte offset and
+    holds `extra`, and <path_stem>.bin holds the arrays in name order, each
+    written straight in."""
     names = sorted(arrays)
     entries = []
     offset = 0
@@ -421,9 +415,7 @@ def save_params(path_stem: str, arrays: dict[str, np.ndarray], extra: dict | Non
         shape = np.shape(arrays[name])
         entries.append({"name": name, "shape": list(shape), "offset": offset})
         offset += 8 * int(np.prod(shape))
-    manifest = {"version": _CKPT_VERSION, "dtype": "<f8", "params": entries}
-    if extra:
-        manifest["extra"] = extra
+    manifest = {"version": _CKPT_VERSION, "dtype": "<f8", "params": entries, "extra": extra}
     with open(f"{path_stem}.json", "w") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
     with open(f"{path_stem}.bin", "wb") as fh:

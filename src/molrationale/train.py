@@ -38,6 +38,8 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """The run's training settings; cli.load_config checks their ranges."""
+
     entropy_weight: float  # lambda in the rationale distribution
     samples_per_rationale: int  # K
     iterations: int  # L
@@ -50,14 +52,6 @@ class TrainConfig:
     max_decode_steps: int
     dist_samples: int  # completions per rationale for the distribution
     seed: int
-
-    def __post_init__(self):
-        if self.entropy_weight <= 0:
-            raise ValueError("entropy_weight must be positive")
-        if self.samples_per_rationale < 1 or self.iterations < 1:
-            raise ValueError("samples_per_rationale and iterations must be >= 1")
-        if self.pretrain_epochs < 1:
-            raise ValueError("pretrain_epochs must be >= 1")
 
 
 @dataclass
@@ -92,15 +86,22 @@ class RationaleDistribution:
         if not entries:
             raise ValueError("has no entries")
         by_key = {r.key: r for r in vocab.entries}
-        if any(e["key"] not in by_key for e in entries):
+        keys = [e["key"] for e in entries]
+        if any(key not in by_key for key in keys):
             raise ValueError("names a rationale missing from the merged vocabulary")
+        if len(set(keys)) != len(keys):
+            raise ValueError("lists a rationale twice")
+        for field in ("probability", "reward"):
+            # a bool or a numeric string is not a number here, though numpy would take it
+            if any(type(e[field]) not in (int, float) for e in entries):
+                raise ValueError(f"has a {field} that is not a number")
         probs = np.array([e["probability"] for e in entries], dtype=float)
         if not np.all(np.isfinite(probs) & (probs >= 0)):
             raise ValueError("has a probability that is negative or not finite")
         if probs.sum() == 0:
             raise ValueError("has probabilities that sum to zero")
         return cls(
-            rationales=tuple(by_key[e["key"]] for e in entries),
+            rationales=tuple(by_key[key] for key in keys),
             reward_estimates=np.array([e["reward"] for e in entries]),
             probabilities=probs / probs.sum(),
         )
@@ -119,8 +120,6 @@ def make_pretrain_pairs(
     """
     if not corpus:
         raise TrainingError("empty corpus")
-    if max_atoms < 1:
-        raise TrainingError("max_atoms must be >= 1")
     pairs = []
     for g in corpus:
         key = canonical_key(g)
@@ -210,10 +209,10 @@ class FinetuneStats:
     diversity: float | None
     novelty: float | None
     kept: int
-    sampled: int = 0  # completions drawn, truncated ones excluded
-    atoms_added_mean: float | None = None  # over every completion drawn
-    unchanged_share: float | None = None  # completions that add no atom
-    truncated: int = 0  # completions that reached max_decode_steps
+    sampled: int  # completions drawn, truncated ones excluded
+    atoms_added_mean: float | None  # over every completion drawn
+    unchanged_share: float | None  # completions that add no atom
+    truncated: int  # completions that reached max_decode_steps
 
 
 def _draw_completion(model: GenModel, start: DecodeStart, rng: np.random.Generator,
@@ -281,7 +280,7 @@ def finetune(
     vocab: RationaleVocab,
     props: list[PropertySpec],
     cfg: TrainConfig,
-    train_positives: list[MolGraph] | None = None,
+    train_positives: list[MolGraph],
 ) -> list[FinetuneStats]:
     """Policy-gradient fine-tuning with indicator reward.
 
@@ -370,12 +369,10 @@ def rationale_distribution(
     entropy_weight: float,
     samples_per_rationale: int,
     max_steps: int,
-    seed: int = 0,
+    seed: int,
 ) -> RationaleDistribution:
     """Estimate each rationale's expected indicator reward by sampling, then
     set P(S_k) proportional to exp(reward_k / entropy_weight)."""
-    if entropy_weight <= 0:
-        raise TrainingError("entropy_weight must be positive")
     drawn: list[tuple[int, MolGraph]] = []
     for r_idx, rationale in enumerate(vocab.entries):
         start = prepare_start(model, rationale)
@@ -387,7 +384,7 @@ def rationale_distribution(
     hits = [0] * len(vocab.entries)
     for (r_idx, _), positive in zip(drawn, positive_mask([g for _, g in drawn], props)):
         hits[r_idx] += int(positive)
-    rewards = [h / samples_per_rationale if samples_per_rationale else 0.0 for h in hits]
+    rewards = [h / samples_per_rationale for h in hits]
     rewards_arr = np.array(rewards)
     return RationaleDistribution(
         rationales=tuple(vocab.entries),

@@ -246,7 +246,8 @@ def test_criterion_4_finetuning_lift():
     pretrain(model, pairs, cfg)
     props = [prop_a, prop_b]
     before = success_of_model(model, multi, props, 500, seed=33, max_steps=60)
-    stats = finetune(model, multi, props, cfg)
+    dual_labelled = [g for g, ya, yb in zip(mols, labels["a"], labels["b"]) if ya and yb]
+    stats = finetune(model, multi, props, cfg, train_positives=dual_labelled)
     after = success_of_model(model, multi, props, 500, seed=34, max_steps=60)
     elapsed = time.monotonic() - start
     ok = len(stats) == 10 and (after - before) >= 0.10 and elapsed < 900

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import molrationale
-from molrationale import cli, extract, forest, genmodel, merge, synthetic, train
+from molrationale import chemgraph, cli, extract, forest, genmodel, merge, numsub, synthetic, train
 from molrationale.chemgraph import contains_subgraph, parse_smiles
 from molrationale.cli import (
     EXIT_CONFIG,
@@ -392,8 +392,17 @@ class TestLibraryErrors:
              "has a probability that is negative or not finite"),
             (lambda doc: doc["entries"][0].update(probability=math.nan),
              "has a probability that is negative or not finite"),
+            (lambda doc: doc["entries"][0].update(probability="0.9"),
+             "has a probability that is not a number"),
+            (lambda doc: doc["entries"][0].update(probability=True),
+             "has a probability that is not a number"),
+            (lambda doc: doc["entries"][0].update(reward="nan?"), "has a reward that is not a number"),
+            (lambda doc: doc["entries"][0].update(reward=False), "has a reward that is not a number"),
+            (lambda doc: doc["entries"].append(dict(doc["entries"][0])), "lists a rationale twice"),
         ],
-        ids=["missing-rationale", "version", "no-entries", "zero-sum", "negative", "nan"],
+        ids=["missing-rationale", "version", "no-entries", "zero-sum", "negative", "nan",
+             "string-probability", "bool-probability", "string-reward", "bool-reward",
+             "repeated-key"],
     )
     def test_distribution_naming_a_missing_rationale_is_an_error_line(
         self, pipeline, tmp_path, capsys, edit, reason
@@ -582,9 +591,11 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: config {file} is not a JSON object\n"
         assert list(tmp_path.iterdir()) == [file]
 
-    def test_bad_train_section(self, tmp_path):
+    def test_bad_train_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tmp_path / "run", train={"entropy_weight": 0})
         assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: train.entropy_weight must be finite and > 0, got 0\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
@@ -622,19 +633,21 @@ class TestConfigValidation:
         assert not (tmp_path / "run" / "pretrain.manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "section",
+        "section, error",
         [
-            {"forest": {"trees": 0}},
-            {"corpus": {"atoms_min": 12, "atoms_max": 9}},
-            {"sample": {"n": -5}},
-            {"extract": {"max_molecules": -3}},
+            ({"forest": {"trees": 0}}, "forest.trees must be >= 1, got 0"),
+            ({"corpus": {"atoms_min": 12, "atoms_max": 9}}, "corpus.atoms_min 12 exceeds atoms_max 9"),
+            ({"sample": {"n": -5}}, "sample.n must be >= 1, got -5"),
+            ({"extract": {"max_molecules": -3}}, "extract.max_molecules must be >= 1, got -3"),
+            ({"sample": {"n": 0}}, "sample.n must be >= 1, got 0"),
         ],
-        ids=["zero-trees", "empty-atom-range", "negative-sample-n", "negative-max-molecules"],
+        ids=["zero-trees", "empty-atom-range", "negative-sample-n", "negative-max-molecules",
+             "zero-sample-n"],
     )
-    def test_out_of_range_count_rejected_before_writing(self, tmp_path, capsys, section):
+    def test_out_of_range_count_rejected_before_writing(self, tmp_path, capsys, section, error):
         cfg = write_config(tmp_path, tmp_path / "run", **section)
         assert main(["gen-synthetic", "--config", str(cfg)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert capsys.readouterr().err == f"config error: {error}\n"
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
@@ -717,9 +730,28 @@ SETTING_PARAMETERS = [
     (train.rationale_distribution, "max_steps"),
     (train.rationale_distribution, "samples_per_rationale"),
     (train.sample_molecules, "max_steps"),
+    (numsub.adam_step, "lr"),
+    (forest.train_forest, "seed"),
+    (train.rationale_distribution, "seed"),
     (synthetic.random_molecule, "ring_prob"),
     *((cls, f.name) for cls in (train.TrainConfig, synthetic.CorpusSpec)
       for f in dataclasses.fields(cls)),
+]
+
+
+# Library options that only tests set, now gone (kept False), and arguments
+# that every pipeline caller passes, now required (kept True): each entry
+# point has the one path the pipeline runs.
+ONE_PATH_PARAMETERS = [
+    (chemgraph.write_smiles, "rng", False),
+    (chemgraph.write_smiles_with_order, "rng", False),
+    (chemgraph.embeddings, "induced", False),
+    *((numsub.adam_step, name, False) for name in ("beta1", "beta2", "eps")),
+    (cli._split_indices, "holdout", False),
+    (genmodel.log_likelihood_tensor, "mapping", True),
+    (extract.extract_rationales, "score_cache", True),
+    (numsub.save_params, "extra", True),
+    (train.finetune, "train_positives", True),
 ]
 
 
@@ -735,6 +767,18 @@ class TestOneDefaultPerSetting:
         if dataclasses.is_dataclass(entry):
             field = {f.name: f for f in dataclasses.fields(entry)}[name]
             assert field.default is field.default_factory is dataclasses.MISSING, where
+
+    @pytest.mark.parametrize(
+        "entry, name, kept", ONE_PATH_PARAMETERS,
+        ids=[f"{entry.__name__}.{name}" for entry, name, _ in ONE_PATH_PARAMETERS],
+    )
+    def test_library_entry_has_one_path(self, entry, name, kept):
+        where = f"{entry.__module__}.{entry.__qualname__}"
+        params = inspect.signature(entry).parameters
+        if not kept:
+            assert name not in params, f"{where} still takes {name}"
+        else:
+            assert params[name].default is inspect.Parameter.empty, f"{where}({name}=...)"
 
     def test_no_module_keeps_default_constants(self):
         names = [
@@ -815,11 +859,6 @@ class TestArtifacts:
         forest.write_text(forest.read_text() + " ")
         assert main(["faithfulness", "--config", cfg]) == EXIT_OK
         assert (run / "faithfulness.json").read_bytes() == before
-
-    def test_sample_zero_is_valid(self, pipeline, tmp_path):
-        cfg, run = copy_pipeline(pipeline, tmp_path, sample={"n": 0})
-        assert main(["sample", "--config", cfg]) == EXIT_OK
-        assert (run / "samples.smi").read_text() == ""
 
     def test_finetune_stats_columns(self, pipeline):
         _cfg, run_dir = pipeline

@@ -129,20 +129,22 @@ class TestExtractRationales:
     def test_root_qualifies_when_small_and_positive(self):
         g = parse_smiles("CC(=O)N")
         prop = ScoreSpec(lambda _: 0.9)
-        out = extract_rationales(g, prop, iterations=5, c_puct=10.0, max_atoms=20)
+        out = extract_rationales(g, prop, iterations=5, c_puct=10.0, max_atoms=20, score_cache={})
         keys = {r.key for r in out}
         assert canonical_key(g) in keys
 
     def test_everything_below_threshold_gives_empty(self):
         g = parse_smiles("CCCCC")
         prop = ScoreSpec(lambda _: 0.1)
-        assert extract_rationales(g, prop, iterations=10, c_puct=10.0, max_atoms=20) == []
+        assert extract_rationales(g, prop, iterations=10, c_puct=10.0, max_atoms=20,
+                                  score_cache={}) == []
 
     def test_planted_motif_recovered_as_subgraph(self):
         motif, prop, positives = planted_setup()
         hits = 0
         for g in positives[:15]:
-            rationales = extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20)
+            rationales = extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20,
+                                            score_cache={})
             assert rationales, "positive molecule produced no rationale"
             if any(contains_subgraph(r.combined, motif) is not None for r in rationales):
                 hits += 1
@@ -151,7 +153,8 @@ class TestExtractRationales:
     def test_returned_rationales_are_valid_subgraphs(self):
         motif, prop, positives = planted_setup(size=150, seed=29)
         for g in positives[:10]:
-            for r in extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20):
+            for r in extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20,
+                                        score_cache={}):
                 frag = r.combined
                 assert frag.n <= 20
                 assert is_connected(frag)
@@ -166,7 +169,8 @@ class TestExtractRationales:
     def test_peripheral_annotation_rule(self):
         motif, prop, positives = planted_setup(size=150, seed=31)
         g = positives[0]
-        for r in extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20):
+        for r in extract_rationales(g, prop, iterations=20, c_puct=10.0, max_atoms=20,
+                                    score_cache={}):
             frag = r.combined
             _key, origin = r.sources[0]
             expected = tuple(
@@ -178,8 +182,10 @@ class TestExtractRationales:
 
     def test_determinism(self):
         motif, prop, positives = planted_setup(size=150, seed=37)
-        a = extract_rationales(positives[0], prop, iterations=20, c_puct=10.0, max_atoms=20)
-        b = extract_rationales(positives[0], prop, iterations=20, c_puct=10.0, max_atoms=20)
+        a = extract_rationales(positives[0], prop, iterations=20, c_puct=10.0, max_atoms=20,
+                               score_cache={})
+        b = extract_rationales(positives[0], prop, iterations=20, c_puct=10.0, max_atoms=20,
+                               score_cache={})
         assert [r.key for r in a] == [r.key for r in b]
 
     def test_stats_flow_conservation(self, monkeypatch):
@@ -194,7 +200,8 @@ class TestExtractRationales:
 
         monkeypatch.setattr(extract, "_Search", RecordedSearch)
         iterations = 40
-        extract_rationales(g, prop, iterations=iterations, c_puct=10.0, max_atoms=20)
+        extract_rationales(g, prop, iterations=iterations, c_puct=10.0, max_atoms=20,
+                           score_cache={})
         (search,) = holder
         nodes = search.nodes
         inflow = {key: 0 for key in nodes}
@@ -239,7 +246,8 @@ class TestExtractRationales:
                         stack.append(child)
             if len(seen) > 180:
                 continue
-            out = extract_rationales(g, prop, iterations=200, c_puct=10.0, max_atoms=20)
+            out = extract_rationales(g, prop, iterations=200, c_puct=10.0, max_atoms=20,
+                                     score_cache={})
             best_mcts = max(r.scores["p"] for r in out)
             assert best_mcts >= best_enum - 1e-9
             checked += 1

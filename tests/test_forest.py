@@ -173,11 +173,6 @@ class TestSerialization:
 
 
 class TestPropertySpec:
-    def test_threshold_validation(self):
-        model = ForestModel([{"leaf": 1.0}], 1, 1, 0)
-        with pytest.raises(ForestError):
-            PropertySpec("x", model, threshold=1.5)
-
     def test_is_positive(self):
         model = ForestModel([{"leaf": 0.6}], 1, 1, 0)
         spec = PropertySpec("x", model, threshold=0.5)

@@ -79,6 +79,8 @@ class TestForwardOps:
         assert ns.matmul(v, b).shape == (4,)
         with pytest.raises(ns.ShapeError):
             ns.matmul(a, ns.const(np.ones((2, 2))))
+        with pytest.raises(ns.ShapeError):  # the right operand is a matrix
+            ns.matmul(a, v)
 
     def test_add_requires_same_shape(self):
         with pytest.raises(ns.ShapeError):
@@ -332,7 +334,7 @@ class TestAdam:
     def test_nan_gradient_named(self):
         p = {"weird": ns.param(1.0)}
         with pytest.raises(ns.GradientError, match="weird"):
-            ns.adam_step(p, {"weird": np.array(np.nan)}, {})
+            ns.adam_step(p, {"weird": np.array(np.nan)}, {}, lr=1e-3)
 
 
 class TestCheckpoint:
@@ -353,8 +355,8 @@ class TestCheckpoint:
     def test_deterministic_bytes(self, tmp_path):
         arrays = {"x": np.arange(6, dtype=np.float64).reshape(2, 3)}
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        ns.save_params(a, arrays)
-        ns.save_params(b, arrays)
+        ns.save_params(a, arrays, extra={"note": 1})
+        ns.save_params(b, arrays, extra={"note": 1})
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
@@ -377,8 +379,9 @@ class TestCheckpoint:
     def test_loaded_arrays_are_writeable_and_own_their_memory(self, tmp_path):
         arrays = {"a": np.arange(6, dtype=np.float64).reshape(2, 3), "c": np.array(2.5)}
         stem = str(tmp_path / "ckpt")
-        ns.save_params(stem, arrays)
-        back, _ = ns.load_params(stem)
+        ns.save_params(stem, arrays, extra={})
+        back, extra = ns.load_params(stem)
+        assert extra == {}
         for k, arr in back.items():
             assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata, k
             assert arr.base is None, k

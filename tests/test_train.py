@@ -240,7 +240,8 @@ class TestFinetune:
     def test_trivial_property_keeps_success_one(self):
         corpus = toy_corpus()
         model = toy_model(corpus, seed=3)
-        stats = finetune(model, small_vocab(), [ConstSpec(1.0)], quick_cfg(iterations=3))
+        stats = finetune(model, small_vocab(), [ConstSpec(1.0)], quick_cfg(iterations=3),
+                         train_positives=corpus)
         assert all(s.success == 1.0 for s in stats)
 
     def test_sample_accounting(self):
@@ -248,7 +249,8 @@ class TestFinetune:
         model = toy_model(corpus, seed=5)
         vocab = small_vocab()
         stats = finetune(
-            model, vocab, [ConstSpec(1.0)], quick_cfg(samples_per_rationale=1, iterations=1)
+            model, vocab, [ConstSpec(1.0)], quick_cfg(samples_per_rationale=1, iterations=1),
+            train_positives=corpus,
         )
         assert len(stats) == 1
         assert stats[0].sampled == len(vocab.entries)
@@ -263,7 +265,7 @@ class TestFinetune:
         vocab.add(closed)
         # no atom may be added, so every completion of `grows` truncates
         cfg = quick_cfg(iterations=1, samples_per_rationale=5, max_decode_steps=0)
-        (stats,) = finetune(model, vocab, [ConstSpec(1.0)], cfg)
+        (stats,) = finetune(model, vocab, [ConstSpec(1.0)], cfg, train_positives=toy_corpus())
         assert (stats.truncated, stats.sampled, stats.kept) == (5, 5, 5)
         assert stats.success == 0.5
 
@@ -277,7 +279,8 @@ class TestFinetune:
 
         monkeypatch.setattr(train, "prepare_start", counted)
         vocab = small_vocab()
-        stats = finetune(model, vocab, [ConstSpec(1.0)], quick_cfg(iterations=3))
+        stats = finetune(model, vocab, [ConstSpec(1.0)], quick_cfg(iterations=3),
+                         train_positives=toy_corpus())
         assert all(s.kept > 0 for s in stats)  # every iteration takes a policy step
         assert [id(r) for r in calls] == [id(r) for r in vocab.entries] * 3
 
@@ -285,7 +288,8 @@ class TestFinetune:
         corpus = toy_corpus()
         model = toy_model(corpus, seed=7)
         with pytest.raises(TrainingError):
-            finetune(model, small_vocab(), [ConstSpec(0.0)], quick_cfg(iterations=2))
+            finetune(model, small_vocab(), [ConstSpec(0.0)], quick_cfg(iterations=2),
+                     train_positives=corpus)
 
     def test_reinforce_equals_filtered_likelihood_on_toy_decoder(self):
         # two Bernoulli decisions parameterized by logits; rewards in {0, 1}:
@@ -302,7 +306,7 @@ class TestFinetune:
             for k, choice in enumerate(traj):
                 unit = np.zeros(2)
                 unit[k] = 1.0
-                logit_k = ns.matmul(theta, ns.const(unit))
+                logit_k = ns.sum_all(ns.mul(theta, ns.const(unit)))
                 if choice == 1:
                     comps.append(ns.logsigmoid(logit_k))
                 else:
@@ -353,7 +357,8 @@ class TestFinetune:
 
         vocab = RationaleVocab(("hasN",))
         vocab.add(Rationale(parse_smiles("CN"), scores={"hasN": 1.0}, peripheral=(0,)))
-        stats = finetune(model, vocab, [NitrogenSpec()], quick_cfg(iterations=3, samples_per_rationale=8))
+        stats = finetune(model, vocab, [NitrogenSpec()], quick_cfg(iterations=3, samples_per_rationale=8),
+                         train_positives=corpus)
         assert len(stats) == 3
         assert stats[-1].success >= 0.99  # the rationale already contains N
 
@@ -550,7 +555,7 @@ class TestRationaleDistribution:
         model = toy_model(toy_corpus())
         with pytest.raises(TrainingError):
             rationale_distribution(model, small_vocab(), [ConstSpec(1.0)], entropy_weight=0.0,
-                                   samples_per_rationale=20, max_steps=60)
+                                   samples_per_rationale=20, max_steps=60, seed=1)
 
 
 def _softmax_probs(rewards, lam):
